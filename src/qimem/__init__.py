@@ -12,8 +12,8 @@ from .markov import (ConvergenceError, EpsilonMachine, ReducibleChainError,
                      TransitionMatrix, coin_mutual_info_bound, entropy_bits,
                      exact_kgram_distribution, induced_chain,
                      machine_from_chain, perturbed_coin, post_processed_coin,
-                     sample_trajectory, stationary, statistical_memory,
-                     topological_memory)
+                     sample_edges, sample_trajectory, stationary,
+                     statistical_memory, topological_memory)
 from .quantum import (coin_quantum_memory, quantum_causal_states,
                       quantum_statistical_memory, quantum_topological_memory,
                       stationary_density)

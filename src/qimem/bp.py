@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .markov import _check_unit_interval
 from .quantum import (cnot, coin_memory_qubits, controlled_u, kron,
                       postproc_memory_qubits, u_x, P0)
 
@@ -220,8 +221,7 @@ def prep_factor(x) -> np.ndarray:
     times factor is the projector on |0> and mirrored graphs close into
     projectors instead of identities.
     """
-    if x < 0 or x > 1:
-        raise ValueError(f"x = {x!r} outside [0, 1]")
+    _check_unit_interval(x, "x")
     return np.array([[math.sqrt(1 - x), 0.0], [math.sqrt(x), 0.0]])
 
 

@@ -24,10 +24,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import bp, quantum, samplers, stats
-from .markov import (EpsilonMachine, TransitionMatrix, coin_mutual_info_bound,
-                     exact_kgram_distribution, induced_chain,
-                     machine_from_chain, perturbed_coin, post_processed_coin,
-                     sample_trajectory, stationary)
+from .markov import (EpsilonMachine, TransitionMatrix, as_cdf,
+                     coin_mutual_info_bound, exact_kgram_distribution,
+                     induced_chain, machine_from_chain, perturbed_coin,
+                     post_processed_coin, sample_edges, sample_trajectory,
+                     stationary)
 
 PASS, STAT_FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 BP_TOL = 1e-10
@@ -227,9 +228,8 @@ def _load_matrix(path, exact: bool) -> TransitionMatrix:
 
 
 def _stationary_start(chain: TransitionMatrix, rng: np.random.Generator) -> int:
-    cdf = np.cumsum([float(w) for w in stationary(chain)])
-    cdf[-1] = 1.0
-    return int(np.searchsorted(cdf, rng.random(), side="right"))
+    return int(np.searchsorted(as_cdf(stationary(chain)), rng.random(),
+                               side="right"))
 
 
 def _saved_fraction_z(observed: float, expected: float, draws: int) -> float:
@@ -304,7 +304,7 @@ def _simulate_trajectory(machine: EpsilonMachine, chain, model, algo, p, q,
         traj = sample_trajectory(machine, start, steps, rng)
     elif algo == "quantum":
         table = quantum.circuit_step_table(model, p, q)
-        traj = quantum.sample_circuit_trajectory(table, start, steps, rng)
+        traj, _ = sample_edges(table, start, steps, rng)
     else:
         traj = samplers.StochasticBitMachine(p, q, start, rng).run(steps)
     if out:
@@ -374,15 +374,15 @@ def cmd_bp_verify(args, config) -> int:
         if steps != 1:
             raise UsageError("--steps applies to the coin graph only")
     lines = []
-    worst = 0.0
+    devs = []
     states = (0, 1) if model == "coin" else (0, 1, 2)
     for j in states:
         if model == "coin":
             graph = bp.coin_graph(p, j, steps)
         else:
             graph = bp.postproc_graph(p, q, j)
-        dev = _verify_graph(graph, model, p, q, j, steps, lines)
-        worst = max(worst, dev)
+        devs.append(_verify_graph(graph, model, p, q, j, steps, lines))
+    worst = _worst(devs)
     lines.append(f"max_deviation={worst!r}")
     passed = worst < BP_TOL
     lines.append(f"passed={'true' if passed else 'false'}")
@@ -394,6 +394,12 @@ def cmd_bp_verify(args, config) -> int:
     return PASS if passed else STAT_FAIL
 
 
+def _worst(deviations) -> float:
+    """Largest of some deviations (scalars or arrays).  Unlike ``max``,
+    which drops a NaN unless it comes first, any NaN makes the result NaN."""
+    return float(np.max([np.max(d) for d in deviations]))
+
+
 def _verify_graph(graph, model, p, q, j, steps, lines) -> float:
     init = np.zeros(graph.dims[0])
     init[0] = 1.0
@@ -401,20 +407,19 @@ def _verify_graph(graph, model, p, q, j, steps, lines) -> float:
     nu = bp.backward_pass(graph, init)
     expected = bp.expected_messages(model, p, j, q=q, steps=steps)
     L = graph.n_vars
-    msg_dev = float(max(np.max(np.abs(mu[ell].values - expected[ell]))
-                        for ell in range(L + 1)))
-    loop_dev = float(np.max(np.abs(mu[L].values - init)))
-    transpose_dev = float(max(np.max(np.abs(nu[ell].values - mu[ell].values))
-                              for ell in range(L)))
-    marg_dev = 0.0
-    for ell in range(L):
-        bp_marg = bp.marginal(mu[ell], nu[ell])
-        diag = bp.diagonal_distribution(bp.probability_matrix(graph, ell))
-        marg_dev = max(marg_dev, float(np.max(np.abs(bp_marg - diag))))
+    msg_dev = _worst(np.abs(mu[ell].values - expected[ell])
+                     for ell in range(L + 1))
+    loop_dev = _worst([np.abs(mu[L].values - init)])
+    transpose_dev = _worst(np.abs(nu[ell].values - mu[ell].values)
+                           for ell in range(L))
+    marg_dev = _worst(
+        np.abs(bp.marginal(mu[ell], nu[ell])
+               - bp.diagonal_distribution(bp.probability_matrix(graph, ell)))
+        for ell in range(L))
     enum_marg, _ = bp.brute_marginals(graph)
-    enum_dev = max(float(np.max(np.abs(bp.marginal(mu[ell], nu[ell]) - m)))
-                   for ell, m in enumerate(enum_marg))
-    dev = max(msg_dev, loop_dev, transpose_dev, marg_dev, enum_dev)
+    enum_dev = _worst(np.abs(bp.marginal(mu[ell], nu[ell]) - m)
+                      for ell, m in enumerate(enum_marg))
+    dev = _worst([msg_dev, loop_dev, transpose_dev, marg_dev, enum_dev])
     lines.append(f"state{j}_message_dev={msg_dev!r}")
     lines.append(f"state{j}_loop_dev={loop_dev!r}")
     lines.append(f"state{j}_transpose_dev={transpose_dev!r}")

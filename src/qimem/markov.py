@@ -10,6 +10,7 @@ decompositions can be checked by exact equality.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -52,9 +53,8 @@ class TransitionMatrix:
             raise ValueError("transition matrix must be square and non-empty")
         for j, row in enumerate(rows):
             for v in row:
-                if v < 0 or v > 1:
-                    raise ValueError(f"entry {v!r} in row {j} outside [0, 1]")
-            if abs(sum(row) - 1) > ROW_SUM_TOL:
+                _check_unit_interval(v, f"entry in row {j}")
+            if not abs(sum(row) - 1) <= ROW_SUM_TOL:
                 raise ValueError(f"row {j} sums to {float(sum(row))!r}, not 1")
         self.rows = rows
         self.n = n
@@ -94,11 +94,10 @@ class EpsilonMachine:
         for i, dist in enumerate(self.emit):
             if not dist:
                 raise ValueError(f"state {i} has no outputs")
-            if abs(sum(dist.values()) - 1) > ROW_SUM_TOL:
+            if not abs(sum(dist.values()) - 1) <= ROW_SUM_TOL:
                 raise ValueError(f"output distribution of state {i} does not sum to 1")
             for x, pr in dist.items():
-                if pr < 0 or pr > 1:
-                    raise ValueError(f"P({x}|{i}) = {pr!r} outside [0, 1]")
+                _check_unit_interval(pr, f"P({x}|{i})")
                 if x not in self.symbols:
                     raise ValueError(f"symbol {x} not in alphabet {self.symbols}")
                 if x not in self.succ[i]:
@@ -153,7 +152,8 @@ def _one_like(v):
 
 
 def _check_unit_interval(v, name: str) -> None:
-    if v < 0 or v > 1:
+    # written so that NaN fails the test instead of slipping past it
+    if not 0 <= v <= 1:
         raise ValueError(f"{name} = {v!r} outside [0, 1]")
 
 
@@ -222,7 +222,8 @@ def _stationary_exact(T: TransitionMatrix) -> tuple:
                 aug[r] = [vr - factor * vc for vr, vc in zip(aug[r], aug[c])]
     pi = tuple(aug[r][n] for r in range(n))
     check = tuple(sum(pi[j] * T[j][i] for j in range(n)) for i in range(n))
-    assert check == pi, "exact stationary solve failed its fixed-point check"
+    if check != pi:
+        raise ArithmeticError("exact stationary solve failed its fixed-point check")
     return pi
 
 
@@ -295,30 +296,60 @@ def coin_mutual_info_bound(p) -> float:
     return 1.0 - binary_entropy(p)
 
 
-def sample_trajectory(machine: EpsilonMachine, start: int, steps: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Emit ``steps`` symbols starting from hidden state ``start``."""
-    if not 0 <= start < machine.n:
+# Steps per block of the trajectory kernel: bounds the Python lists it
+# builds at a few MB whatever the run length.
+TRAJECTORY_BLOCK = 1 << 16
+
+
+def as_cdf(weights) -> np.ndarray:
+    """Float cumulative sums of ``weights`` with the last entry pinned to 1,
+    so that ``searchsorted(cdf, u, side="right")`` maps every u in [0, 1)
+    to a valid index."""
+    cdf = np.cumsum([float(w) for w in weights])
+    cdf[-1] = 1.0
+    return cdf
+
+
+def sample_edges(rows, start: int, steps: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Walk an edge table for ``steps`` steps from state ``start``.
+
+    ``rows[s]`` lists the ``(symbol, probability, next_state)`` edges of
+    state s; edges may share a symbol, so the table need not be unifilar.
+    Step t takes the first edge of the current state whose cumulative
+    probability exceeds u[t], where u = ``rng.random(steps)`` is drawn once
+    up front.  Each step costs one bisection of the current state's CDF,
+    whatever the number of states.  Returns the emitted symbols and the
+    state after the last step.
+    """
+    n = len(rows)
+    if not 0 <= start < n:
         raise ValueError(f"start state {start} out of range")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    syms = []
-    cums = []
-    nxts = []
-    for i in range(machine.n):
-        items = sorted(machine.emit[i].items())
-        syms.append(np.array([x for x, _ in items]))
-        cums.append(np.cumsum([float(pr) for _, pr in items]))
-        cums[-1][-1] = 1.0
-        nxts.append(np.array([machine.succ[i][x] for x, _ in items]))
+    if any(not row or any(not 0 <= nx < n for _, _, nx in row)
+           for row in rows):
+        raise ValueError("every state needs edges into the state range")
+    cdfs = [as_cdf([pr for _, pr, _ in row]).tolist() for row in rows]
+    edges = [[(x, nx) for x, _, nx in row] for row in rows]
     out = np.empty(steps, dtype=np.int64)
     u = rng.random(steps)
     state = start
-    for t in range(steps):
-        k = int(np.searchsorted(cums[state], u[t], side="right"))
-        out[t] = syms[state][k]
-        state = int(nxts[state][k])
-    return out
+    for lo in range(0, steps, TRAJECTORY_BLOCK):
+        emitted = []
+        for v in u[lo:lo + TRAJECTORY_BLOCK].tolist():
+            x, state = edges[state][bisect_right(cdfs[state], v)]
+            emitted.append(x)
+        out[lo:lo + len(emitted)] = emitted
+    return out, state
+
+
+def sample_trajectory(machine: EpsilonMachine, start: int, steps: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Emit ``steps`` symbols starting from hidden state ``start``."""
+    rows = [[(x, pr, machine.succ[i][x]) for x, pr in sorted(dist.items())]
+            for i, dist in enumerate(machine.emit)]
+    return sample_edges(rows, start, steps, rng)[0]
 
 
 MAX_KGRAM = 8

@@ -17,8 +17,8 @@ from functools import reduce
 
 import numpy as np
 
-from .markov import (EpsilonMachine, binary_entropy, induced_chain,
-                     stationary)
+from .markov import (EpsilonMachine, _check_unit_interval, binary_entropy,
+                     induced_chain, stationary)
 
 UNIT_TOL = 1e-12
 ORTHO_TOL = 1e-12
@@ -66,8 +66,7 @@ def u_x(x, completion: str = "rotation") -> np.ndarray:
     ``reflection`` uses (sqrt(x), -sqrt(1-x)); every consumer must be
     insensitive to the choice.
     """
-    if x < 0 or x > 1:
-        raise ValueError(f"x = {x!r} outside [0, 1]")
+    _check_unit_interval(x, "x")
     c, s = math.sqrt(1 - x), math.sqrt(x)
     if completion == "rotation":
         return np.array([[c, -s], [s, c]])
@@ -183,7 +182,8 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
 def quantum_topological_memory(rho: np.ndarray, tol: float = RANK_TOL) -> float:
     """log2 of the rank of the stationary memory state."""
     rank = int(np.sum(density_spectrum(rho) > tol))
-    assert rank >= 1
+    if rank < 1:
+        raise ValueError(f"no eigenvalue of the memory state exceeds {tol!r}")
     return math.log2(rank)
 
 
@@ -200,8 +200,7 @@ def coin_quantum_memory(p) -> float:
     entropy is the binary entropy of the larger one.  Must agree with the
     eigensolver route through ``stationary_density`` to 1e-10.
     """
-    if p < 0 or p > 1:
-        raise ValueError(f"p = {p!r} outside [0, 1]")
+    _check_unit_interval(p, "p")
     return binary_entropy(0.5 + math.sqrt(float(p) * (1.0 - float(p))))
 
 
@@ -220,8 +219,7 @@ def postproc_memory_qubits(q) -> list[np.ndarray]:
     is what lets the three-state machine run on a single bit of memory.
     """
     q = float(q)
-    if q < 0 or q > 1:
-        raise ValueError(f"q = {q!r} outside [0, 1]")
+    _check_unit_interval(q, "q")
     return [np.array([1.0, 0.0]),
             np.array([math.sqrt(q), math.sqrt(1 - q)]),
             np.array([0.0, 1.0])]
@@ -260,7 +258,8 @@ def postproc_step(j: int, p, q, completion: str = "rotation") -> list:
     out = []
     for (y1, y3), pr, post in measure(psi, (1, 3)):
         if y1 == 1 and y3 == 1:
-            assert pr == 0.0
+            if pr != 0.0:
+                raise ValueError(f"forbidden branch (1, 1) has probability {pr!r}")
             continue
         out.append((y1 + 2 * y3, pr, post))
     return sorted(out)
@@ -294,8 +293,8 @@ def circuit_step_table(model: str, p, q=None) -> list:
     Each entry lists ``(symbol, probability, next_state)`` with the next
     state identified by matching the post-measurement memory qubit against
     the causal-state vectors.  The emitted distributions come from the
-    circuit, not from the transition matrix, so sampling from this table
-    exercises the quantum route end to end.
+    circuit, not from the transition matrix, so walking this table with
+    ``markov.sample_edges`` exercises the quantum route end to end.
     """
     if model == "coin":
         refs = coin_memory_qubits(p)
@@ -321,25 +320,3 @@ def circuit_step_table(model: str, p, q=None) -> list:
         table.append(row)
     return table
 
-
-def sample_circuit_trajectory(table: list, start: int, steps: int,
-                              rng: np.random.Generator) -> np.ndarray:
-    """Sample a symbol trajectory from a ``circuit_step_table``."""
-    if not 0 <= start < len(table):
-        raise ValueError(f"start state {start} out of range")
-    syms = [np.array([x for x, _, _ in row]) for row in table]
-    cums = []
-    nxts = []
-    for row in table:
-        c = np.cumsum([pr for _, pr, _ in row])
-        c[-1] = 1.0
-        cums.append(c)
-        nxts.append(np.array([nx for _, _, nx in row]))
-    out = np.empty(steps, dtype=np.int64)
-    u = rng.random(steps)
-    state = start
-    for t in range(steps):
-        k = int(np.searchsorted(cums[state], u[t], side="right"))
-        out[t] = syms[state][k]
-        state = int(nxts[state][k])
-    return out

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .markov import EpsilonMachine, TransitionMatrix, stationary
+from .markov import (EpsilonMachine, TransitionMatrix, _check_unit_interval,
+                     as_cdf, sample_edges, stationary)
 
 DELTA_ROW_TOL = 1e-12
 
@@ -58,7 +59,8 @@ def decompose(chain: TransitionMatrix, pi=None):
     delta = tuple(tuple(chain[j][i] - pi[i] for i in range(n))
                   for j in range(n))
     for j, row in enumerate(delta):
-        assert abs(sum(row)) <= DELTA_ROW_TOL, f"Delta row {j} does not sum to 0"
+        if not abs(sum(row)) <= DELTA_ROW_TOL:
+            raise ValueError(f"Delta row {j} does not sum to 0")
     return tuple(pi), delta
 
 
@@ -88,7 +90,8 @@ def reroute_ratios(pi, delta, f) -> tuple[tuple, tuple]:
         if f[j] == 0:
             continue
         surplus = sum(d for d in row if d > 0)
-        assert surplus > 0, "zero-sum row with a depleted set must have surplus"
+        if not surplus > 0:
+            raise ValueError(f"Delta row {j} has a depleted set but no surplus")
         for i, d in enumerate(row):
             if d < 0:
                 rminus[j][i] = -d / (f[j] * pi[i])
@@ -153,12 +156,6 @@ def expected_memory(tables: RerouteTables, n_samples: int = 1):
     return fraction, fraction * math.ceil(math.log2(tables.n)) * n_samples
 
 
-def _as_cdf(weights) -> np.ndarray:
-    cdf = np.cumsum([float(w) for w in weights])
-    cdf[-1] = 1.0
-    return cdf
-
-
 class GeneralQISampler:
     """Ensemble sampler reproducing a chain from i.i.d. stationary draws.
 
@@ -176,14 +173,14 @@ class GeneralQISampler:
         n = self.tables.n
         self.n_samples = int(n_samples)
         self.seed = int(seed)
-        self._pi_cdf = _as_cdf(self.tables.pi)
+        self._pi_cdf = as_cdf(self.tables.pi)
         self._f = np.array([float(v) for v in self.tables.f])
         self._rminus = np.array([[float(v) for v in row]
                                  for row in self.tables.rminus])
         self._rplus_cdf = np.ones((n, n))
         for j in range(n):
             if self.tables.f[j] != 0:
-                self._rplus_cdf[j] = _as_cdf(self.tables.rplus[j])
+                self._rplus_cdf[j] = as_cdf(self.tables.rplus[j])
         self.step_index = 0
         self.values = np.searchsorted(
             self._pi_cdf, _uniforms(self.seed, 0, 0, self.n_samples),
@@ -233,8 +230,7 @@ class CoinEnsemble:
 
     def __init__(self, p: float, n_samples: int, seed: int):
         p = float(p)
-        if p < 0 or p > 1:
-            raise ValueError(f"p = {p!r} outside [0, 1]")
+        _check_unit_interval(p, "p")
         self.p = p
         self.save_prob = abs(2 * p - 1)
         self.n_samples = int(n_samples)
@@ -291,7 +287,7 @@ def three_state_demo_chain(p, q) -> TransitionMatrix:
     whose reroute tables are known in closed form, handy as an exactness
     fixture when built from Fractions.
     """
-    if p < 0 or q < 0 or p + q > 1:
+    if not (p >= 0 and q >= 0 and p + q <= 1):
         raise ValueError("need p, q >= 0 with p + q <= 1")
     third = Fraction(1, 3) if isinstance(p, Fraction) else 1.0 / 3.0
     uniform = [third, third, third]
@@ -303,8 +299,7 @@ def coin_signed_decomposition(p):
     correction: (1/2)(1, 1) + ((1-2p)/2)(1, -1).  The second component has
     a negative weight for p > 1/2, which is why it cannot be sampled
     directly and is implemented by the flip rule instead."""
-    if p < 0 or p > 1:
-        raise ValueError(f"p = {p!r} outside [0, 1]")
+    _check_unit_interval(p, "p")
     half = Fraction(1, 2) if isinstance(p, Fraction) else 0.5
     c = (1 - 2 * p) * half
     return (half, half), (c, -c)
@@ -317,15 +312,18 @@ class StochasticBitMachine:
     represents the middle state: bit 0 behaves like the quiet state, bit 1
     deterministically emits the run-continuation symbol.  Per step with
     bit 0: emit 2 and set the bit with probability p, else emit 0 and clear
-    it.  With bit 1: emit 1, then clear the bit with probability q.
+    it.  With bit 1: emit 1, then clear the bit with probability q.  That
+    is the edge table ``rows`` walked by ``markov.sample_edges`` with the
+    bit as the state; it is not unifilar, since bit 1 emits 1 either way.
     """
 
     def __init__(self, p: float, q: float, start: int, rng: np.random.Generator):
         p, q = float(p), float(q)
-        if not (0 <= p <= 1 and 0 <= q <= 1):
-            raise ValueError("p and q must lie in [0, 1]")
+        _check_unit_interval(p, "p")
+        _check_unit_interval(q, "q")
         self.p = p
         self.q = q
+        self.rows = [[(2, p, 1), (0, 1 - p, 0)], [(1, q, 0), (1, 1 - q, 1)]]
         self.rng = rng
         self.bit = self._initial_bit(start)
 
@@ -339,32 +337,11 @@ class StochasticBitMachine:
         raise ValueError(f"start state must be 0, 1 or 2, got {start}")
 
     def step(self) -> int:
-        u = self.rng.random()
-        if self.bit == 0:
-            if u < self.p:
-                self.bit = 1
-                return 2
-            return 0
-        self.bit = 0 if u < self.q else 1
-        return 1
+        return int(self.run(1)[0])
 
     def run(self, steps: int) -> np.ndarray:
         """Emit ``steps`` symbols; one uniform is consumed per step."""
-        out = np.empty(steps, dtype=np.int64)
-        u = self.rng.random(steps)
-        bit = self.bit
-        p, q = self.p, self.q
-        for t in range(steps):
-            if bit == 0:
-                if u[t] < p:
-                    out[t] = 2
-                    bit = 1
-                else:
-                    out[t] = 0
-            else:
-                out[t] = 1
-                bit = 0 if u[t] < q else 1
-        self.bit = bit
+        out, self.bit = sample_edges(self.rows, self.bit, steps, self.rng)
         return out
 
 

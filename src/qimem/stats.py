@@ -91,16 +91,6 @@ class ComparisonReport:
         lines += [f"z_{gram}={self.z[gram]!r}" for gram in sorted(self.z)]
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def csv_header() -> str:
-        return "windows,sigma,max_abs_z,tv,hard_failures,passed"
-
-    def to_csv_row(self) -> str:
-        return ",".join([str(self.windows), repr(self.sigma),
-                         repr(self.max_abs_z), repr(self.tv),
-                         ";".join(self.hard_failures),
-                         "true" if self.passed else "false"])
-
 
 def compare(counts: dict, oracle: dict, sigma: float = 5.0) -> ComparisonReport:
     """Binomial z test of observed gram counts against exact probabilities.

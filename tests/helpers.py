@@ -61,3 +61,29 @@ def exact_coin_trajectory(p: float, steps: int,
     flips = rng.random(steps) < p
     first = rng.random() < 0.5
     return ((first + np.cumsum(flips)) % 2).astype(np.int64)
+
+
+def reference_edge_walk(rows, start: int, steps: int,
+                        rng: np.random.Generator):
+    """The per-step walk that ``markov.sample_edges`` must reproduce.
+
+    One ``searchsorted`` per step on the current state's CDF: the plainest
+    form of the walk, slow but easy to trust.  Returns the symbols and the
+    final state.
+    """
+    syms = [np.array([x for x, _, _ in row]) for row in rows]
+    cums = []
+    nxts = []
+    for row in rows:
+        c = np.cumsum([float(pr) for _, pr, _ in row])
+        c[-1] = 1.0
+        cums.append(c)
+        nxts.append(np.array([nx for _, _, nx in row]))
+    out = np.empty(steps, dtype=np.int64)
+    u = rng.random(steps)
+    state = start
+    for t in range(steps):
+        k = int(np.searchsorted(cums[state], u[t], side="right"))
+        out[t] = syms[state][k]
+        state = int(nxts[state][k])
+    return out, state

@@ -69,6 +69,8 @@ def test_prep_factor():
     assert np.allclose(f.T @ f, [[1, 0], [0, 0]], atol=1e-15)
     with pytest.raises(ValueError):
         prep_factor(1.01)
+    with pytest.raises(ValueError):
+        prep_factor(float("nan"))
 
 
 def test_coin_graph_battery():

@@ -5,12 +5,13 @@ verdicts asserted below are reproducible facts about those runs, not
 flaky expectations.
 """
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from qimem import cli
+from qimem import bp, cli
 from qimem.markov import binary_entropy
 from qimem.quantum import coin_quantum_memory
 
@@ -180,6 +181,37 @@ def test_simulate_numeric_failure_exit(tmp_path):
                "--matrix", str(matrix), "--seed", "1") == 3
 
 
+def test_simulate_nan_is_numeric_error():
+    for algo in ("qi-ensemble", "baseline"):
+        assert run("simulate", "--model", "coin", "--algo", algo,
+                   "--p", "nan", "--seed", "1") == 3
+    assert run("simulate", "--model", "postproc", "--algo", "single-bit",
+               "--p", "0.3", "--q", "nan", "--seed", "1") == 3
+
+
+# sha256 of stdout, the --out file and the report of one trajectory run per
+# algorithm (postproc p=1/9 q=2/3, 2e4 steps, seed 5): a change to any
+# sampled symbol, the start-state draw or the report shows up here
+TRAJECTORY_DIGESTS = {
+    "baseline":
+        "cd1e769259750d7ef555b092f8f34757274b64a383f64391aca7a7a627d762a7",
+    "quantum":
+        "6c747c908d2de3e4236b1d1cc1a5116e979b3a9eadbcbaf863ecd20d10af50ac",
+    "single-bit":
+        "517c27ae3a9187283501254641044f0099341f0ae9ab46aac2cba11f0b78cfac",
+}
+
+
+def test_trajectory_outputs_pinned(tmp_path, capsys):
+    for algo, digest in TRAJECTORY_DIGESTS.items():
+        out = tmp_path / f"{algo}.txt"
+        run("simulate", "--model", "postproc", "--algo", algo, "--p", "1/9",
+            "--q", "2/3", "--steps", "20000", "--seed", "5", "--out", str(out))
+        blob = (capsys.readouterr().out.encode() + out.read_bytes()
+                + (tmp_path / f"{algo}.txt.report.txt").read_bytes())
+        assert hashlib.sha256(blob).hexdigest() == digest, algo
+
+
 def test_config_supplies_defaults_and_flags_win(tmp_path):
     out = tmp_path / "traj.txt"
     cfg = tmp_path / "cfg.json"
@@ -228,6 +260,30 @@ def test_bp_verify_two_step(capsys):
     assert run("bp-verify", "--model", "postproc", "--p", "0.3",
                "--q", "0.5", "--steps", "2") == 2
     assert run("bp-verify", "--model", "postproc", "--p", "0.3") == 2
+
+
+def test_bp_verify_nan_input_fails():
+    assert run("bp-verify", "--model", "coin", "--p", "nan") == 3
+
+
+@pytest.mark.parametrize("target", ["expected_messages", "brute_marginals"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_bp_verify_nonfinite_deviation_fails(monkeypatch, capsys, target,
+                                             bad):
+    real = getattr(bp, target)
+
+    def spoiled(*args, **kwargs):
+        result = real(*args, **kwargs)
+        arrays = result[0] if target == "brute_marginals" else result
+        arrays[-1] = arrays[-1] + bad
+        return result
+
+    monkeypatch.setattr(bp, target, spoiled)
+    assert run("bp-verify", "--model", "coin", "--p", "0.3") == 1
+    fields = dict(line.split("=", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    assert fields["passed"] == "false"
+    assert not math.isfinite(float(fields["max_deviation"]))
 
 
 def test_unknown_arguments():

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qimem import markov
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
@@ -17,11 +18,14 @@ from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           coin_mutual_info_bound, entropy_bits,
                           exact_kgram_distribution, induced_chain,
                           machine_from_chain, perturbed_coin,
-                          post_processed_coin, sample_trajectory,
-                          stationary, statistical_memory, topological_memory)
-from qimem.samplers import three_state_demo_chain
+                          post_processed_coin, sample_edges,
+                          sample_trajectory, stationary, statistical_memory,
+                          topological_memory)
+from qimem.quantum import circuit_step_table
+from qimem.samplers import StochasticBitMachine, three_state_demo_chain
 
-from helpers import random_chain, random_rational_chain
+from helpers import (random_chain, random_machine, random_rational_chain,
+                     reference_edge_walk)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_PI = (F(2, 9), F(1, 2), F(5, 18))
@@ -91,6 +95,28 @@ def test_machine_validation():
         EpsilonMachine(emit=({0: 0.5},), succ=({0: 0},), symbols=(0,))
     with pytest.raises(ValueError):
         EpsilonMachine(emit=({3: 1.0},), succ=({3: 0},), symbols=(0, 1))
+
+
+def test_nan_and_inf_rejected():
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf, -inf):
+        with pytest.raises(ValueError):
+            TransitionMatrix([[bad, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError):
+            TransitionMatrix([[1.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValueError):
+            EpsilonMachine(emit=({0: bad, 1: 0.5},), succ=({0: 0, 1: 0},),
+                           symbols=(0, 1))
+        with pytest.raises(ValueError):
+            perturbed_coin(bad)
+        with pytest.raises(ValueError):
+            post_processed_coin(0.3, bad)
+        with pytest.raises(ValueError):
+            coin_mutual_info_bound(bad)
+    # the endpoints stay valid
+    for p in (0, 1, 0.0, 1.0, F(0), F(1)):
+        perturbed_coin(p)
+        post_processed_coin(p, p)
 
 
 def test_machine_chain_roundtrip():
@@ -188,6 +214,109 @@ def test_sample_trajectory_basics():
     assert not frozen.any()
     with pytest.raises(ValueError):
         sample_trajectory(m, 2, 10, np.random.default_rng(0))
+
+
+def machine_rows(machine):
+    return [[(x, pr, machine.succ[i][x]) for x, pr in sorted(dist.items())]
+            for i, dist in enumerate(machine.emit)]
+
+
+def edge_tables():
+    """Machine, circuit and single-bit tables: the kernel's three callers."""
+    rng = np.random.default_rng(11)
+    tables = [machine_rows(random_machine(rng, n, a))
+              for n, a in ((1, 2), (2, 2), (3, 3), (4, 3), (5, 4))]
+    tables += [circuit_step_table("coin", 0.3),
+               circuit_step_table("postproc", F(1, 9), F(2, 3)),
+               circuit_step_table("postproc", 0.37, 0.25)]
+    tables += [StochasticBitMachine(p, q, 0, rng).rows
+               for p, q in ((1 / 9, 2 / 3), (0.37, 0.25), (0.0, 1.0),
+                            (1.0, 0.0))]
+    return tables
+
+
+def assert_walks_agree(rows, start, steps, seed):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    out, final = sample_edges(rows, start, steps, rng_a)
+    ref, ref_final = reference_edge_walk(rows, start, steps, rng_b)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, ref) and final == ref_final
+    # both consumed exactly ``steps`` uniforms
+    assert rng_a.random() == rng_b.random()
+
+
+def test_sample_edges_matches_reference(monkeypatch):
+    # a short block puts many block boundaries inside short runs
+    monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 7)
+    for seed, rows in enumerate(edge_tables()):
+        for start in range(len(rows)):
+            for steps in (0, 1, 6, 7, 8, 50):
+                assert_walks_agree(rows, start, steps, seed)
+
+
+def test_sample_edges_across_a_full_block():
+    steps = markov.TRAJECTORY_BLOCK + 1
+    for rows in (circuit_step_table("postproc", F(1, 9), F(2, 3)),
+                 StochasticBitMachine(0.37, 0.25, 0,
+                                      np.random.default_rng(0)).rows):
+        for start in range(len(rows)):
+            assert_walks_agree(rows, start, steps, 1584306215)
+
+
+@st.composite
+def edge_table(draw):
+    """Random table whose symbols number the edges, so a trajectory names
+    the edges it took.  Rows may hold zero-probability edges, and some are
+    endpoint rows: one sure edge among impossible ones."""
+    n = draw(st.integers(1, 4))
+    rows, symbol = [], 0
+    for _ in range(n):
+        size = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            weights = [0] * size
+            weights[draw(st.integers(0, size - 1))] = 1
+        else:
+            weights = draw(st.lists(st.integers(0, 3), min_size=size,
+                                    max_size=size).filter(any))
+        row = []
+        for w in weights:
+            row.append((symbol, w / sum(weights), draw(st.integers(0, n - 1))))
+            symbol += 1
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=edge_table(), steps=st.integers(0, 40),
+       block=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_sample_edges_property(rows, steps, block, seed, data):
+    start = data.draw(st.integers(0, len(rows) - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(markov, "TRAJECTORY_BLOCK", block)
+        assert_walks_agree(rows, start, steps, seed)
+        out, final = sample_edges(rows, start, steps,
+                                  np.random.default_rng(seed))
+    edges = {x: (state, pr, nxt) for state, row in enumerate(rows)
+             for x, pr, nxt in row}
+    state = start
+    for x in out:
+        source, pr, nxt = edges[int(x)]
+        assert source == state and pr > 0
+        state = nxt
+    assert final == state
+
+
+def test_sample_edges_validation():
+    rows = circuit_step_table("coin", 0.3)
+    rng = np.random.default_rng(0)
+    for start, steps in ((2, 5), (-1, 5), (0, -1)):
+        with pytest.raises(ValueError):
+            sample_edges(rows, start, steps, rng)
+    with pytest.raises(ValueError):
+        sample_edges([[(0, 1.0, 1)]], 0, 5, rng)
+    with pytest.raises(ValueError):
+        sample_edges([[(0, 1.0, 0)], []], 0, 5, rng)
 
 
 def test_kgram_coin_values():

@@ -14,7 +14,8 @@ import pytest
 from qimem import quantum
 from qimem.markov import (binary_entropy, exact_kgram_distribution,
                           induced_chain, perturbed_coin, post_processed_coin,
-                          statistical_memory, topological_memory)
+                          sample_edges, statistical_memory,
+                          topological_memory)
 from qimem.quantum import (check_density, check_orthogonal, check_unit,
                            circuit_step_table, cnot, coin_memory_qubits,
                            coin_quantum_memory, coin_step,
@@ -22,8 +23,8 @@ from qimem.quantum import (check_density, check_orthogonal, check_unit,
                            controlled_u, density_spectrum, kron, measure,
                            n_qubits, postproc_memory_qubits, postproc_step,
                            quantum_causal_states, quantum_statistical_memory,
-                           quantum_topological_memory,
-                           sample_circuit_trajectory, stationary_density, u_x)
+                           quantum_topological_memory, stationary_density,
+                           u_x)
 from qimem.stats import compare, count_kgrams
 
 from helpers import random_machine
@@ -71,6 +72,20 @@ def test_u_x_columns():
         u_x(-0.1)
     with pytest.raises(ValueError):
         u_x(0.5, completion="bogus")
+
+
+def test_nan_probabilities_rejected():
+    for bad in (float("nan"), float("inf"), -0.1, 1.1):
+        with pytest.raises(ValueError):
+            u_x(bad)
+        with pytest.raises(ValueError):
+            coin_quantum_memory(bad)
+        with pytest.raises(ValueError):
+            postproc_memory_qubits(bad)
+    for x in (0, 1):
+        u_x(x)
+        coin_quantum_memory(x)
+        postproc_memory_qubits(x)
 
 
 def test_gate_orthogonality():
@@ -291,16 +306,16 @@ def test_circuit_trajectory_statistics():
     table = circuit_step_table("postproc", F(1, 9), F(2, 3))
     machine = post_processed_coin(F(1, 9), F(2, 3))
     rng = np.random.default_rng(90)
-    traj = sample_circuit_trajectory(table, 0, 20000, rng)
+    traj, _ = sample_edges(table, 0, 20000, rng)
     report = compare(count_kgrams(traj, 3, machine.symbols),
                      exact_kgram_distribution(machine, 3), sigma=5.0)
     assert report.passed, report.to_text()
     assert not report.hard_failures
-    a = sample_circuit_trajectory(table, 1, 50, np.random.default_rng(3))
-    b = sample_circuit_trajectory(table, 1, 50, np.random.default_rng(3))
+    a, _ = sample_edges(table, 1, 50, np.random.default_rng(3))
+    b, _ = sample_edges(table, 1, 50, np.random.default_rng(3))
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        sample_circuit_trajectory(table, 9, 5, rng)
+        sample_edges(table, 9, 5, rng)
 
 
 def test_two_step_state_matches_word_law():

@@ -67,6 +67,32 @@ def test_degenerate_support_rejected():
         decompose(DEMO, pi=(F(1, 2), F(1, 2), F(0)))
 
 
+def test_decompose_rejects_pi_off_the_simplex():
+    # Delta rows would sum to -0.1; this must not hinge on assert
+    with pytest.raises(ValueError):
+        decompose(induced_chain(perturbed_coin(0.3)), pi=(0.5, 0.6))
+
+
+def test_nan_probabilities_rejected():
+    nan = float("nan")
+    rng = np.random.default_rng(0)
+    for bad in (nan, float("inf"), -0.5, 1.5):
+        with pytest.raises(ValueError):
+            CoinEnsemble(bad, 10, seed=0)
+        with pytest.raises(ValueError):
+            coin_signed_decomposition(bad)
+        with pytest.raises(ValueError):
+            StochasticBitMachine(bad, 0.5, 0, rng)
+        with pytest.raises(ValueError):
+            StochasticBitMachine(0.5, bad, 0, rng)
+        with pytest.raises(ValueError):
+            three_state_demo_chain(bad, 0.1)
+    for p in (0.0, 1.0):
+        CoinEnsemble(p, 10, seed=0)
+        coin_signed_decomposition(p)
+        StochasticBitMachine(p, p, 0, rng)
+
+
 def test_save_fractions_frozen():
     assert DEMO_TABLES.f == (F(1, 3), F(1, 2), F(1, 3))
 
