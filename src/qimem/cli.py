@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -127,15 +128,26 @@ def _merged(args, config: dict, key: str, default=None):
 
 
 def _number(value, exact: bool, name: str):
-    """Parse a probability-like flag; "a/b" strings force exact mode."""
+    """Parse a probability flag; "a/b" strings force exact mode.
+
+    Text that is not a number and values outside [0, 1] are usage errors.
+    NaN passes through, so the library rejects it as a numerical error.
+    """
     if value is None:
         raise UsageError(f"--{name} is required here")
-    if isinstance(value, (int, float)) and not exact:
-        return float(value)
     text = str(value)
-    if "/" in text or exact:
-        return Fraction(text)
-    return float(text)
+    try:
+        if isinstance(value, (int, float)) and not exact:
+            number = float(value)
+        elif "/" in text or exact:
+            number = Fraction(text)
+        else:
+            number = float(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--{name} {text!r} is not a number") from None
+    if number < 0 or number > 1:
+        raise UsageError(f"--{name} = {text} outside [0, 1]")
+    return number
 
 
 def _write_text(out, text: str) -> None:
@@ -208,21 +220,22 @@ def _load_matrix(path, exact: bool) -> TransitionMatrix:
     if (not isinstance(raw, list)
             or any(not isinstance(row, list) for row in raw)):
         raise UsageError("matrix file must be a JSON array of rows")
+    if not raw or any(len(row) != len(raw) for row in raw):
+        raise UsageError("matrix must be square and non-empty")
     has_strings = any(isinstance(v, str) for row in raw for v in row)
     exact = exact or has_strings
     rows = []
     for row in raw:
         parsed = []
         for v in row:
-            if isinstance(v, str):
-                parsed.append(Fraction(v))
-            elif exact:
-                if isinstance(v, float) and not float(v).is_integer():
-                    raise UsageError(
-                        "exact mode needs rational strings, not floats")
-                parsed.append(Fraction(v))
-            else:
-                parsed.append(float(v))
+            if exact and isinstance(v, float) and not v.is_integer():
+                raise UsageError(
+                    "exact mode needs rational strings, not floats")
+            try:
+                parsed.append(Fraction(v) if exact else float(v))
+            except (ValueError, TypeError, ZeroDivisionError):
+                raise UsageError(
+                    f"matrix entry {v!r} is not a number") from None
         rows.append(parsed)
     return TransitionMatrix(rows)
 
@@ -249,6 +262,9 @@ def cmd_simulate(args, config) -> int:
     if seed is None:
         raise UsageError("--seed is required for simulate")
     seed = int(seed)
+    # the ensemble samplers key their Philox streams with a uint64 seed
+    if seed < 0 or (algo in ("qi-ensemble", "qi-general") and seed >= 2 ** 64):
+        raise UsageError(f"--seed {seed} out of range")
     samples = int(_merged(args, config, "samples", 1000))
     steps = int(_merged(args, config, "steps", 100))
     sigma = float(_merged(args, config, "sigma", 5.0))
@@ -328,19 +344,32 @@ def _simulate_ensemble(machine: EpsilonMachine, chain, algo, p, seed, samples,
     else:
         sampler = samplers.GeneralQISampler(chain, samples, seed)
         expected_saved = float(samplers.expected_memory(sampler.tables)[0])
-    history = [sampler.values.copy()]
-    for _ in range(steps):
-        history.append(sampler.step(threads=threads).copy())
-    if out:
-        with open(out, "w", newline="") as fh:
+    # Only the previous values and an n x n count matrix are kept, so memory
+    # stays O(samples) whatever the step count; CSV rows go out per step.
+    n = chain.n
+    counts = np.zeros((n, n), dtype=np.int64)
+    prev = sampler.values
+    with open(out, "w", newline="") if out else nullcontext() as fh:
+        if fh:
+            column = [f",{i}," for i in range(samples)]
+            symbol = [f"{v}\n" for v in range(n)]
+
+            def write_step(t, values):
+                tag = str(t)
+                fh.write(tag + tag.join(map(str.__add__, column, map(
+                    symbol.__getitem__, values.tolist()))))
+
             fh.write("step,sample,value\n")
-            for t, values in enumerate(history):
-                fh.writelines(f"{t},{i},{v}\n" for i, v in enumerate(values))
+            write_step(0, prev)
+        for t in range(1, steps + 1):
+            values = sampler.step(threads=threads)
+            counts += stats.transition_counts(prev, values, n)
+            prev = values
+            if fh:
+                write_step(t, values)
     if steps == 0:
         return "windows=0\npassed=true\n", PASS
-    prev = np.concatenate(history[:-1])
-    nxt = np.concatenate(history[1:])
-    reports, max_tv = stats.compare_transitions(prev, nxt, chain, sigma)
+    reports, max_tv = stats.compare_transitions(counts, chain, sigma)
     observed = float(np.mean(sampler.saved_counts)) / samples
     saved_z = _saved_fraction_z(observed, expected_saved,
                                 samples * len(sampler.saved_counts))
@@ -369,6 +398,8 @@ def cmd_bp_verify(args, config) -> int:
     p = _number(_merged(args, config, "p"), exact, "p")
     q = None
     steps = int(_merged(args, config, "steps", 1))
+    if steps < 1:
+        raise UsageError("--steps must be at least 1")
     if model == "postproc":
         q = _number(_merged(args, config, "q"), exact, "q")
         if steps != 1:

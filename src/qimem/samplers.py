@@ -337,7 +337,11 @@ class StochasticBitMachine:
         raise ValueError(f"start state must be 0, 1 or 2, got {start}")
 
     def step(self) -> int:
-        return int(self.run(1)[0])
+        """Emit one symbol from one uniform, exactly as ``run(1)`` would:
+        the first edge is taken when u is below its probability."""
+        first, second = self.rows[self.bit]
+        x, _, self.bit = first if self.rng.random() < first[1] else second
+        return x
 
     def run(self, steps: int) -> np.ndarray:
         """Emit ``steps`` symbols; one uniform is consumed per step."""

@@ -129,28 +129,38 @@ def tv_distance(a: dict, b: dict) -> float:
     return 0.5 * sum(abs(float(a.get(k, 0)) - float(b.get(k, 0))) for k in keys)
 
 
-def compare_transitions(prev: np.ndarray, nxt: np.ndarray, chain,
-                        sigma: float = 5.0):
-    """Per-source-state comparison of observed transitions against a chain.
-
-    Returns (reports, max_row_tv) where ``reports[j]`` tests the next-value
-    counts conditioned on the previous value j against row j of the chain.
-    Source states that never occur are skipped.
-    """
+def transition_counts(prev, nxt, n: int) -> np.ndarray:
+    """n x n int64 matrix whose entry [j, i] counts the steps from value j
+    to value i, for aligned arrays of values in 0..n-1."""
     prev = np.asarray(prev).ravel()
     nxt = np.asarray(nxt).ravel()
     if prev.shape != nxt.shape:
         raise ValueError("prev and nxt must align")
+    if prev.size and not (0 <= min(prev.min(), nxt.min())
+                          and max(prev.max(), nxt.max()) < n):
+        raise ValueError(f"values must lie in 0..{n - 1}")
+    codes = prev.astype(np.int64, copy=False) * n + nxt
+    return np.bincount(codes, minlength=n * n).reshape(n, n)
+
+
+def compare_transitions(counts: np.ndarray, chain, sigma: float = 5.0):
+    """Per-source-state comparison of observed transitions against a chain.
+
+    ``counts`` is a ``transition_counts`` matrix.  Returns (reports,
+    max_row_tv) where ``reports[j]`` tests the next-value counts of row j
+    against row j of the chain.  Rows with no transitions are skipped.
+    """
+    counts = np.asarray(counts)
+    if counts.shape != (chain.n, chain.n):
+        raise ValueError(f"counts must be {chain.n} x {chain.n}")
     reports: dict[int, ComparisonReport] = {}
     max_tv = 0.0
-    for j in range(chain.n):
-        mask = prev == j
-        if not mask.any():
+    for j, row in enumerate(counts):
+        if not row.any():
             continue
-        binned = np.bincount(nxt[mask], minlength=chain.n)
-        counts = {str(i): int(c) for i, c in enumerate(binned) if c > 0}
+        observed = {str(i): int(c) for i, c in enumerate(row) if c > 0}
         oracle = {str(i): float(chain[j][i]) for i in range(chain.n)
                   if chain[j][i] != 0}
-        reports[j] = compare(counts, oracle, sigma)
+        reports[j] = compare(observed, oracle, sigma)
         max_tv = max(max_tv, reports[j].tv)
     return reports, max_tv

@@ -10,6 +10,7 @@ import numpy as np
 
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, induced_chain, stationary)
+from qimem.stats import ComparisonReport, compare
 
 
 def random_chain(rng: np.random.Generator, n: int) -> TransitionMatrix:
@@ -87,3 +88,27 @@ def reference_edge_walk(rows, start: int, steps: int,
         out[t] = syms[state][k]
         state = int(nxts[state][k])
     return out, state
+
+
+def reference_compare_transitions(prev, nxt, chain, sigma: float = 5.0):
+    """The mask-per-source-state comparison that ``stats.compare_transitions``
+    on a ``transition_counts`` matrix must reproduce.
+
+    Bins the next values of every source state that occurs; states that
+    never occur are skipped.  Returns (reports, max_row_tv).
+    """
+    prev = np.asarray(prev).ravel()
+    nxt = np.asarray(nxt).ravel()
+    reports: dict[int, ComparisonReport] = {}
+    max_tv = 0.0
+    for j in range(chain.n):
+        mask = prev == j
+        if not mask.any():
+            continue
+        binned = np.bincount(nxt[mask], minlength=chain.n)
+        counts = {str(i): int(c) for i, c in enumerate(binned) if c > 0}
+        oracle = {str(i): float(chain[j][i]) for i in range(chain.n)
+                  if chain[j][i] != 0}
+        reports[j] = compare(counts, oracle, sigma)
+        max_tv = max(max_tv, reports[j].tv)
+    return reports, max_tv

@@ -8,6 +8,7 @@ flaky expectations.
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -210,6 +211,94 @@ def test_trajectory_outputs_pinned(tmp_path, capsys):
         blob = (capsys.readouterr().out.encode() + out.read_bytes()
                 + (tmp_path / f"{algo}.txt.report.txt").read_bytes())
         assert hashlib.sha256(blob).hexdigest() == digest, algo
+
+
+# sha256 of stdout, the --out CSV and the report of the ensemble runs, recorded
+# before the pipeline streamed its rows and counted transitions per step
+ENSEMBLE_DIGESTS = {
+    "qi-ensemble":
+        "3eca4a6a43cb07d06683869f86f7f7c87dd90cea0d807f3ecb4b53e0c580cf0e",
+    "qi-general":
+        "f5218b9904019447b96715312ac0e05cf82b7c33b4918b4046acfb0e9c113002",
+    "qi-general-steps0":
+        "de850054efe570a5b3f0d3292d89a1d7acd6e27d0d3d5b52645183a2a1b7a823",
+}
+
+
+def test_ensemble_outputs_pinned(tmp_path, capsys):
+    matrix = tmp_path / "chain.json"
+    matrix.write_text(json.dumps(DEMO_MATRIX))
+    general = ("--model", "custom", "--algo", "qi-general",
+               "--matrix", str(matrix), "--samples", "5000", "--seed", "5")
+    commands = {
+        "qi-ensemble": ("--model", "coin", "--algo", "qi-ensemble",
+                        "--p", "0.3", "--samples", "20000", "--steps", "20",
+                        "--seed", "5"),
+        "qi-general": general + ("--steps", "20"),
+        "qi-general-steps0": general + ("--steps", "0"),
+    }
+    for name, flags in commands.items():
+        out = tmp_path / f"{name}.csv"
+        assert run("simulate", *flags, "--out", str(out)) == 0, name
+        blob = (capsys.readouterr().out.encode() + out.read_bytes()
+                + (tmp_path / f"{name}.csv.report.txt").read_bytes())
+        assert hashlib.sha256(blob).hexdigest() == ENSEMBLE_DIGESTS[name], name
+    steps0 = (tmp_path / "qi-general-steps0.csv").read_text().splitlines()
+    assert len(steps0) == 1 + 5000 and steps0[1].startswith("0,0,")
+
+
+def test_ensemble_memory_independent_of_steps(capsys):
+    """Holding every step of 2e4 samples over 200 steps would take over
+    100 MB; the streamed pipeline keeps one step and an n x n count."""
+    tracemalloc.start()
+    try:
+        assert run("simulate", "--model", "coin", "--algo", "qi-ensemble",
+                   "--p", "0.3", "--samples", "20000", "--steps", "200",
+                   "--seed", "3") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--model", "coin", "--algo", "qi-ensemble", "--p", "1.5",
+     "--seed", "1"),
+    ("simulate", "--model", "coin", "--algo", "baseline", "--p", "-0.1",
+     "--seed", "1"),
+    ("simulate", "--model", "coin", "--algo", "qi-ensemble", "--p", "abc",
+     "--seed", "1"),
+    ("simulate", "--model", "coin", "--algo", "baseline", "--p", "1/0",
+     "--seed", "1"),
+    ("simulate", "--model", "postproc", "--algo", "single-bit", "--p", "0.3",
+     "--q", "2", "--seed", "1"),
+    ("simulate", "--model", "coin", "--algo", "qi-ensemble", "--p", "0.3",
+     "--seed", "-1"),
+    ("simulate", "--model", "coin", "--algo", "qi-ensemble", "--p", "0.3",
+     "--seed", str(2**64)),
+    ("bp-verify", "--model", "coin", "--p", "0.3", "--steps", "0"),
+    ("bp-verify", "--model", "coin", "--p", "abc"),
+], ids=["p-above-one", "p-below-zero", "p-not-a-number", "p-zero-denominator",
+        "q-above-one", "negative-seed", "seed-above-uint64",
+        "bp-verify-zero-steps", "bp-verify-p-not-a-number"])
+def test_bad_input_is_usage_error(argv, capsys):
+    assert run(*argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]],
+    [[1.0], [0.5, 0.5]],
+    [],
+    [[0.5, None], [0.5, 0.5]],
+    [["1/2", "x"], ["1/2", "1/2"]],
+], ids=["non-square", "ragged", "empty", "null-entry", "bad-rational"])
+def test_bad_matrix_is_usage_error(tmp_path, capsys, matrix):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(matrix))
+    assert run("simulate", "--model", "custom", "--algo", "qi-general",
+               "--matrix", str(path), "--seed", "1") == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_config_supplies_defaults_and_flags_win(tmp_path):

@@ -21,7 +21,8 @@ from qimem.samplers import (CoinEnsemble, DegenerateSupportError,
                             reroute_ratios, save_fractions,
                             stochastic_causal_dimension,
                             three_state_demo_chain)
-from qimem.stats import compare, compare_transitions, count_kgrams
+from qimem.stats import (compare, compare_transitions, count_kgrams,
+                         transition_counts)
 from qimem.markov import exact_kgram_distribution
 
 from helpers import random_chain
@@ -184,12 +185,13 @@ def test_general_sampler_threads_identical():
 def test_general_sampler_reproduces_chain():
     chain = TransitionMatrix([[float(v) for v in row] for row in DEMO.rows])
     sampler = GeneralQISampler(chain, 20000, seed=12)
-    history = [sampler.values.copy()]
+    counts = np.zeros((3, 3), dtype=np.int64)
+    prev = sampler.values
     for _ in range(30):
-        history.append(sampler.step().copy())
-    prev = np.concatenate(history[:-1])
-    nxt = np.concatenate(history[1:])
-    reports, max_tv = compare_transitions(prev, nxt, chain, sigma=5.0)
+        nxt = sampler.step()
+        counts += transition_counts(prev, nxt, 3)
+        prev = nxt
+    reports, max_tv = compare_transitions(counts, chain, sigma=5.0)
     assert set(reports) == {0, 1, 2}
     for j, report in reports.items():
         assert report.passed, f"row {j}: {report.to_text()}"
@@ -203,12 +205,13 @@ def test_coin_ensemble_reproduces_coin():
     for p in (0.1, 0.75):
         chain = induced_chain(perturbed_coin(p))
         ensemble = CoinEnsemble(p, 20000, seed=4)
-        history = [ensemble.values.copy()]
+        counts = np.zeros((2, 2), dtype=np.int64)
+        prev = ensemble.values
         for _ in range(30):
-            history.append(ensemble.step().copy())
-        reports, _ = compare_transitions(np.concatenate(history[:-1]),
-                                         np.concatenate(history[1:]),
-                                         chain, sigma=5.0)
+            nxt = ensemble.step()
+            counts += transition_counts(prev, nxt, 2)
+            prev = nxt
+        reports, _ = compare_transitions(counts, chain, sigma=5.0)
         for j, report in reports.items():
             assert report.passed, f"p={p} row {j}: {report.to_text()}"
         saved = np.mean(ensemble.saved_counts) / ensemble.n_samples
@@ -260,9 +263,17 @@ def test_bit_machine_deterministic_edges():
 
 
 def test_bit_machine_step_equals_run():
-    a = StochasticBitMachine(1 / 9, 2 / 3, 1, np.random.default_rng(33))
-    b = StochasticBitMachine(1 / 9, 2 / 3, 1, np.random.default_rng(33))
-    assert np.array_equal(np.array([a.step() for _ in range(200)]), b.run(200))
+    """N calls to step() consume the same uniforms as run(N): same symbols,
+    same final bit, same next draw."""
+    for p, q, start, seed in ((1 / 9, 2 / 3, 1, 33), (0.37, 0.25, 0, 1),
+                              (0.0, 0.5, 2, 5), (1.0, 1.0, 0, 7),
+                              (0.5, 0.0, 1, 9)):
+        a = StochasticBitMachine(p, q, start, np.random.default_rng(seed))
+        b = StochasticBitMachine(p, q, start, np.random.default_rng(seed))
+        assert np.array_equal(np.array([a.step() for _ in range(5000)]),
+                              b.run(5000))
+        assert a.bit == b.bit
+        assert a.rng.random() == b.rng.random()
 
 
 def test_bit_machine_statistics():
@@ -283,8 +294,8 @@ def test_bit_machine_matches_chain_rows():
     chain = induced_chain(post_processed_coin(1 / 9, 2 / 3))
     traj = StochasticBitMachine(1 / 9, 2 / 3, 0,
                                 np.random.default_rng(17)).run(100_000)
-    reports, max_tv = compare_transitions(traj[:-1], traj[1:], chain,
-                                          sigma=5.0)
+    reports, max_tv = compare_transitions(
+        transition_counts(traj[:-1], traj[1:], 3), chain, sigma=5.0)
     for j, report in reports.items():
         assert report.passed, f"row {j}: {report.to_text()}"
     assert max_tv < 0.02

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qimem.markov import (exact_kgram_distribution, induced_chain,
-                          perturbed_coin)
+from qimem.markov import (TransitionMatrix, exact_kgram_distribution,
+                          induced_chain, perturbed_coin)
 from qimem.stats import (compare, compare_transitions, count_kgrams,
-                         tv_distance)
+                         transition_counts, tv_distance)
 
-from helpers import exact_coin_trajectory
+from helpers import exact_coin_trajectory, reference_compare_transitions
 
 
 def test_count_kgrams_basic():
@@ -82,17 +83,59 @@ def test_report_serialization():
     assert "passed=true" in text and "z_01=" in text and "windows=100" in text
 
 
+def test_transition_counts():
+    counts = transition_counts([0, 0, 1, 1, 0], [0, 1, 1, 0, 0], 2)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [[2, 1], [1, 1]]
+    empty = np.array([], dtype=np.int64)
+    assert transition_counts(empty, empty, 3).tolist() == [[0] * 3] * 3
+    with pytest.raises(ValueError):
+        transition_counts([0, 1], [0], 2)
+    for prev, nxt in (([0, 2], [0, 1]), ([0, 1], [0, 2]), ([0, -1], [0, 1]),
+                      ([0, 1], [-1, 0])):
+        with pytest.raises(ValueError):
+            transition_counts(prev, nxt, 2)
+
+
 def test_compare_transitions_alignment():
     chain = induced_chain(perturbed_coin(0.3))
-    with pytest.raises(ValueError):
-        compare_transitions([0, 1], [0], chain)
-    reports, max_tv = compare_transitions([0, 0, 1, 1, 0], [0, 1, 1, 0, 0],
-                                          chain, sigma=5.0)
+    reports, max_tv = compare_transitions(
+        transition_counts([0, 0, 1, 1, 0], [0, 1, 1, 0, 0], 2), chain,
+        sigma=5.0)
     assert set(reports) == {0, 1}
     assert reports[0].windows == 3 and reports[1].windows == 2
     assert 0.0 <= max_tv <= 1.0
-    only_zero, _ = compare_transitions([0, 0], [0, 1], chain)
+    only_zero, _ = compare_transitions(transition_counts([0, 0], [0, 1], 2),
+                                       chain)
     assert set(only_zero) == {0}
+    with pytest.raises(ValueError):
+        compare_transitions(np.zeros((3, 3), dtype=np.int64), chain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5), length=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_compare_transitions_matches_reference(n, length, seed, data):
+    rng = np.random.default_rng(seed)
+    # zero entries make some observed transitions hard failures
+    weights = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+    weights[np.arange(n), rng.integers(0, n, size=n)] += 0.1
+    chain = TransitionMatrix(
+        (weights / weights.sum(axis=1, keepdims=True)).tolist())
+    # drawing from a random subset leaves some states out of prev or nxt
+    used = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                              max_size=n, unique=True))
+    prev = rng.choice(used, size=length)
+    nxt = rng.choice(used, size=length)
+    sigma = data.draw(st.sampled_from([0.5, 5.0]))
+    reports, max_tv = compare_transitions(transition_counts(prev, nxt, n),
+                                          chain, sigma)
+    expected, expected_tv = reference_compare_transitions(prev, nxt, chain,
+                                                          sigma)
+    assert list(reports) == list(expected)
+    assert [r.to_text() for r in reports.values()] \
+        == [r.to_text() for r in expected.values()]
+    assert max_tv == expected_tv
 
 
 def test_exact_sampler_calibrates_at_five_sigma():
@@ -106,7 +149,8 @@ def test_exact_sampler_calibrates_at_five_sigma():
     failures = 0
     for seed in range(200):
         traj = exact_coin_trajectory(0.3, 20000, np.random.default_rng(seed))
-        reports, _ = compare_transitions(traj[:-1], traj[1:], chain, sigma=5.0)
+        reports, _ = compare_transitions(
+            transition_counts(traj[:-1], traj[1:], 2), chain, sigma=5.0)
         if not all(r.passed for r in reports.values()):
             failures += 1
     assert failures == 0
