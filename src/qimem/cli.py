@@ -127,6 +127,30 @@ def _merged(args, config: dict, key: str, default=None):
     return value
 
 
+def _integer(value, name: str) -> int:
+    """A count or seed from a flag or the config: an int or integer text.
+    Anything else, a float or a JSON true included, is a usage error."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"--{name} {value!r} is not an integer")
+
+
+def _real(value, name: str) -> float:
+    """A real number from a flag or the config: a number or numeric text.
+    Anything else, a JSON true included, is a usage error."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise UsageError(f"--{name} {value!r} is not a number")
+
+
 def _number(value, exact: bool, name: str):
     """Parse a probability flag; "a/b" strings force exact mode.
 
@@ -136,15 +160,13 @@ def _number(value, exact: bool, name: str):
     if value is None:
         raise UsageError(f"--{name} is required here")
     text = str(value)
-    try:
-        if isinstance(value, (int, float)) and not exact:
-            number = float(value)
-        elif "/" in text or exact:
+    if exact or "/" in text:
+        try:
             number = Fraction(text)
-        else:
-            number = float(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--{name} {text!r} is not a number") from None
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--{name} {text!r} is not a number") from None
+    else:
+        number = _real(value, name)
     if number < 0 or number > 1:
         raise UsageError(f"--{name} = {text} outside [0, 1]")
     return number
@@ -161,7 +183,7 @@ def _write_text(out, text: str) -> None:
 # ----------------------------------------------------------------- curves
 
 def cmd_memory_curve(args, config) -> int:
-    grid = int(_merged(args, config, "grid", 101))
+    grid = _integer(_merged(args, config, "grid", 101), "grid")
     if grid < 2:
         raise UsageError("--grid must be at least 2")
     rows = ["p,classical_bits,quantum_bits,qi_bits,mutual_info_bound"]
@@ -261,17 +283,17 @@ def cmd_simulate(args, config) -> int:
     seed = _merged(args, config, "seed")
     if seed is None:
         raise UsageError("--seed is required for simulate")
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     # the ensemble samplers key their Philox streams with a uint64 seed
     if seed < 0 or (algo in ("qi-ensemble", "qi-general") and seed >= 2 ** 64):
         raise UsageError(f"--seed {seed} out of range")
-    samples = int(_merged(args, config, "samples", 1000))
-    steps = int(_merged(args, config, "steps", 100))
-    sigma = float(_merged(args, config, "sigma", 5.0))
-    threads = int(_merged(args, config, "threads", 1))
+    samples = _integer(_merged(args, config, "samples", 1000), "samples")
+    steps = _integer(_merged(args, config, "steps", 100), "steps")
+    sigma = _real(_merged(args, config, "sigma", 5.0), "sigma")
+    threads = _integer(_merged(args, config, "threads", 1), "threads")
     out = _merged(args, config, "out")
-    if samples < 1 or steps < 0 or threads < 1:
-        raise UsageError("--samples/--steps/--threads out of range")
+    if samples < 1 or steps < 0 or threads < 1 or not sigma >= 0:
+        raise UsageError("--samples/--steps/--threads/--sigma out of range")
 
     allowed = {"coin": {"baseline", "quantum", "qi-ensemble", "qi-general"},
                "postproc": {"baseline", "quantum", "single-bit", "qi-general"},
@@ -397,7 +419,7 @@ def cmd_bp_verify(args, config) -> int:
         raise UsageError("--model is required")
     p = _number(_merged(args, config, "p"), exact, "p")
     q = None
-    steps = int(_merged(args, config, "steps", 1))
+    steps = _integer(_merged(args, config, "steps", 1), "steps")
     if steps < 1:
         raise UsageError("--steps must be at least 1")
     if model == "postproc":

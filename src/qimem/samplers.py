@@ -12,7 +12,10 @@ streams keyed by (seed, step, substream), and sample number ell always
 reads element ell of those streams.  The update of one sample depends only
 on its own previous state, its own stream elements and the shared constant
 tables, so any partition of the ensemble across threads reproduces the
-single-threaded result bit for bit.
+single-threaded result bit for bit.  The general sampler reads the streams
+as uniforms in [0, 1); the coin ensemble reads the raw 64-bit words and
+compares them against integer thresholds, which decides exactly the same
+``u < x`` without forming a float.
 """
 
 from __future__ import annotations
@@ -39,6 +42,24 @@ def _uniforms(seed: int, step: int, substream: int, count: int) -> np.ndarray:
     """Element ell is a pure function of (seed, step, substream, ell)."""
     key = np.array([seed, (step << 3) | substream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+
+def _words(seed: int, step: int, substream: int, count: int) -> np.ndarray:
+    """The raw 64-bit Philox words behind ``_uniforms``: element ell of
+    ``_uniforms`` is ``(word >> 11) * 2**-53``."""
+    key = np.array([seed, (step << 3) | substream], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(count)
+
+
+def _below(words: np.ndarray, x: float) -> np.ndarray:
+    """Exactly ``u < x`` for the uniforms u of ``words``, with no float
+    formed: u < x iff (word >> 11) < ceil(x * 2**53), and scaling by 2**53
+    is exact.  At x = 1 the shifted threshold would overflow uint64, but
+    every word is below it."""
+    top = math.ceil(x * 2 ** 53)
+    if top >= 2 ** 53:
+        return np.ones(words.shape, dtype=bool)
+    return words < np.uint64(top << 11)
 
 
 def decompose(chain: TransitionMatrix, pi=None):
@@ -221,11 +242,12 @@ class GeneralQISampler:
 class CoinEnsemble:
     """Save/flip ensemble for the perturbed coin.
 
-    Every sample redraws a fair bit each step; a saved sample flips the
-    fresh bit when it matches the saved one (p > 1/2) or when it differs
-    (p < 1/2), then the result is saved again with probability |2p - 1|.
-    This is the two-state save/reroute sampler with all tables collapsed
-    into one comparison.
+    Every sample redraws a fair bit each step.  A saved sample ignores it
+    and repeats its previous value when p < 1/2, or emits the complement of
+    that value when p > 1/2; then the result is saved again with
+    probability |2p - 1|.  This is the two-state save/reroute sampler with
+    all tables collapsed into one comparison.  The state is boolean and
+    ``values`` is its uint8 view, so it reads as 0/1.
     """
 
     def __init__(self, p: float, n_samples: int, seed: int):
@@ -236,34 +258,33 @@ class CoinEnsemble:
         self.n_samples = int(n_samples)
         self.seed = int(seed)
         self.step_index = 0
-        self.values = (_uniforms(self.seed, 0, 0, self.n_samples)
-                       < 0.5).astype(np.int64)
-        self.flags = _uniforms(self.seed, 0, 1, self.n_samples) < self.save_prob
-        self.saved_counts = [int(self.flags.sum())]
+        self.values = _below(_words(self.seed, 0, 0, self.n_samples),
+                             0.5).view(np.uint8)
+        self.flags = _below(_words(self.seed, 0, 1, self.n_samples),
+                            self.save_prob)
+        self.saved_counts = [int(np.count_nonzero(self.flags))]
 
     def step(self, threads: int = 1) -> np.ndarray:
         t = self.step_index + 1
-        u_draw = _uniforms(self.seed, t, 0, self.n_samples)
-        u_save = _uniforms(self.seed, t, 1, self.n_samples)
-        new_vals = np.empty(self.n_samples, dtype=np.int64)
+        w_draw = _words(self.seed, t, 0, self.n_samples)
+        w_save = _words(self.seed, t, 1, self.n_samples)
+        new_vals = np.empty(self.n_samples, dtype=bool)
         new_flags = np.empty(self.n_samples, dtype=bool)
 
         def update(lo: int, hi: int) -> None:
-            fresh = (u_draw[lo:hi] < 0.5).astype(np.int64)
+            fresh = _below(w_draw[lo:hi], 0.5)
             saved = self.flags[lo:hi]
-            prev = self.values[lo:hi]
+            held = self.values[lo:hi].view(bool)
             if self.p > 0.5:
-                fresh ^= saved & (fresh == prev)
-            elif self.p < 0.5:
-                fresh ^= saved & (fresh != prev)
-            new_vals[lo:hi] = fresh
-            new_flags[lo:hi] = u_save[lo:hi] < self.save_prob
+                held = ~held
+            new_vals[lo:hi] = (saved & held) | (fresh & ~saved)
+            new_flags[lo:hi] = _below(w_save[lo:hi], self.save_prob)
 
         _run_chunked(update, self.n_samples, threads)
-        self.values = new_vals
+        self.values = new_vals.view(np.uint8)
         self.flags = new_flags
         self.step_index = t
-        self.saved_counts.append(int(new_flags.sum()))
+        self.saved_counts.append(int(np.count_nonzero(new_flags)))
         return self.values
 
 

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -213,11 +214,22 @@ def test_trajectory_outputs_pinned(tmp_path, capsys):
         assert hashlib.sha256(blob).hexdigest() == digest, algo
 
 
-# sha256 of stdout, the --out CSV and the report of the ensemble runs, recorded
-# before the pipeline streamed its rows and counted transitions per step
+# sha256 of stdout, the --out CSV and the report of the ensemble runs.  The
+# qi-ensemble p=0.3 and qi-general digests were recorded before the pipeline
+# streamed its rows and counted transitions per step, the other coin biases
+# (complement branch, no saves, both endpoints) before the coin ensemble
+# moved to raw Philox words and boolean state.
 ENSEMBLE_DIGESTS = {
     "qi-ensemble":
         "3eca4a6a43cb07d06683869f86f7f7c87dd90cea0d807f3ecb4b53e0c580cf0e",
+    "qi-ensemble-p0.7":
+        "2d66c0109e4e434db492dc11bcd285dfb6521a5152d36b6527349cc11cb07663",
+    "qi-ensemble-p1/2":
+        "f3815bb4f08f29317fcabb9a1bcceabce7ffa87ca6b2c5e08f1d23eb030500dd",
+    "qi-ensemble-p0":
+        "d1bb3ce4363c905b60f196b94c421586e15fb2837721f534c99c0d42bcb57541",
+    "qi-ensemble-p1":
+        "e432e7d567ee671fd003effb21bd229b8b3067e4214ee2103c685d7bc6fd087c",
     "qi-general":
         "f5218b9904019447b96715312ac0e05cf82b7c33b4918b4046acfb0e9c113002",
     "qi-general-steps0":
@@ -230,18 +242,20 @@ def test_ensemble_outputs_pinned(tmp_path, capsys):
     matrix.write_text(json.dumps(DEMO_MATRIX))
     general = ("--model", "custom", "--algo", "qi-general",
                "--matrix", str(matrix), "--samples", "5000", "--seed", "5")
+    coin = ("--model", "coin", "--algo", "qi-ensemble", "--samples", "20000",
+            "--steps", "20", "--seed", "5")
     commands = {
-        "qi-ensemble": ("--model", "coin", "--algo", "qi-ensemble",
-                        "--p", "0.3", "--samples", "20000", "--steps", "20",
-                        "--seed", "5"),
+        "qi-ensemble": coin + ("--p", "0.3"),
+        **{f"qi-ensemble-p{p}": coin + ("--p", p)
+           for p in ("0.7", "1/2", "0", "1")},
         "qi-general": general + ("--steps", "20"),
         "qi-general-steps0": general + ("--steps", "0"),
     }
     for name, flags in commands.items():
-        out = tmp_path / f"{name}.csv"
+        out = tmp_path / (name.replace("/", "_") + ".csv")
         assert run("simulate", *flags, "--out", str(out)) == 0, name
         blob = (capsys.readouterr().out.encode() + out.read_bytes()
-                + (tmp_path / f"{name}.csv.report.txt").read_bytes())
+                + Path(f"{out}.report.txt").read_bytes())
         assert hashlib.sha256(blob).hexdigest() == ENSEMBLE_DIGESTS[name], name
     steps0 = (tmp_path / "qi-general-steps0.csv").read_text().splitlines()
     assert len(steps0) == 1 + 5000 and steps0[1].startswith("0,0,")
@@ -311,6 +325,56 @@ def test_config_supplies_defaults_and_flags_win(tmp_path):
     assert len(out.read_text().split()) == 2000
     assert run("simulate", "--config", str(cfg), "--steps", "7") == 0
     assert len(out.read_text().split()) == 7
+
+
+SIMULATE_CONFIG = {"model": "coin", "algo": "qi-ensemble", "p": 0.3,
+                   "seed": 1, "samples": 100, "steps": 5}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("simulate", {"seed": 1.5}),
+    ("simulate", {"seed": True}),
+    ("simulate", {"seed": "one"}),
+    ("simulate", {"samples": "abc"}),
+    ("simulate", {"samples": 100.0}),
+    ("simulate", {"steps": "x"}),
+    ("simulate", {"steps": 2.5}),
+    ("simulate", {"threads": True}),
+    ("simulate", {"threads": [2]}),
+    ("simulate", {"sigma": "abc"}),
+    ("simulate", {"sigma": True}),
+    ("simulate", {"sigma": "nan"}),
+    ("simulate", {"sigma": -1}),
+    ("simulate", {"p": True}),
+    ("memory-curve", {"grid": "x"}),
+    ("memory-curve", {"grid": 11.0}),
+    ("bp-verify", {"model": "coin", "p": 0.3, "steps": "two"}),
+    ("bp-verify", {"model": "coin", "p": 0.3, "steps": True}),
+], ids=["seed-float", "seed-bool", "seed-text", "samples-text",
+        "samples-float", "steps-text", "steps-float", "threads-bool",
+        "threads-list", "sigma-text", "sigma-bool", "sigma-nan",
+        "sigma-negative", "p-bool", "grid-text", "grid-float",
+        "bp-verify-steps-text", "bp-verify-steps-bool"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
+    if command == "simulate":
+        config = {**SIMULATE_CONFIG, **config}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(command, "--config", str(cfg)) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_config_numbers_as_text(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SIMULATE_CONFIG, "seed": "1",
+                               "samples": "100", "steps": "5",
+                               "threads": "2", "sigma": "5"}))
+    assert run("simulate", "--config", str(cfg)) == 0
+    as_text = capsys.readouterr().out
+    cfg.write_text(json.dumps({**SIMULATE_CONFIG, "threads": 2,
+                               "sigma": 5}))
+    assert run("simulate", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out == as_text
 
 
 def test_config_errors(tmp_path):

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qimem import samplers
 from qimem.markov import (TransitionMatrix, induced_chain, perturbed_coin,
@@ -240,6 +241,55 @@ def test_coin_ensemble_fair_coin_never_saves():
     assert abs(values.mean() - 0.5) < 5 * math.sqrt(0.25 / 5000)
     with pytest.raises(ValueError):
         CoinEnsemble(1.5, 10, seed=0)
+
+
+# thresholds where u < x is decided by the last bit of u or by an endpoint
+EDGE_THRESHOLDS = [0.0, 0.5, 1.0, math.nextafter(0.5, 0),
+                   math.nextafter(0.5, 1), math.nextafter(1.0, 0),
+                   math.nextafter(0.0, 1), 2.0 ** -53]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), step=st.integers(0, 2**40),
+       substream=st.integers(0, 7), count=st.integers(0, 300),
+       data=st.data())
+def test_raw_words_match_uniforms(seed, step, substream, count, data):
+    words = samplers._words(seed, step, substream, count)
+    u = samplers._uniforms(seed, step, substream, count)
+    assert words.dtype == np.uint64
+    assert np.array_equal(u, (words >> np.uint64(11)) * 2.0 ** -53)
+    x = data.draw(st.one_of(st.sampled_from(EDGE_THRESHOLDS), st.floats(0, 1)))
+    below = samplers._below(words, x)
+    assert below.dtype == bool
+    assert np.array_equal(below, u < x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.one_of(
+           st.integers(0, 2**64 - 1),
+           st.integers(0, 2**53 - 1).map(lambda k: k << 11)), max_size=20),
+       data=st.data())
+def test_below_is_exact_on_any_word(words, data):
+    # words whose low 11 bits are zero sit exactly on a threshold, which
+    # Philox streams almost never show; a threshold equal to one of the
+    # uniforms, or one ulp off it, is the sharpest test of the comparison
+    words = np.array(words, dtype=np.uint64)
+    u = (words >> np.uint64(11)) * 2.0 ** -53
+    thresholds = [st.sampled_from(EDGE_THRESHOLDS), st.floats(0, 1)]
+    if words.size:
+        thresholds.append(st.sampled_from(u.tolist()).flatmap(
+            lambda v: st.sampled_from([v, math.nextafter(v, 0),
+                                       math.nextafter(v, 1)])))
+    x = data.draw(st.one_of(*thresholds))
+    assert np.array_equal(samplers._below(words, x), u < x)
+
+
+def test_coin_ensemble_state_is_boolean():
+    ensemble = CoinEnsemble(0.7, 1000, seed=3)
+    for values in (ensemble.values, ensemble.step()):
+        assert values.dtype == np.uint8
+        assert set(values.tolist()) <= {0, 1}
+    assert ensemble.flags.dtype == bool
 
 
 def test_bit_machine_initial_law():

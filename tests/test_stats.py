@@ -97,6 +97,27 @@ def test_transition_counts():
             transition_counts(prev, nxt, 2)
 
 
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=80),
+       dtypes=st.tuples(*[st.sampled_from([bool, np.uint8, np.int64])] * 2),
+       data=st.data())
+def test_two_state_transition_counts_match_bincount(pairs, dtypes, data):
+    prev = np.array([a for a, _ in pairs], dtype=dtypes[0])
+    nxt = np.array([b for _, b in pairs], dtype=dtypes[1])
+    codes = prev.astype(np.int64) * 2 + nxt.astype(np.int64)
+    counts = transition_counts(prev, nxt, 2)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts,
+                          np.bincount(codes, minlength=4).reshape(2, 2))
+    if pairs:
+        bad = prev.astype(np.uint8)
+        bad[data.draw(st.integers(0, len(pairs) - 1))] = 2
+        with pytest.raises(ValueError):
+            transition_counts(bad, nxt, 2)
+        with pytest.raises(ValueError):
+            transition_counts(nxt, bad, 2)
+
+
 def test_compare_transitions_alignment():
     chain = induced_chain(perturbed_coin(0.3))
     reports, max_tv = compare_transitions(
