@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import _check_unit_interval
-from .quantum import (cnot, coin_memory_qubits, controlled_u, kron,
-                      postproc_memory_qubits, u_x, P0)
+from .quantum import cnot, controlled_u, kron, protocol_states, P0
 
 MAX_ENUM_BITS = 24
 
@@ -283,29 +282,9 @@ def expected_messages(model: str, p, j: int, q=None,
 
     Entry ell is the intermediate state of the (mirrored) circuit at the
     cut between factors ell-1 and ell; the last entry predicts the
-    recirculated message.  Built entirely from quantum-module gates, so a
+    recirculated message.  The states come from
+    ``quantum.protocol_states``, not from this module's factors, so a
     match with ``forward_pass`` is a genuine cross-check of two routes.
     """
-    e0 = np.array([1.0, 0.0])
-    if model == "coin":
-        xi = coin_memory_qubits(p)
-        up = [kron(e0, e0), kron(xi[j], xi[0])]
-        state = cnot(2, 1, 2) @ up[-1]
-        up.append(state)
-        for m in range(2, steps + 1):
-            state = kron(state, xi[0])
-            up.append(state)
-            state = kron(np.eye(2 ** (m - 1)), cnot(2, 1, 2)) @ state
-            up.append(state)
-    elif model == "postproc":
-        if q is None:
-            raise ValueError("postproc model needs q")
-        xi = postproc_memory_qubits(q)
-        up = [kron(e0, e0, e0), kron(xi[j], e0, e0)]
-        for gate in (controlled_u(3, 1, 3, u_x(p), control_value=0),
-                     controlled_u(3, 1, 2, u_x(1 - float(q))),
-                     cnot(3, 3, 2)):
-            up.append(gate @ up[-1])
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    up = protocol_states(model, p, j, q=q, steps=steps)
     return up + up[-2::-1]

@@ -151,6 +151,17 @@ def _real(value, name: str) -> float:
     raise UsageError(f"--{name} {value!r} is not a number")
 
 
+def _exact(args, config) -> bool:
+    """Exact mode from --exact or the config: a bool or the text "true" or
+    "false".  Anything else is a usage error."""
+    value = _merged(args, config, "exact", False)
+    if isinstance(value, bool):
+        return value
+    if value in ("true", "false"):
+        return value == "true"
+    raise UsageError(f"--exact {value!r} is not true or false")
+
+
 def _number(value, exact: bool, name: str):
     """Parse a probability flag; "a/b" strings force exact mode.
 
@@ -250,6 +261,8 @@ def _load_matrix(path, exact: bool) -> TransitionMatrix:
     for row in raw:
         parsed = []
         for v in row:
+            if isinstance(v, bool):
+                raise UsageError(f"matrix entry {v!r} is not a number")
             if exact and isinstance(v, float) and not v.is_integer():
                 raise UsageError(
                     "exact mode needs rational strings, not floats")
@@ -275,7 +288,7 @@ def _saved_fraction_z(observed: float, expected: float, draws: int) -> float:
 
 
 def cmd_simulate(args, config) -> int:
-    exact = bool(getattr(args, "exact", None) or config.get("exact", False))
+    exact = _exact(args, config)
     model = _merged(args, config, "model")
     algo = _merged(args, config, "algo")
     if model is None or algo is None:
@@ -413,7 +426,7 @@ def _simulate_ensemble(machine: EpsilonMachine, chain, algo, p, seed, samples,
 # --------------------------------------------------------------- bp-verify
 
 def cmd_bp_verify(args, config) -> int:
-    exact = bool(getattr(args, "exact", None) or config.get("exact", False))
+    exact = _exact(args, config)
     model = _merged(args, config, "model")
     if model is None:
         raise UsageError("--model is required")

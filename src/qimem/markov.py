@@ -227,8 +227,7 @@ def _stationary_exact(T: TransitionMatrix) -> tuple:
     return pi
 
 
-def stationary(T: TransitionMatrix, tol: float = STATIONARY_TOL,
-               max_iter: int = MAX_POWER_ITER):
+def stationary(T: TransitionMatrix):
     """Unique stationary distribution of an irreducible chain.
 
     Float matrices are solved by power iteration on the half-lazy kernel
@@ -242,7 +241,7 @@ def stationary(T: TransitionMatrix, tol: float = STATIONARY_TOL,
     ReducibleChainError
         If the positive-entry digraph of T is not strongly connected.
     ConvergenceError
-        If the iteration budget is exhausted before reaching ``tol``.
+        If MAX_POWER_ITER iterations do not reach STATIONARY_TOL.
     """
     if not _strongly_connected(T):
         raise ReducibleChainError("non-unique stationary state")
@@ -250,14 +249,14 @@ def stationary(T: TransitionMatrix, tol: float = STATIONARY_TOL,
         return _stationary_exact(T)
     A = T.to_numpy()
     pi = np.full(T.n, 1.0 / T.n)
-    for _ in range(max_iter):
+    for _ in range(MAX_POWER_ITER):
         step = pi @ A
-        if np.max(np.abs(step - pi)) < tol:
+        if np.max(np.abs(step - pi)) < STATIONARY_TOL:
             return pi
         pi = 0.5 * (step + pi)
         pi /= pi.sum()
-    raise ConvergenceError(f"power iteration did not reach {tol} "
-                           f"in {max_iter} steps")
+    raise ConvergenceError(f"power iteration did not reach {STATIONARY_TOL} "
+                           f"in {MAX_POWER_ITER} steps")
 
 
 def entropy_bits(weights) -> float:

@@ -225,61 +225,77 @@ def postproc_memory_qubits(q) -> list[np.ndarray]:
             np.array([0.0, 1.0])]
 
 
-def coin_step(j: int, p, completion: str = "rotation") -> list:
-    """One protocol step of the coin circuit from causal state j.
+def _memory_qubits(model: str, p, q, completion: str) -> list[np.ndarray]:
+    if model == "coin":
+        return coin_memory_qubits(p, completion)
+    if model == "postproc":
+        if q is None:
+            raise ValueError("postproc model needs q")
+        return postproc_memory_qubits(q)
+    raise ValueError(f"unknown circuit model {model!r}")
 
-    Prepares |xi_j>|xi_0>, entangles with CNOT(1 -> 2) and measures qubit 1.
-    Returns ``(x, probability, post_memory_state)`` triples; the measured
-    bit is the emitted symbol and the memory qubit lands on |xi_x>.
+
+def protocol_states(model: str, p, j: int, q=None, steps: int = 1,
+                    completion: str = "rotation") -> list[np.ndarray]:
+    """Every register state of one protocol run from causal state j.
+
+    The only place the protocols' gates are applied.  Entry 0 is the
+    all-zeros register, entry 1 the prepared |xi_j> with its ancillas and
+    each later entry the register after one more gate.  The coin runs
+    ``steps`` chained steps: CNOT(1 -> 2) on |xi_j>|xi_0>, then per extra
+    step a fresh ancilla |xi_0> appended and a CNOT from the previous
+    memory qubit onto it, so qubits 1..k carry the outputs and qubit k+1
+    the memory.  The post-processed coin runs one step on |xi_j>|0>|0>:
+    the negated-control U_p on qubit 3, the controlled U_{1-q} on qubit 2
+    and CNOT(3 -> 2).
     """
-    xi = coin_memory_qubits(p, completion)
-    if j not in (0, 1):
-        raise ValueError(f"coin causal state must be 0 or 1, got {j}")
-    psi = cnot(2, 1, 2) @ kron(xi[j], xi[0])
-    return [(y[0], pr, post) for y, pr, post in measure(psi, (1,))]
+    xi = _memory_qubits(model, p, q, completion)
+    if j not in range(len(xi)):
+        raise ValueError(f"{model} causal state must be below {len(xi)}, "
+                         f"got {j}")
+    if steps < 1 or (model == "postproc" and steps != 1):
+        raise ValueError(f"{model} protocol cannot run {steps} steps")
+    e0 = np.array([1.0, 0.0])
+    if model == "coin":
+        up = [kron(e0, e0), kron(xi[j], xi[0])]
+        up.append(cnot(2, 1, 2) @ up[-1])
+        for m in range(2, steps + 1):
+            up.append(kron(up[-1], xi[0]))
+            up.append(kron(np.eye(2 ** (m - 1)), cnot(2, 1, 2)) @ up[-1])
+        return up
+    up = [kron(e0, e0, e0), kron(xi[j], e0, e0)]
+    for gate in (controlled_u(3, 1, 3, u_x(p, completion), control_value=0),
+                 controlled_u(3, 1, 2, u_x(1 - float(q), completion)),
+                 cnot(3, 3, 2)):
+        up.append(gate @ up[-1])
+    return up
 
 
-def postproc_step(j: int, p, q, completion: str = "rotation") -> list:
-    """One protocol step of the post-processed-coin circuit.
+def protocol_step(model: str, j: int, p, q=None,
+                  completion: str = "rotation") -> list:
+    """One measured protocol step from causal state j.
 
-    Runs |xi_j>|0>|0> through the negated-control U_p on qubit 3, the
-    controlled U_{1-q} on qubit 2 and CNOT(3 -> 2), then measures qubits
-    1 and 3.  The emitted symbol is y1 + 2*y3 and qubit 2 carries |xi_x>.
-    The branch (y1, y3) = (1, 1) is never populated, which is what keeps
-    the symbol map injective.
+    Returns ``(x, probability, post_memory_state)`` triples sorted by the
+    emitted symbol x.  The coin measures qubit 1, which is x, and its
+    memory qubit lands on |xi_x>.  The post-processed coin measures qubits
+    1 and 3, emits x = y1 + 2*y3 and leaves |xi_x> on qubit 2; its branch
+    (y1, y3) = (1, 1) is never populated, which is what keeps the symbol
+    map injective.
     """
-    xi = postproc_memory_qubits(q)
-    if j not in (0, 1, 2):
-        raise ValueError(f"causal state must be 0, 1 or 2, got {j}")
-    psi = kron(xi[j], np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    psi = controlled_u(3, 1, 3, u_x(p, completion), control_value=0) @ psi
-    psi = controlled_u(3, 1, 2, u_x(1 - float(q), completion)) @ psi
-    psi = cnot(3, 3, 2) @ psi
+    psi = protocol_states(model, p, j, q, completion=completion)[-1]
     out = []
-    for (y1, y3), pr, post in measure(psi, (1, 3)):
-        if y1 == 1 and y3 == 1:
+    for y, pr, post in measure(psi, (1,) if model == "coin" else (1, 3)):
+        if y == (1, 1):
             if pr != 0.0:
                 raise ValueError(f"forbidden branch (1, 1) has probability {pr!r}")
             continue
-        out.append((y1 + 2 * y3, pr, post))
+        out.append((sum(bit << i for i, bit in enumerate(y)), pr, post))
     return sorted(out)
 
 
-def coin_two_step_state(j: int, p) -> np.ndarray:
-    """Three-qubit state after two chained coin steps, before measuring.
-
-    The memory qubit of the first step controls a second CNOT onto a fresh
-    ancilla, so qubits (1, 2) carry the two outputs and qubit 3 the final
-    memory.
-    """
-    xi = coin_memory_qubits(p)
-    chi = cnot(2, 1, 2) @ kron(xi[j], xi[0])
-    return cnot(3, 2, 3) @ kron(chi, xi[0])
-
-
 def coin_two_step_distribution(j: int, p) -> dict:
-    """Exact joint law of the two outputs of ``coin_two_step_state``."""
-    theta = coin_two_step_state(j, p)
+    """Exact joint law of the two outputs of two chained coin steps."""
+    theta = protocol_states("coin", p, j, steps=2)[-1]
     out: dict = {}
     for (b1, b2), pr, _ in measure(theta, (1, 2)):
         if pr > 0:
@@ -296,20 +312,11 @@ def circuit_step_table(model: str, p, q=None) -> list:
     circuit, not from the transition matrix, so walking this table with
     ``markov.sample_edges`` exercises the quantum route end to end.
     """
-    if model == "coin":
-        refs = coin_memory_qubits(p)
-        steps = [coin_step(j, p) for j in range(2)]
-    elif model == "postproc":
-        if q is None:
-            raise ValueError("postproc model needs q")
-        refs = postproc_memory_qubits(q)
-        steps = [postproc_step(j, p, q) for j in range(3)]
-    else:
-        raise ValueError(f"unknown circuit model {model!r}")
+    refs = _memory_qubits(model, p, q, "rotation")
     table = []
-    for outcomes in steps:
+    for j in range(len(refs)):
         row = []
-        for x, pr, post in outcomes:
+        for x, pr, post in protocol_step(model, j, p, q):
             if pr == 0:
                 continue
             dists = [np.linalg.norm(post - r) for r in refs]
@@ -319,4 +326,3 @@ def circuit_step_table(model: str, p, q=None) -> list:
             row.append((x, pr, nxt))
         table.append(row)
     return table
-

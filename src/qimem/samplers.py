@@ -188,9 +188,8 @@ class GeneralQISampler:
     kernel of this update is exactly the target chain.
     """
 
-    def __init__(self, chain: TransitionMatrix, n_samples: int, seed: int,
-                 tables: RerouteTables | None = None):
-        self.tables = RerouteTables.from_chain(chain) if tables is None else tables
+    def __init__(self, chain: TransitionMatrix, n_samples: int, seed: int):
+        self.tables = RerouteTables.from_chain(chain)
         n = self.tables.n
         self.n_samples = int(n_samples)
         self.seed = int(seed)

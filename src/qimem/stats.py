@@ -17,8 +17,9 @@ import numpy as np
 def count_kgrams(seq, k: int, symbols) -> dict[str, int]:
     """Sliding-window counts of length-k words in a symbol sequence.
 
-    Keys concatenate the symbols as strings ("201" for the word 2,0,1).
-    A sequence of length n yields n - k + 1 windows.
+    Symbols are non-negative integers.  Keys concatenate them as strings
+    ("201" for the word 2,0,1).  A sequence of length n yields n - k + 1
+    windows.
     """
     seq = np.asarray(seq)
     if k < 1:
@@ -26,27 +27,21 @@ def count_kgrams(seq, k: int, symbols) -> dict[str, int]:
     if seq.ndim != 1 or seq.shape[0] < k:
         raise ValueError("sequence shorter than k")
     symbols = tuple(symbols)
+    if not np.issubdtype(seq.dtype, np.integer) or min(symbols) < 0:
+        raise ValueError("symbols must be non-negative integers")
     a = len(symbols)
-    if np.issubdtype(seq.dtype, np.integer) and min(symbols) >= 0:
-        # Table lookup instead of a Python loop; long runs hit this path.
-        top = max(symbols)
-        lut = np.full(top + 1, -1, dtype=np.int64)
-        lut[list(symbols)] = np.arange(a)
-        vals = seq.astype(np.int64, copy=False)
-        outside = (vals < 0) | (vals > top)
-        if outside.any():
-            raise ValueError(
-                f"symbol {int(vals[int(outside.argmax())])} not in alphabet")
-        idx = lut[vals]
-        if (idx < 0).any():
-            raise ValueError(
-                f"symbol {int(vals[int((idx < 0).argmax())])} not in alphabet")
-    else:
-        index = {x: c for c, x in enumerate(symbols)}
-        try:
-            idx = np.array([index[int(x)] for x in seq], dtype=np.int64)
-        except KeyError as err:
-            raise ValueError(f"symbol {err.args[0]} not in alphabet") from None
+    top = max(symbols)
+    lut = np.full(top + 1, -1, dtype=np.int64)
+    lut[list(symbols)] = np.arange(a)
+    vals = seq.astype(np.int64, copy=False)
+    outside = (vals < 0) | (vals > top)
+    if outside.any():
+        raise ValueError(
+            f"symbol {int(vals[int(outside.argmax())])} not in alphabet")
+    idx = lut[vals]
+    if (idx < 0).any():
+        raise ValueError(
+            f"symbol {int(vals[int((idx < 0).argmax())])} not in alphabet")
     windows = seq.shape[0] - k + 1
     codes = np.zeros(windows, dtype=np.int64)
     for r in range(k):

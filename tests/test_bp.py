@@ -16,7 +16,7 @@ from qimem.bp import (AnnihilatingFactorError, CycleFactorGraph, Message,
                       marginal, message_phase_decompose, postproc_graph,
                       prep_factor, probability_matrix)
 from qimem.markov import exact_kgram_distribution, perturbed_coin
-from qimem.quantum import coin_two_step_state
+from qimem.quantum import protocol_states
 
 P_SWEEP = [0.0, 0.3, 1 / 9, 1.0]
 
@@ -126,7 +126,7 @@ def test_two_step_graph():
         full_battery(graph, "coin", p, j, steps=2)
         mu = forward_pass(graph, unit_init(graph))
         # the fully entangled edge carries the two-step circuit state
-        theta = coin_two_step_state(j, p)
+        theta = protocol_states("coin", p, j, steps=2)[-1]
         assert np.max(np.abs(mu[4].values - theta)) < 1e-12
         # reading both output slots off that edge gives the word law;
         # the final memory qubit is the last axis and is traced out

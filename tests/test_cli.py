@@ -306,7 +306,10 @@ def test_bad_input_is_usage_error(argv, capsys):
     [],
     [[0.5, None], [0.5, 0.5]],
     [["1/2", "x"], ["1/2", "1/2"]],
-], ids=["non-square", "ragged", "empty", "null-entry", "bad-rational"])
+    [[0.5, 0.5], [True, False]],
+    [["1/2", "1/2"], ["1/2", True]],
+], ids=["non-square", "ragged", "empty", "null-entry", "bad-rational",
+        "bool-entries", "bool-among-rationals"])
 def test_bad_matrix_is_usage_error(tmp_path, capsys, matrix):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(matrix))
@@ -350,11 +353,16 @@ SIMULATE_CONFIG = {"model": "coin", "algo": "qi-ensemble", "p": 0.3,
     ("memory-curve", {"grid": 11.0}),
     ("bp-verify", {"model": "coin", "p": 0.3, "steps": "two"}),
     ("bp-verify", {"model": "coin", "p": 0.3, "steps": True}),
+    ("simulate", {"exact": "yes"}),
+    ("simulate", {"exact": 1}),
+    ("simulate", {"exact": None}),
+    ("bp-verify", {"model": "coin", "p": 0.3, "exact": "False"}),
 ], ids=["seed-float", "seed-bool", "seed-text", "samples-text",
         "samples-float", "steps-text", "steps-float", "threads-bool",
         "threads-list", "sigma-text", "sigma-bool", "sigma-nan",
         "sigma-negative", "p-bool", "grid-text", "grid-float",
-        "bp-verify-steps-text", "bp-verify-steps-bool"])
+        "bp-verify-steps-text", "bp-verify-steps-bool", "exact-text",
+        "exact-int", "exact-null", "bp-verify-exact-text"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
     if command == "simulate":
         config = {**SIMULATE_CONFIG, **config}
@@ -375,6 +383,18 @@ def test_config_numbers_as_text(tmp_path, capsys):
                                "sigma": 5}))
     assert run("simulate", "--config", str(cfg)) == 0
     assert capsys.readouterr().out == as_text
+
+
+def test_config_exact_as_text(tmp_path):
+    # a float matrix runs unless exact mode is on, however it is spelled
+    matrix = tmp_path / "chain.json"
+    matrix.write_text(json.dumps([[0.5, 0.5], [0.25, 0.75]]))
+    cfg = tmp_path / "cfg.json"
+    for exact, code in (("false", 0), (False, 0), ("true", 2), (True, 2)):
+        cfg.write_text(json.dumps({
+            "model": "custom", "algo": "qi-general", "matrix": str(matrix),
+            "seed": 1, "samples": 100, "steps": 5, "exact": exact}))
+        assert run("simulate", "--config", str(cfg)) == code
 
 
 def test_config_errors(tmp_path):

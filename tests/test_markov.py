@@ -177,6 +177,13 @@ def test_stationary_reducible_raises():
         stationary(block)
 
 
+def test_stationary_iteration_budget(monkeypatch):
+    slow = TransitionMatrix([[0.999, 0.001], [0.003, 0.997]])
+    monkeypatch.setattr(markov, "MAX_POWER_ITER", 10)
+    with pytest.raises(markov.ConvergenceError):
+        stationary(slow)
+
+
 def test_entropy_units():
     assert entropy_bits((0.5, 0.5)) == 1.0
     assert entropy_bits((1.0, 0.0)) == 0.0

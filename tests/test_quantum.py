@@ -12,17 +12,18 @@ import numpy as np
 import pytest
 
 from qimem import quantum
+from qimem.bp import expected_messages
 from qimem.markov import (binary_entropy, exact_kgram_distribution,
                           induced_chain, perturbed_coin, post_processed_coin,
                           sample_edges, statistical_memory,
                           topological_memory)
 from qimem.quantum import (check_density, check_orthogonal, check_unit,
                            circuit_step_table, cnot, coin_memory_qubits,
-                           coin_quantum_memory, coin_step,
-                           coin_two_step_distribution, coin_two_step_state,
+                           coin_quantum_memory, coin_two_step_distribution,
                            controlled_u, density_spectrum, kron, measure,
-                           n_qubits, postproc_memory_qubits, postproc_step,
-                           quantum_causal_states, quantum_statistical_memory,
+                           n_qubits, postproc_memory_qubits, protocol_states,
+                           protocol_step, quantum_causal_states,
+                           quantum_statistical_memory,
                            quantum_topological_memory, stationary_density,
                            u_x)
 from qimem.stats import compare, count_kgrams
@@ -155,7 +156,7 @@ def test_coin_step_matches_machine():
         machine = perturbed_coin(p)
         refs = coin_memory_qubits(p)
         for j in range(2):
-            outcomes = coin_step(j, p)
+            outcomes = protocol_step("coin", j, p)
             assert sum(pr for _, pr, _ in outcomes) == pytest.approx(1.0, abs=1e-14)
             for x, pr, post in outcomes:
                 assert pr == pytest.approx(float(machine.emit[j].get(x, 0)),
@@ -167,8 +168,8 @@ def test_coin_step_matches_machine():
 def test_coin_step_completion_invariance():
     for p in (0.1, 0.5, 0.9):
         for j in range(2):
-            a = coin_step(j, p, completion="rotation")
-            b = coin_step(j, p, completion="reflection")
+            a = protocol_step("coin", j, p, completion="rotation")
+            b = protocol_step("coin", j, p, completion="reflection")
             for (xa, pa, va), (xb, pb, vb) in zip(a, b):
                 assert xa == xb and pa == pb
                 if va is not None:
@@ -182,30 +183,97 @@ def test_postproc_step_matches_machine():
         machine = post_processed_coin(p, q)
         refs = postproc_memory_qubits(q)
         for j in range(3):
-            outcomes = postproc_step(j, p, q)
+            outcomes = protocol_step("postproc", j, p, q)
             assert sum(pr for _, pr, _ in outcomes) == pytest.approx(1.0, abs=1e-14)
             for x, pr, post in outcomes:
                 assert pr == pytest.approx(float(machine.emit[j].get(x, 0)),
                                            abs=1e-13)
                 if pr > 0:
                     assert np.allclose(post, refs[x], atol=1e-13)
-            b = postproc_step(j, p, q, completion="reflection")
+            b = protocol_step("postproc", j, p, q,
+                              completion="reflection")
             assert [(x, pr) for x, pr, _ in b] == [(x, pr) for x, pr, _ in outcomes]
+
+
+def assert_states_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def raw_coin_states(p, j, steps, completion):
+    e0 = np.array([1.0, 0.0])
+    xi = [u_x(p, completion)[:, 0], u_x(1 - float(p), completion)[:, 0]]
+    states = [kron(e0, e0), kron(xi[j], xi[0])]
+    states.append(cnot(2, 1, 2) @ states[-1])
+    for m in range(2, steps + 1):
+        states.append(kron(states[-1], xi[0]))
+        states.append(cnot(m + 1, m, m + 1) @ states[-1])
+    return states
+
+
+def raw_postproc_states(p, q, j, completion):
+    e0, e1 = np.eye(2)
+    xi = [e0, np.array([math.sqrt(float(q)), math.sqrt(1 - float(q))]), e1]
+    states = [kron(e0, e0, e0), kron(xi[j], e0, e0)]
+    for gate in (controlled_u(3, 1, 3, u_x(p, completion), control_value=0),
+                 controlled_u(3, 1, 2, u_x(1 - float(q), completion)),
+                 cnot(3, 3, 2)):
+        states.append(gate @ states[-1])
+    return states
 
 
 def test_postproc_conflicting_branch_is_structurally_dead():
     # rebuilt from raw gates: the ancilla pair can never read (1, 1),
     # whatever the parameters, because each control kills one writer
-    e0 = np.array([1.0, 0.0])
     for p in (0.0, 0.2, 0.7, 1.0):
         for q in (0.0, 0.4, 1.0):
-            for xi in postproc_memory_qubits(q):
-                psi = kron(xi, e0, e0)
-                psi = controlled_u(3, 1, 3, u_x(p), control_value=0) @ psi
-                psi = controlled_u(3, 1, 2, u_x(1 - q)) @ psi
-                psi = cnot(3, 3, 2) @ psi
+            for j in range(3):
+                psi = raw_postproc_states(p, q, j, "rotation")[-1]
                 probs = dict((o, pr) for o, pr, _ in measure(psi, (1, 3)))
                 assert probs[(1, 1)] == 0.0
+
+
+@pytest.mark.parametrize("completion", ["rotation", "reflection"])
+@pytest.mark.parametrize("p", [F(1, 9), F(1, 2), 0.3, 0.0, 1.0])
+def test_protocol_states_match_raw_gates(p, completion):
+    # each protocol rebuilt gate by gate; the BP messages are the rotation
+    # states followed by their mirror image, bit for bit
+    for j in (0, 1):
+        for steps in (1, 2, 3):
+            assert_states_equal(
+                protocol_states("coin", p, j, steps=steps,
+                                completion=completion),
+                raw_coin_states(p, j, steps, completion))
+            want = raw_coin_states(p, j, steps, "rotation")
+            assert_states_equal(expected_messages("coin", p, j, steps=steps),
+                                want + want[-2::-1])
+    for q in (F(2, 3), 0.25, 0.0, 1.0):
+        for j in (0, 1, 2):
+            assert_states_equal(
+                protocol_states("postproc", p, j, q, completion=completion),
+                raw_postproc_states(p, q, j, completion))
+            want = raw_postproc_states(p, q, j, "rotation")
+            assert_states_equal(expected_messages("postproc", p, j, q=q),
+                                want + want[-2::-1])
+
+
+def test_protocol_validation():
+    for model, j in (("coin", 2), ("coin", -1), ("postproc", 3)):
+        with pytest.raises(ValueError):
+            protocol_states(model, 0.3, j, q=0.5)
+    with pytest.raises(ValueError):
+        protocol_states("coin", 0.3, 0, steps=0)
+    with pytest.raises(ValueError):
+        protocol_states("postproc", 0.3, 0, q=0.5, steps=2)
+    with pytest.raises(ValueError):
+        protocol_states("postproc", 0.3, 0)
+    with pytest.raises(ValueError):
+        protocol_states("bogus", 0.3, 0)
+    with pytest.raises(ValueError):
+        protocol_states("postproc", 0.3, 0, q=0.5, completion="bogus")
+    with pytest.raises(ValueError):
+        protocol_step("coin", 0, 0.3, completion="bogus")
 
 
 def test_coin_density_spectrum():
@@ -322,7 +390,7 @@ def test_two_step_state_matches_word_law():
     for p in P_GRID:
         machine = perturbed_coin(p)
         for j in range(2):
-            theta = coin_two_step_state(j, p)
+            theta = protocol_states("coin", p, j, steps=2)[-1]
             assert theta.shape == (8,)
             check_unit(theta)
             dist = coin_two_step_distribution(j, p)

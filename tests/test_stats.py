@@ -31,6 +31,10 @@ def test_count_kgrams_errors():
         count_kgrams([0, 3, 1], 1, (0, 1))
     with pytest.raises(ValueError):
         count_kgrams([0, -1], 1, (0, 1))
+    with pytest.raises(ValueError):
+        count_kgrams([0.0, 1.0], 1, (0, 1))
+    with pytest.raises(ValueError):
+        count_kgrams([0, 1], 1, (-1, 0, 1))
 
 
 def test_compare_z_values():
