@@ -4,13 +4,13 @@ The package ties together four views of the same processes: unifilar
 machines and their induced chains (``markov``), real-amplitude circuit
 protocols and spectral memory measures (``quantum``), save/reroute ensemble
 samplers (``samplers``) and belief propagation on cycle factor graphs
-(``bp``), with frequency verification utilities in ``stats`` and a CLI in
+(``bp``), with the next-symbol frequency test in ``stats`` and a CLI in
 ``cli``.
 """
 
 from .markov import (ConvergenceError, EpsilonMachine, ReducibleChainError,
-                     TransitionMatrix, coin_mutual_info_bound, entropy_bits,
-                     exact_kgram_distribution, induced_chain,
+                     TransitionMatrix, coin_mutual_info_bound, context_law,
+                     entropy_bits, exact_kgram_distribution, induced_chain,
                      machine_from_chain, perturbed_coin, post_processed_coin,
                      sample_edges, sample_trajectory, stationary,
                      statistical_memory, topological_memory)
@@ -21,6 +21,7 @@ from .samplers import (CoinEnsemble, DegenerateSupportError, GeneralQISampler,
                        RerouteTables, StochasticBitMachine, decompose,
                        effective_kernel, expected_memory, save_fractions,
                        reroute_ratios, three_state_demo_chain)
-from .stats import ComparisonReport, compare, count_kgrams, tv_distance
+from .stats import (TransitionReport, compare_transitions, context_counts,
+                    transition_counts)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

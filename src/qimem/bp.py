@@ -175,16 +175,21 @@ def message_phase_decompose(mu: Message, nu: Message):
     return prob, phase
 
 
+def enumerable(graph: CycleFactorGraph) -> bool:
+    """Whether ``brute_marginals`` takes the graph: MAX_ENUM_BITS at most."""
+    return sum(math.log2(d) for d in graph.dims) <= MAX_ENUM_BITS + 1e-9
+
+
 def brute_marginals(graph: CycleFactorGraph):
     """Marginals by exhaustive enumeration of the joint factor product.
 
     Walks every assignment with a nonzero weight (zero-weight branches are
     cut early; they contribute nothing to the sums).  Guarded to graphs of
-    at most 24 bits of joint state.
+    at most MAX_ENUM_BITS bits of joint state.
     """
-    dims = graph.dims
-    if sum(math.log2(d) for d in dims) > MAX_ENUM_BITS + 1e-9:
+    if not enumerable(graph):
         raise ValueError("graph too large to enumerate")
+    dims = graph.dims
     L = graph.n_vars
     factors = graph.factors
     marg = [np.zeros(d) for d in dims]

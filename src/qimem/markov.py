@@ -360,10 +360,10 @@ def exact_kgram_distribution(machine: EpsilonMachine, k: int,
 
     With ``start=None`` the hidden state is drawn from the stationary
     distribution; otherwise the word law is conditioned on starting in
-    ``start``.  Keys are the emitted symbols concatenated as a string
-    ("201" for the word 2,0,1).  Words of probability zero are omitted.
-    Probabilities are exact rationals when the machine is exact and its
-    stationary state is not needed in float form.
+    ``start``.  Keys are tuples of the emitted symbols ((2, 0, 1) for the
+    word 2,0,1).  Words of probability zero are omitted.  Probabilities
+    are exact rationals when the machine is exact and its stationary state
+    is not needed in float form.
     """
     if not 1 <= k <= MAX_KGRAM:
         raise ValueError(f"k must be in 1..{MAX_KGRAM}, got {k}")
@@ -375,14 +375,36 @@ def exact_kgram_distribution(machine: EpsilonMachine, k: int,
             raise ValueError(f"start state {start} out of range")
         initial = [(start, Fraction(1) if machine.exact else 1.0)]
     out: dict = {}
-    frontier = {("", i): w for i, w in initial if w != 0}
+    frontier = {((), i): w for i, w in initial if w != 0}
     for _ in range(k):
         nxt: dict = {}
         for (word, i), w in frontier.items():
             for x, pr in machine.emit[i].items():
-                key = (word + str(x), machine.succ[i][x])
+                key = (word + (x,), machine.succ[i][x])
                 nxt[key] = nxt.get(key, 0) + w * pr
         frontier = nxt
     for (word, _), w in frontier.items():
         out[word] = out.get(word, 0) + w
     return {word: w for word, w in sorted(out.items()) if w != 0}
+
+
+def context_law(machine: EpsilonMachine, h: int) -> np.ndarray:
+    """Stationary law of the next symbol after each h-symbol context.
+
+    Row c, column y is P(c y) / P(c) from the (h + 1)-word law, rounded
+    after the division; row c codes its context as ``stats.context_counts``
+    does, with symbols indexed by position in ``machine.symbols``.
+    Contexts the process never emits get a row of zeros.
+    """
+    m = len(machine.symbols)
+    index = {x: i for i, x in enumerate(machine.symbols)}
+    rows: dict = {}
+    for word, w in exact_kgram_distribution(machine, h + 1).items():
+        c = int(np.ravel_multi_index([index[x] for x in word[:-1]], (m,) * h))
+        rows.setdefault(c, {})[index[word[-1]]] = w
+    law = np.zeros((m ** h, m))
+    for c, row in rows.items():
+        total = sum(row.values())
+        for y, w in row.items():
+            law[c, y] = float(w / total)
+    return law

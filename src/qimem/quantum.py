@@ -294,13 +294,9 @@ def protocol_step(model: str, j: int, p, q=None,
 
 
 def coin_two_step_distribution(j: int, p) -> dict:
-    """Exact joint law of the two outputs of two chained coin steps."""
+    """Exact law of the output pair (b1, b2) of two chained coin steps."""
     theta = protocol_states("coin", p, j, steps=2)[-1]
-    out: dict = {}
-    for (b1, b2), pr, _ in measure(theta, (1, 2)):
-        if pr > 0:
-            out[f"{b1}{b2}"] = pr
-    return out
+    return {word: pr for word, pr, _ in measure(theta, (1, 2)) if pr > 0}
 
 
 def circuit_step_table(model: str, p, q=None) -> list:

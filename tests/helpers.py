@@ -4,13 +4,14 @@ Everything here is seeded by the caller, so the sweeps below are fixed
 case lists, not fresh randomness per run.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, induced_chain, stationary)
-from qimem.stats import ComparisonReport, compare
 
 
 def random_chain(rng: np.random.Generator, n: int) -> TransitionMatrix:
@@ -90,25 +91,34 @@ def reference_edge_walk(rows, start: int, steps: int,
     return out, state
 
 
-def reference_compare_transitions(prev, nxt, chain, sigma: float = 5.0):
-    """The mask-per-source-state comparison that ``stats.compare_transitions``
+def reference_compare_transitions(prev, nxt, law, h: int):
+    """The mask-per-context comparison that ``stats.compare_transitions``
     on a ``transition_counts`` matrix must reproduce.
 
-    Bins the next values of every source state that occurs; states that
-    never occur are skipped.  Returns (reports, max_row_tv).
+    Context c of ``h`` symbols over the m columns of ``law`` is the c-th
+    tuple of ``itertools.product`` and is labelled by its symbols.  Bins
+    the next values of every context that occurs and scores each entry
+    with scalar arithmetic.  Returns ({label: (max |z|, tv)} over the
+    contexts that occur, hard failures).
     """
     prev = np.asarray(prev).ravel()
     nxt = np.asarray(nxt).ravel()
-    reports: dict[int, ComparisonReport] = {}
-    max_tv = 0.0
-    for j in range(chain.n):
-        mask = prev == j
+    m = len(law[0])
+    rows, hard = {}, []
+    for code, context in enumerate(itertools.product(range(m), repeat=h)):
+        mask = prev == code
         if not mask.any():
             continue
-        binned = np.bincount(nxt[mask], minlength=chain.n)
-        counts = {str(i): int(c) for i, c in enumerate(binned) if c > 0}
-        oracle = {str(i): float(chain[j][i]) for i in range(chain.n)
-                  if chain[j][i] != 0}
-        reports[j] = compare(counts, oracle, sigma)
-        max_tv = max(max_tv, reports[j].tv)
-    return reports, max_tv
+        label = "".join(str(x) for x in context)
+        binned = np.bincount(nxt[mask], minlength=m).tolist()
+        n = sum(binned)
+        max_z = tv = 0.0
+        for y, (c, p) in enumerate(zip(binned, map(float, law[code]))):
+            tv += abs(c / n - p)
+            if p in (0.0, 1.0):
+                if c != (n if p else 0):
+                    hard.append(f"{label}>{y}")
+            else:
+                max_z = max(max_z, abs((c - n * p) / math.sqrt(n * p * (1.0 - p))))
+        rows[label] = (max_z, 0.5 * tv)
+    return rows, hard

@@ -149,7 +149,7 @@ def test_criterion_4_sampler_statistics(tmp_path, capsys):
         fields = parse_report(text)
         assert fields["hard_failures"] == ""
         assert fields["passed"] == "true"
-        assert float(fields["max_abs_z"]) <= 5.0
+        assert float(fields["transitions_max_abs_z"]) <= 5.0
         symbols = "".join(traj.read_text().split())
         assert len(symbols) == 1000000
         for pair in ("01", "20", "22"):

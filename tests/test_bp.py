@@ -134,7 +134,7 @@ def test_two_step_graph():
         joint = diag.reshape(2, 2, 2).sum(axis=2)
         law = exact_kgram_distribution(perturbed_coin(p), 2, start=j)
         for (b1, b2), pr in np.ndenumerate(joint):
-            assert pr == pytest.approx(float(law.get(f"{b1}{b2}", 0)),
+            assert pr == pytest.approx(float(law.get((b1, b2), 0)),
                                        abs=1e-13)
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from qimem import markov
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, binary_entropy,
-                          coin_mutual_info_bound, entropy_bits,
+                          coin_mutual_info_bound, context_law, entropy_bits,
                           exact_kgram_distribution, induced_chain,
                           machine_from_chain, perturbed_coin,
                           post_processed_coin, sample_edges,
@@ -328,21 +328,21 @@ def test_sample_edges_validation():
 
 def test_kgram_coin_values():
     d = exact_kgram_distribution(perturbed_coin(0.25), 2)
-    assert d == pytest.approx({"00": 0.375, "01": 0.125,
-                               "10": 0.125, "11": 0.375}, abs=1e-15)
+    assert d == pytest.approx({(0, 0): 0.375, (0, 1): 0.125,
+                               (1, 0): 0.125, (1, 1): 0.375}, abs=1e-15)
 
 
 def test_kgram_exact_fractions():
     m = post_processed_coin(F(1, 9), F(2, 3))
     d2 = exact_kgram_distribution(m, 2)
-    assert d2["21"] == F(2, 21)
+    assert d2[2, 1] == F(2, 21)
     assert sum(d2.values()) == 1
     assert all(isinstance(v, F) for v in d2.values())
     # symbol 2 hands control to the state that only says 1; symbol 0
     # hands it to the state that never says 1 first
-    assert "20" not in d2 and "22" not in d2 and "01" not in d2
+    assert (2, 0) not in d2 and (2, 2) not in d2 and (0, 1) not in d2
     d3 = exact_kgram_distribution(m, 3)
-    assert d3["211"] == F(2, 63)
+    assert d3[2, 1, 1] == F(2, 63)
     assert sum(d3.values()) == 1
 
 
@@ -360,10 +360,36 @@ def test_kgram_marginalization():
 def test_kgram_start_conditioning():
     m = perturbed_coin(0.25)
     d = exact_kgram_distribution(m, 2, start=0)
-    assert d == pytest.approx({"00": 0.5625, "01": 0.1875,
-                               "10": 0.0625, "11": 0.1875}, abs=1e-15)
+    assert d == pytest.approx({(0, 0): 0.5625, (0, 1): 0.1875,
+                               (1, 0): 0.0625, (1, 1): 0.1875}, abs=1e-15)
     assert sum(exact_kgram_distribution(m, 3, start=1).values()) \
         == pytest.approx(1.0, abs=1e-14)
+
+
+def test_kgram_words_of_many_symbols():
+    # keyed by symbol tuples, (10, 1, 0) and (1, 0, 10) stay two words
+    m = machine_from_chain(TransitionMatrix([[F(1, 11)] * 11] * 11))
+    d3 = exact_kgram_distribution(m, 3)
+    assert len(d3) == 1331
+    assert d3[10, 1, 0] == d3[1, 0, 10] == F(1, 1331)
+    law = context_law(m, 2)
+    assert law.shape == (121, 11)
+    assert np.all(law == 1 / 11)
+
+
+def test_context_law_of_postproc():
+    m = post_processed_coin(F(1, 9), F(2, 3))
+    # row c of the law is P(c y) / P(c); the context 2,1 hands control to
+    # the middle state, the never-emitted context 2,0 keeps a zero row
+    law = context_law(m, 2)
+    d3 = exact_kgram_distribution(m, 3)
+    d2 = exact_kgram_distribution(m, 2)
+    for y in range(3):
+        assert law[7, y] == float(d3.get((2, 1, y), 0) / d2[2, 1])
+    assert law[6].tolist() == [0.0, 0.0, 0.0]
+    assert law[2].tolist() == [0.0, 1.0, 0.0]
+    d1 = exact_kgram_distribution(m, 1)
+    assert context_law(m, 0).tolist() == [[float(d1[x, ]) for x in range(3)]]
 
 
 def test_kgram_range_errors():

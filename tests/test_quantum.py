@@ -13,8 +13,8 @@ import pytest
 
 from qimem import quantum
 from qimem.bp import expected_messages
-from qimem.markov import (binary_entropy, exact_kgram_distribution,
-                          induced_chain, perturbed_coin, post_processed_coin,
+from qimem.markov import (binary_entropy, context_law,
+                          exact_kgram_distribution, induced_chain, perturbed_coin, post_processed_coin,
                           sample_edges, statistical_memory,
                           topological_memory)
 from qimem.quantum import (check_density, check_orthogonal, check_unit,
@@ -26,7 +26,7 @@ from qimem.quantum import (check_density, check_orthogonal, check_unit,
                            quantum_statistical_memory,
                            quantum_topological_memory, stationary_density,
                            u_x)
-from qimem.stats import compare, count_kgrams
+from qimem.stats import compare_transitions, context_counts
 
 from helpers import random_machine
 
@@ -375,9 +375,9 @@ def test_circuit_trajectory_statistics():
     machine = post_processed_coin(F(1, 9), F(2, 3))
     rng = np.random.default_rng(90)
     traj, _ = sample_edges(table, 0, 20000, rng)
-    report = compare(count_kgrams(traj, 3, machine.symbols),
-                     exact_kgram_distribution(machine, 3), sigma=5.0)
-    assert report.passed, report.to_text()
+    report = compare_transitions(context_counts(traj, 2, 3),
+                                 context_law(machine, 2), context=2)
+    assert report.passed, report
     assert not report.hard_failures
     a, _ = sample_edges(table, 1, 50, np.random.default_rng(3))
     b, _ = sample_edges(table, 1, 50, np.random.default_rng(3))

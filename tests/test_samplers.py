@@ -22,9 +22,9 @@ from qimem.samplers import (CoinEnsemble, DegenerateSupportError,
                             reroute_ratios, save_fractions,
                             stochastic_causal_dimension,
                             three_state_demo_chain)
-from qimem.stats import (compare, compare_transitions, count_kgrams,
+from qimem.stats import (compare_transitions, context_counts,
                          transition_counts)
-from qimem.markov import exact_kgram_distribution
+from qimem.markov import context_law
 
 from helpers import random_chain
 
@@ -192,11 +192,10 @@ def test_general_sampler_reproduces_chain():
         nxt = sampler.step()
         counts += transition_counts(prev, nxt, 3)
         prev = nxt
-    reports, max_tv = compare_transitions(counts, chain, sigma=5.0)
-    assert set(reports) == {0, 1, 2}
-    for j, report in reports.items():
-        assert report.passed, f"row {j}: {report.to_text()}"
-    assert max_tv < 0.02
+    report = compare_transitions(counts, chain.to_numpy(), sigma=5.0)
+    assert list(report.z) == ["0", "1", "2"]
+    assert report.passed, report
+    assert report.max_tv < 0.02
     saved = np.mean(sampler.saved_counts) / sampler.n_samples
     assert saved == pytest.approx(5 / 12, abs=5 * math.sqrt(5 / 12 * 7 / 12
                                                             / (31 * 20000)))
@@ -212,9 +211,8 @@ def test_coin_ensemble_reproduces_coin():
             nxt = ensemble.step()
             counts += transition_counts(prev, nxt, 2)
             prev = nxt
-        reports, _ = compare_transitions(counts, chain, sigma=5.0)
-        for j, report in reports.items():
-            assert report.passed, f"p={p} row {j}: {report.to_text()}"
+        report = compare_transitions(counts, chain.to_numpy(), sigma=5.0)
+        assert report.passed, f"p={p}: {report}"
         saved = np.mean(ensemble.saved_counts) / ensemble.n_samples
         expect = abs(2 * p - 1)
         assert saved == pytest.approx(
@@ -330,25 +328,25 @@ def test_bit_machine_statistics():
     machine = post_processed_coin(F(1, 9), F(2, 3))
     sampler = StochasticBitMachine(1 / 9, 2 / 3, 0, np.random.default_rng(5))
     traj = sampler.run(200_000)
-    # sliding windows see the stationary word law once the chain has mixed
-    report = compare(count_kgrams(traj, 3, (0, 1, 2)),
-                     exact_kgram_distribution(machine, 3), sigma=5.0)
-    assert report.passed, report.to_text()
+    # the symbol after each 2-symbol context follows the conditional law
+    report = compare_transitions(context_counts(traj, 2, 3),
+                                 context_law(machine, 2), context=2)
+    assert report.passed, report
     assert not report.hard_failures
-    assert report.tv < 0.01
-    counts = count_kgrams(traj, 2, (0, 1, 2))
-    assert "01" not in counts and "20" not in counts and "22" not in counts
+    assert report.max_tv < 0.01
+    counts = context_counts(traj, 1, 3)
+    assert counts[0, 1] == counts[2, 0] == counts[2, 2] == 0
 
 
 def test_bit_machine_matches_chain_rows():
     chain = induced_chain(post_processed_coin(1 / 9, 2 / 3))
     traj = StochasticBitMachine(1 / 9, 2 / 3, 0,
                                 np.random.default_rng(17)).run(100_000)
-    reports, max_tv = compare_transitions(
-        transition_counts(traj[:-1], traj[1:], 3), chain, sigma=5.0)
-    for j, report in reports.items():
-        assert report.passed, f"row {j}: {report.to_text()}"
-    assert max_tv < 0.02
+    report = compare_transitions(transition_counts(traj[:-1], traj[1:], 3),
+                                 chain.to_numpy(), sigma=5.0)
+    assert report.passed, report
+    assert list(report.z) == ["0", "1", "2"]
+    assert report.max_tv < 0.02
 
 
 def test_stochastic_causal_dimension():
