@@ -8,9 +8,13 @@ simulate      Run a sampler and test its statistics against the exact oracle.
 bp-verify     Belief-propagation versus circuit equivalence checks.
 
 Exit codes: 0 pass, 1 statistical or verification failure, 2 usage error,
-3 numerical error.  A config file (JSON object keyed by flag name) supplies
-defaults; explicit flags always win.  Runs with the same seed and config
-produce byte-identical outputs whatever --threads is set to.
+3 numerical error.  A config file holds the subcommand's flags as a JSON
+object: each key is read as ``--key=<value text>`` before the flags on the
+command line, so explicit flags win and a value gets the checks of its flag.
+Values are strings or numbers (read as their text), and for ``exact`` a bool
+or "true"/"false".  A key the subcommand lacks and a null, list or object
+value are usage errors.  Runs with the same seed and config produce
+byte-identical outputs whatever --threads is set to.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bp, quantum, samplers, stats
+from . import bp, markov, quantum, samplers, stats
 from .markov import (EpsilonMachine, TransitionMatrix, as_cdf,
                      coin_mutual_info_bound, context_law, induced_chain,
                      machine_from_chain, perturbed_coin, post_processed_coin,
@@ -52,14 +56,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, exact=False):
         sp.add_argument("--out", help="output file")
-        sp.add_argument("--config", help="JSON file with default flag values")
+        sp.add_argument("--config", help="JSON file of flag values")
         if exact:
-            sp.add_argument("--exact", action="store_true", default=None,
+            sp.add_argument("--exact", action="store_true",
                             help="exact rational arithmetic where supported")
 
     sp = sub.add_parser("memory-curve",
                         help="coin memory measures on a p grid, as CSV")
-    sp.add_argument("--grid", type=int, help="number of grid points (default 101)")
+    sp.add_argument("--grid", type=int, default=101,
+                    help="number of grid points (default %(default)s)")
     common(sp)
     sp.set_defaults(func=cmd_memory_curve)
 
@@ -69,37 +74,50 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_appendix_a)
 
     sp = sub.add_parser("simulate", help="sample a model and verify statistics")
-    sp.add_argument("--model", choices=["coin", "postproc", "custom"])
-    sp.add_argument("--algo", choices=["baseline", "quantum", "qi-ensemble",
-                                       "single-bit", "qi-general"])
+    sp.add_argument("--model", required=True,
+                    choices=["coin", "postproc", "custom"])
+    sp.add_argument("--algo", required=True,
+                    choices=["baseline", "quantum", "qi-ensemble",
+                             "single-bit", "qi-general"])
     sp.add_argument("--p", help="coin bias (float or rational like 1/9)")
     sp.add_argument("--q", help="post-processing weight")
     sp.add_argument("--matrix", help="JSON transition matrix for --model custom")
-    sp.add_argument("--samples", type=int, help="ensemble size (default 1000)")
-    sp.add_argument("--steps", type=int, help="steps to run (default 100)")
-    sp.add_argument("--sigma", type=float, help="z threshold (default 5)")
-    sp.add_argument("--threads", type=int, help="worker threads (default 1)")
-    sp.add_argument("--seed", type=int, help="RNG seed (required to sample)")
+    sp.add_argument("--samples", type=int, default=1000,
+                    help="ensemble size (default %(default)s)")
+    sp.add_argument("--steps", type=int, default=100,
+                    help="steps to run (default %(default)s)")
+    sp.add_argument("--sigma", type=float, default=5.0,
+                    help="z threshold (default %(default)s)")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads (default %(default)s)")
+    sp.add_argument("--seed", type=int, required=True, help="RNG seed")
     common(sp, exact=True)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("bp-verify",
                         help="check BP messages and marginals against circuits")
-    sp.add_argument("--model", choices=["coin", "postproc"])
+    sp.add_argument("--model", required=True, choices=["coin", "postproc"])
     sp.add_argument("--p", help="coin bias")
     sp.add_argument("--q", help="post-processing weight")
-    sp.add_argument("--steps", type=int,
-                    help="chained protocol steps for the coin graph (default 1)")
+    sp.add_argument("--steps", type=int, default=1,
+                    help="chained protocol steps for the coin graph "
+                         "(default %(default)s)")
     common(sp, exact=True)
     sp.set_defaults(func=cmd_bp_verify)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
-        config = _load_config(args.config)
-        return args.func(args, config)
+        keys, flags = _load_config(argv[1:])
+        args = build_parser().parse_args(argv[:1] + flags + argv[1:])
+        for key in keys:
+            # argparse would take a prefix such as samp for --samples
+            if key == "config" or not hasattr(args, key):
+                raise UsageError(
+                    f"config key {key!r} is not a flag of {args.command}")
+        return args.func(args)
     except SystemExit as exit_:  # --help
         return int(exit_.code or 0)
     except (UsageError, OSError) as err:
@@ -111,77 +129,52 @@ def main(argv=None) -> int:
         return NUMERIC
 
 
-def _load_config(path) -> dict:
+def _load_config(argv) -> tuple[list, list[str]]:
+    """Keys of the config file that ``--config`` names in a subcommand's
+    ``argv``, and the flags they spell: ``--key=<value text>``, or a bare
+    ``--exact`` for a true ``exact``.  No config gives no keys or flags."""
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # --config without a value
+        return [], []  # the full parse reports it
     if not path:
-        return {}
+        return [], []
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not JSON, or not text
         raise UsageError(f"config is not valid JSON: {err}") from None
     if not isinstance(config, dict):
         raise UsageError("config must be a JSON object")
-    return config
+    flags = []
+    for key, value in config.items():
+        # "is", not "==": 1 == True, and {"exact": 1} must be refused
+        if key == "exact" and (value is True or value == "true"):
+            flags.append("--exact")
+        elif key == "exact" and (value is False or value == "false"):
+            continue
+        elif type(value) not in (str, int, float):  # a bool is no int here
+            raise UsageError(f"config {key}={json.dumps(value)} is not a "
+                             "string or number")
+        else:
+            flags.append(f"--{key}={value}")
+    return list(config), flags
 
 
-def _merged(args, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    return value
-
-
-def _integer(value, name: str) -> int:
-    """A count or seed from a flag or the config: an int or integer text.
-    Anything else, a float or a JSON true included, is a usage error."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise UsageError(f"--{name} {value!r} is not an integer")
-
-
-def _real(value, name: str) -> float:
-    """A real number from a flag or the config: a number or numeric text.
-    Anything else, a JSON true included, is a usage error."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise UsageError(f"--{name} {value!r} is not a number")
-
-
-def _exact(args, config) -> bool:
-    """Exact mode from --exact or the config: a bool or the text "true" or
-    "false".  Anything else is a usage error."""
-    value = _merged(args, config, "exact", False)
-    if isinstance(value, bool):
-        return value
-    if value in ("true", "false"):
-        return value == "true"
-    raise UsageError(f"--exact {value!r} is not true or false")
-
-
-def _number(value, exact: bool, name: str):
+def _number(text, exact: bool, name: str):
     """Parse a probability flag; "a/b" strings force exact mode.
 
     Text that is not a number and values outside [0, 1] are usage errors.
     NaN passes through, so the library rejects it as a numerical error.
     """
-    if value is None:
+    if text is None:
         raise UsageError(f"--{name} is required here")
-    text = str(value)
-    if exact or "/" in text:
-        try:
-            number = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--{name} {text!r} is not a number") from None
-    else:
-        number = _real(value, name)
+    try:
+        number = Fraction(text) if exact or "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--{name} {text!r} is not a number") from None
     if number < 0 or number > 1:
         raise UsageError(f"--{name} = {text} outside [0, 1]")
     return number
@@ -197,8 +190,8 @@ def _write_text(out, text: str) -> None:
 
 # ----------------------------------------------------------------- curves
 
-def cmd_memory_curve(args, config) -> int:
-    grid = _integer(_merged(args, config, "grid", 101), "grid")
+def cmd_memory_curve(args) -> int:
+    grid = args.grid
     if grid < 2:
         raise UsageError("--grid must be at least 2")
     rows = ["p,classical_bits,quantum_bits,qi_bits,mutual_info_bound"]
@@ -208,7 +201,7 @@ def cmd_memory_curve(args, config) -> int:
         rows.append(",".join(repr(v) for v in (
             p, classical, quantum.coin_quantum_memory(p), abs(1.0 - 2.0 * p),
             coin_mutual_info_bound(p))))
-    _write_text(_merged(args, config, "out"), "\n".join(rows) + "\n")
+    _write_text(args.out, "\n".join(rows) + "\n")
     return PASS
 
 
@@ -219,7 +212,7 @@ def _over_common_denominator(values) -> str:
     return ",".join(f"{int(v * lcm)}/{lcm}" for v in values)
 
 
-def cmd_appendix_a(args, config) -> int:
+def cmd_appendix_a(args) -> int:
     p, q = Fraction(1, 9), Fraction(2, 3)
     chain = samplers.three_state_demo_chain(p, q)
     tables = samplers.RerouteTables.from_chain(chain)
@@ -239,9 +232,8 @@ def cmd_appendix_a(args, config) -> int:
     lines += [f"saved_fraction={fraction}", f"bits_per_sample={bits}",
               f"kernel_exact={'true' if kernel_exact else 'false'}"]
     text = "\n".join(lines) + "\n"
-    out = _merged(args, config, "out")
-    _write_text(out, text)
-    if out:
+    _write_text(args.out, text)
+    if args.out:
         sys.stdout.write(text)
     return PASS if kernel_exact else STAT_FAIL
 
@@ -252,7 +244,7 @@ def _load_matrix(path, exact: bool) -> TransitionMatrix:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not JSON, or not text
         raise UsageError(f"matrix file is not valid JSON: {err}") from None
     if (not isinstance(raw, list)
             or any(not isinstance(row, list) for row in raw)):
@@ -291,24 +283,13 @@ def _saved_fraction_z(observed: float, expected: float, draws: int) -> float:
     return (observed - expected) / sd
 
 
-def cmd_simulate(args, config) -> int:
-    exact = _exact(args, config)
-    model = _merged(args, config, "model")
-    algo = _merged(args, config, "algo")
-    if model is None or algo is None:
-        raise UsageError("--model and --algo are required")
-    seed = _merged(args, config, "seed")
-    if seed is None:
-        raise UsageError("--seed is required for simulate")
-    seed = _integer(seed, "seed")
+def cmd_simulate(args) -> int:
+    model, algo, seed, out = args.model, args.algo, args.seed, args.out
+    samples, steps, sigma, threads = (args.samples, args.steps, args.sigma,
+                                      args.threads)
     # the ensemble samplers key their Philox streams with a uint64 seed
     if seed < 0 or (algo in ("qi-ensemble", "qi-general") and seed >= 2 ** 64):
         raise UsageError(f"--seed {seed} out of range")
-    samples = _integer(_merged(args, config, "samples", 1000), "samples")
-    steps = _integer(_merged(args, config, "steps", 100), "steps")
-    sigma = _real(_merged(args, config, "sigma", 5.0), "sigma")
-    threads = _integer(_merged(args, config, "threads", 1), "threads")
-    out = _merged(args, config, "out")
     if samples < 1 or steps < 0 or threads < 1 or not sigma >= 0:
         raise UsageError("--samples/--steps/--threads/--sigma out of range")
 
@@ -320,17 +301,16 @@ def cmd_simulate(args, config) -> int:
 
     p = q = None
     if model == "coin":
-        p = _number(_merged(args, config, "p"), exact, "p")
+        p = _number(args.p, args.exact, "p")
         machine = perturbed_coin(p)
     elif model == "postproc":
-        p = _number(_merged(args, config, "p"), exact, "p")
-        q = _number(_merged(args, config, "q"), exact, "q")
+        p = _number(args.p, args.exact, "p")
+        q = _number(args.q, args.exact, "q")
         machine = post_processed_coin(p, q)
     else:
-        path = _merged(args, config, "matrix")
-        if not path:
+        if not args.matrix:
             raise UsageError("--model custom needs --matrix")
-        machine = machine_from_chain(_load_matrix(path, exact))
+        machine = machine_from_chain(_load_matrix(args.matrix, args.exact))
     chain = induced_chain(machine)
 
     # threads is a performance knob with no statistical footprint, so it
@@ -362,9 +342,12 @@ def _simulate_trajectory(machine: EpsilonMachine, chain, model, algo, p, q,
         traj, _ = sample_edges(table, start, steps, rng)
     else:
         traj = samplers.StochasticBitMachine(p, q, start, rng).run(steps)
-    if out:
+    if out:  # in blocks, so the text never holds the whole run
+        block = markov.TRAJECTORY_BLOCK
         with open(out, "w", newline="") as fh:
-            fh.write("".join(f"{x}\n" for x in traj))
+            for lo in range(0, steps, block):
+                fh.write("".join(f"{x}\n"
+                                 for x in traj[lo:lo + block].tolist()))
     h = max(0, min(2, steps - 1))
     counts = stats.context_counts(traj, h, len(machine.symbols))
     return _verdict(counts, context_law(machine, h), sigma, h)
@@ -432,18 +415,14 @@ def _verdict(counts, law, sigma, context, saved=None):
 
 # --------------------------------------------------------------- bp-verify
 
-def cmd_bp_verify(args, config) -> int:
-    exact = _exact(args, config)
-    model = _merged(args, config, "model")
-    if model is None:
-        raise UsageError("--model is required")
-    p = _number(_merged(args, config, "p"), exact, "p")
+def cmd_bp_verify(args) -> int:
+    model, steps = args.model, args.steps
+    p = _number(args.p, args.exact, "p")
     q = None
-    steps = _integer(_merged(args, config, "steps", 1), "steps")
     if steps < 1:
         raise UsageError("--steps must be at least 1")
     if model == "postproc":
-        q = _number(_merged(args, config, "q"), exact, "q")
+        q = _number(args.q, args.exact, "q")
         if steps != 1:
             raise UsageError("--steps applies to the coin graph only")
     lines = []
@@ -460,9 +439,8 @@ def cmd_bp_verify(args, config) -> int:
     passed = worst < BP_TOL
     lines.append(f"passed={'true' if passed else 'false'}")
     text = "\n".join(lines) + "\n"
-    out = _merged(args, config, "out")
-    _write_text(out, text)
-    if out:
+    _write_text(args.out, text)
+    if args.out:
         sys.stdout.write(text)
     return PASS if passed else STAT_FAIL
 

@@ -21,6 +21,7 @@ compares them against integer thresholds, which decides exactly the same
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -291,8 +292,11 @@ def _run_chunked(update, total: int, threads: int) -> None:
     if threads <= 1 or total < 2:
         update(0, total)
         return
+    # threads chunks on at most one worker per CPU, so a large --threads
+    # does not start that many OS threads
+    workers = min(threads, os.cpu_count() or 1)
     bounds = np.linspace(0, total, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         jobs = [pool.submit(update, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
         for job in jobs:

@@ -8,12 +8,15 @@ flaky expectations.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from qimem import bp, cli
+from qimem import bp, cli, markov
 from qimem.markov import binary_entropy
 from qimem.quantum import coin_quantum_memory
 
@@ -263,6 +266,29 @@ def test_ensemble_outputs_pinned(tmp_path, capsys):
     assert len(steps0) == 1 + 5000 and steps0[1].startswith("0,0,")
 
 
+def _trajectory_peak(steps, out):
+    argv = ["simulate", "--model", "postproc", "--algo", "baseline",
+            "--p", "1/9", "--q", "2/3", "--steps", str(steps), "--seed", "5"]
+    tracemalloc.start()
+    try:
+        assert run(*argv, *(("--out", str(out)) if out else ())) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_out_memory_independent_of_steps(tmp_path, monkeypatch,
+                                                    capsys):
+    """The trajectory file goes out one block at a time, so the extra peak
+    that --out adds stays the same when the run is four times longer."""
+    monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 1000)
+    _trajectory_peak(1000, tmp_path / "traj.txt")  # one-time allocations
+    extra = [_trajectory_peak(steps, tmp_path / "traj.txt")
+             - _trajectory_peak(steps, None) for steps in (20000, 80000)]
+    assert (tmp_path / "traj.txt").read_text().count("\n") == 80000
+    assert extra[1] - extra[0] < 100_000, extra
+
+
 def test_ensemble_memory_independent_of_steps(capsys):
     """Holding every step of 2e4 samples over 200 steps would take over
     100 MB; the streamed pipeline keeps one step and an n x n count."""
@@ -367,12 +393,20 @@ SIMULATE_CONFIG = {"model": "coin", "algo": "qi-ensemble", "p": 0.3,
     ("simulate", {"exact": 1}),
     ("simulate", {"exact": None}),
     ("bp-verify", {"model": "coin", "p": 0.3, "exact": "False"}),
+    ("simulate", {"model": "foo"}),
+    ("bp-verify", {"model": "foo", "p": 0.3}),
+    ("simulate", {"matrix": ["a"]}),
+    ("simulate", {"sampels": 100}),
+    ("simulate", {"samp": 100}),
+    ("memory-curve", {"seed": 1}),
 ], ids=["seed-float", "seed-bool", "seed-text", "samples-text",
         "samples-float", "steps-text", "steps-float", "threads-bool",
         "threads-list", "sigma-text", "sigma-bool", "sigma-nan",
         "sigma-negative", "p-bool", "grid-text", "grid-float",
         "bp-verify-steps-text", "bp-verify-steps-bool", "exact-text",
-        "exact-int", "exact-null", "bp-verify-exact-text"])
+        "exact-int", "exact-null", "bp-verify-exact-text", "model-unknown",
+        "bp-verify-model-unknown", "matrix-list", "key-misspelt",
+        "key-prefix", "memory-curve-seed"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
     if command == "simulate":
         config = {**SIMULATE_CONFIG, **config}
@@ -407,6 +441,15 @@ def test_config_exact_as_text(tmp_path):
         assert run("simulate", "--config", str(cfg)) == code
 
 
+def test_config_number_is_read_as_text(tmp_path, monkeypatch, capsys):
+    # {"out": 7} names the file 7, not file descriptor 7
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": 7, "grid": 3}))
+    assert run("memory-curve", "--config", "cfg.json") == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "7").read_text().startswith("p,classical_bits,")
+
+
 def test_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
@@ -414,6 +457,31 @@ def test_config_errors(tmp_path):
     bad.write_text("{not json")
     assert run("memory-curve", "--config", str(bad)) == 2
     assert run("memory-curve", "--config", str(tmp_path / "missing.json")) == 2
+
+
+def test_undecodable_files_are_usage_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert run("memory-curve", "--config", str(bad)) == 2
+    assert run("simulate", "--model", "custom", "--algo", "qi-general",
+               "--matrix", str(bad), "--seed", "1") == 2
+    assert capsys.readouterr().err.count("usage error") == 2
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path, capsys):
+    """python -m qimem.cli runs main() on sys.argv and prints what an
+    in-process call prints."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SIMULATE_CONFIG))
+    argv = ["simulate", "--config", str(cfg), "--steps", "3"]
+    assert run(*argv) == 0
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "qimem.cli", *argv],
+                          capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
+    assert "steps=3" in proc.stdout
 
 
 def test_unwritable_out_is_usage_error(tmp_path):

@@ -6,6 +6,8 @@ decomposition and frozen.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import numpy as np
@@ -228,6 +230,30 @@ def test_coin_ensemble_threads_identical():
             history.append(ensemble.step(threads=threads).copy())
         runs.append(np.concatenate(history).tobytes())
     assert runs[0] == runs[1]
+
+
+def test_worker_threads_capped_at_cpu_count(monkeypatch):
+    """64 chunks share at most one worker per CPU and give the bytes of a
+    single thread."""
+    workers = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(samplers, "ThreadPoolExecutor", Recording)
+    for make in (lambda: CoinEnsemble(0.3, 3000, seed=21),
+                 lambda: GeneralQISampler(DEMO, 3000, seed=9)):
+        runs = []
+        for threads in (1, 64):
+            sampler = make()
+            history = [sampler.values.copy()]
+            for _ in range(3):
+                history.append(sampler.step(threads=threads).copy())
+            runs.append(np.concatenate(history).tobytes())
+        assert runs[0] == runs[1]
+    assert workers == [min(64, os.cpu_count() or 1)] * 6
 
 
 def test_coin_ensemble_fair_coin_never_saves():
