@@ -32,7 +32,7 @@ from . import bp, markov, quantum, samplers, stats
 from .markov import (EpsilonMachine, TransitionMatrix, as_cdf,
                      coin_mutual_info_bound, context_law, induced_chain,
                      machine_from_chain, perturbed_coin, post_processed_coin,
-                     sample_edges, sample_trajectory, stationary)
+                     sample_edges, stationary)
 
 PASS, STAT_FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 BP_TOL = 1e-10
@@ -334,22 +334,31 @@ def cmd_simulate(args) -> int:
 def _simulate_trajectory(machine: EpsilonMachine, chain, model, algo, p, q,
                          seed, steps, sigma, out):
     rng = np.random.default_rng(seed)
-    start = _stationary_start(chain, rng)
+    state = _stationary_start(chain, rng)
     if algo == "baseline":
-        traj = sample_trajectory(machine, start, steps, rng)
+        rows = markov._edge_table(machine)
     elif algo == "quantum":
-        table = quantum.circuit_step_table(model, p, q)
-        traj, _ = sample_edges(table, start, steps, rng)
+        rows = quantum.circuit_step_table(model, p, q)
     else:
-        traj = samplers.StochasticBitMachine(p, q, start, rng).run(steps)
-    if out:  # in blocks, so the text never holds the whole run
-        block = markov.TRAJECTORY_BLOCK
-        with open(out, "w", newline="") as fh:
-            for lo in range(0, steps, block):
-                fh.write("".join(f"{x}\n"
-                                 for x in traj[lo:lo + block].tolist()))
+        bit_machine = samplers.StochasticBitMachine(p, q, state, rng)
+        rows, state = bit_machine.rows, bit_machine.bit
+    # Walked in blocks, so neither the draws, the symbols nor the --out text
+    # ever hold the whole run; the last h symbols carry each block's first
+    # contexts over from the one before.
     h = max(0, min(2, steps - 1))
-    counts = stats.context_counts(traj, h, len(machine.symbols))
+    m = len(machine.symbols)
+    counts = np.zeros((m ** h, m), dtype=np.int64)
+    tail = np.empty(0, dtype=np.int64)
+    block = markov.TRAJECTORY_BLOCK
+    with open(out, "w", newline="") if out else nullcontext() as fh:
+        for lo in range(0, steps, block):
+            symbols, state = sample_edges(rows, state, min(block, steps - lo),
+                                          rng)
+            if fh:
+                fh.write("".join(f"{x}\n" for x in symbols.tolist()))
+            seq = np.concatenate([tail, symbols])
+            counts += stats.context_counts(seq, h, m)
+            tail = seq[seq.size - h:]
     return _verdict(counts, context_law(machine, h), sigma, h)
 
 

@@ -295,8 +295,9 @@ def coin_mutual_info_bound(p) -> float:
     return 1.0 - binary_entropy(p)
 
 
-# Steps per block of the trajectory kernel: bounds the Python lists it
-# builds at a few MB whatever the run length.
+# Steps per block of the trajectory kernel and of a trajectory simulate:
+# bounds the lists and arrays they build at a few MB whatever the run length.
+# At least 2, the longest context a simulate verdict reads.
 TRAJECTORY_BLOCK = 1 << 16
 
 
@@ -343,12 +344,17 @@ def sample_edges(rows, start: int, steps: int,
     return out, state
 
 
+def _edge_table(machine: EpsilonMachine) -> list:
+    """The machine's ``(symbol, probability, next_state)`` edges per state,
+    for ``sample_edges``."""
+    return [[(x, pr, machine.succ[i][x]) for x, pr in sorted(dist.items())]
+            for i, dist in enumerate(machine.emit)]
+
+
 def sample_trajectory(machine: EpsilonMachine, start: int, steps: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Emit ``steps`` symbols starting from hidden state ``start``."""
-    rows = [[(x, pr, machine.succ[i][x]) for x, pr in sorted(dist.items())]
-            for i, dist in enumerate(machine.emit)]
-    return sample_edges(rows, start, steps, rng)[0]
+    return sample_edges(_edge_table(machine), start, steps, rng)[0]
 
 
 MAX_KGRAM = 8

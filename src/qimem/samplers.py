@@ -12,10 +12,11 @@ streams keyed by (seed, step, substream), and sample number ell always
 reads element ell of those streams.  The update of one sample depends only
 on its own previous state, its own stream elements and the shared constant
 tables, so any partition of the ensemble across threads reproduces the
-single-threaded result bit for bit.  The general sampler reads the streams
-as uniforms in [0, 1); the coin ensemble reads the raw 64-bit words and
-compares them against integer thresholds, which decides exactly the same
-``u < x`` without forming a float.
+single-threaded result bit for bit.  Both ensembles read the raw 64-bit
+words, whose uniforms in [0, 1) are ``(word >> 11) * 2**-53``, and compare
+them against the integer thresholds ``ceil(x * 2**53)`` of their
+probabilities x, which decides exactly the same ``u < x`` without forming
+a float.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .markov import (EpsilonMachine, TransitionMatrix, _check_unit_interval,
                      as_cdf, sample_edges, stationary)
 
 DELTA_ROW_TOL = 1e-12
+# a word's top 53 bits are its uniform's numerator over 2**53
+_SHIFT = np.uint64(11)
 
 
 class DegenerateSupportError(ValueError):
@@ -39,25 +42,23 @@ class DegenerateSupportError(ValueError):
     ratios are undefined."""
 
 
-def _uniforms(seed: int, step: int, substream: int, count: int) -> np.ndarray:
-    """Element ell is a pure function of (seed, step, substream, ell)."""
-    key = np.array([seed, (step << 3) | substream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random(count)
-
-
 def _words(seed: int, step: int, substream: int, count: int) -> np.ndarray:
-    """The raw 64-bit Philox words behind ``_uniforms``: element ell of
-    ``_uniforms`` is ``(word >> 11) * 2**-53``."""
+    """Raw Philox words; element ell is a pure function of (seed, step,
+    substream, ell)."""
     key = np.array([seed, (step << 3) | substream], dtype=np.uint64)
     return np.random.Philox(key=key).random_raw(count)
 
 
+def _threshold(x):
+    """``ceil(x * 2**53)`` as uint64, elementwise: a word's uniform is below
+    x exactly when ``word >> 11`` is below it, as scaling by 2**53 is exact."""
+    return np.ceil(np.asarray(x, dtype=np.float64) * 2.0 ** 53).astype(np.uint64)
+
+
 def _below(words: np.ndarray, x: float) -> np.ndarray:
-    """Exactly ``u < x`` for the uniforms u of ``words``, with no float
-    formed: u < x iff (word >> 11) < ceil(x * 2**53), and scaling by 2**53
-    is exact.  At x = 1 the shifted threshold would overflow uint64, but
-    every word is below it."""
-    top = math.ceil(x * 2 ** 53)
+    """Exactly ``u < x`` for the uniforms u of ``words``, unshifted: at x = 1
+    the shifted threshold would overflow uint64, but every word is below it."""
+    top = int(_threshold(x))
     if top >= 2 ** 53:
         return np.ones(words.shape, dtype=bool)
     return words < np.uint64(top << 11)
@@ -178,7 +179,44 @@ def expected_memory(tables: RerouteTables, n_samples: int = 1):
     return fraction, fraction * math.ceil(math.log2(tables.n)) * n_samples
 
 
-class GeneralQISampler:
+class _Ensemble:
+    """M samples, each a value and a saved flag.  Step t reads ``streams``
+    word streams (seed, t, 0..streams-1); ``_update(lo, hi, *words)`` gives
+    the new values and flags of samples lo..hi-1 from their own elements of
+    each stream, their previous state and the subclass's constant tables.
+    """
+
+    def __init__(self, n_samples: int, seed: int):
+        self.n_samples = int(n_samples)
+        self.seed = int(seed)
+        self.saved_counts = []
+
+    def _draw(self, t: int, substream: int) -> np.ndarray:
+        return _words(self.seed, t, substream, self.n_samples)
+
+    def _record(self, t: int, values: np.ndarray, flags: np.ndarray) -> None:
+        self.values = values
+        self.flags = flags
+        self.step_index = t
+        self.saved_counts.append(int(np.count_nonzero(flags)))
+
+    def step(self, threads: int = 1) -> np.ndarray:
+        """Advance every sample once; returns the new value array."""
+        t = self.step_index + 1
+        words = [self._draw(t, s) for s in range(self.streams)]
+        new_vals = np.empty_like(self.values)
+        new_flags = np.empty(self.n_samples, dtype=bool)
+
+        def update(lo: int, hi: int) -> None:
+            new_vals[lo:hi], new_flags[lo:hi] = self._update(
+                lo, hi, *(w[lo:hi] for w in words))
+
+        _run_chunked(update, self.n_samples, threads)
+        self._record(t, new_vals, new_flags)
+        return self.values
+
+
+class GeneralQISampler(_Ensemble):
     """Ensemble sampler reproducing a chain from i.i.d. stationary draws.
 
     Each of the M samples holds its previous value and a saved flag.  Per
@@ -189,57 +227,33 @@ class GeneralQISampler:
     kernel of this update is exactly the target chain.
     """
 
+    streams = 4  # draw, accept, pick, save
+
     def __init__(self, chain: TransitionMatrix, n_samples: int, seed: int):
-        self.tables = RerouteTables.from_chain(chain)
-        n = self.tables.n
-        self.n_samples = int(n_samples)
-        self.seed = int(seed)
-        self._pi_cdf = as_cdf(self.tables.pi)
-        self._f = np.array([float(v) for v in self.tables.f])
-        self._rminus = np.array([[float(v) for v in row]
-                                 for row in self.tables.rminus])
-        self._rplus_cdf = np.ones((n, n))
-        for j in range(n):
-            if self.tables.f[j] != 0:
-                self._rplus_cdf[j] = as_cdf(self.tables.rplus[j])
-        self.step_index = 0
-        self.values = np.searchsorted(
-            self._pi_cdf, _uniforms(self.seed, 0, 0, self.n_samples),
-            side="right").astype(np.int64)
-        self.flags = (_uniforms(self.seed, 0, 3, self.n_samples)
-                      < self._f[self.values])
-        self.saved_counts = [int(self.flags.sum())]
+        super().__init__(n_samples, seed)
+        self.tables = t = RerouteTables.from_chain(chain)
+        self._pi = _threshold(as_cdf(t.pi))
+        self._f = _threshold(t.f)
+        self._rminus = _threshold(t.rminus)
+        self._rplus = _threshold([as_cdf(row) if fj else np.ones(t.n)
+                                  for fj, row in zip(t.f, t.rplus)])
+        values = np.searchsorted(self._pi, self._draw(0, 0) >> _SHIFT,
+                                 side="right").astype(np.int64)
+        self._record(0, values, (self._draw(0, 3) >> _SHIFT) < self._f[values])
 
-    def step(self, threads: int = 1) -> np.ndarray:
-        """Advance every sample once; returns the new value array."""
-        t = self.step_index + 1
-        u_draw = _uniforms(self.seed, t, 0, self.n_samples)
-        u_accept = _uniforms(self.seed, t, 1, self.n_samples)
-        u_pick = _uniforms(self.seed, t, 2, self.n_samples)
-        u_save = _uniforms(self.seed, t, 3, self.n_samples)
-        new_vals = np.empty(self.n_samples, dtype=np.int64)
-        new_flags = np.empty(self.n_samples, dtype=bool)
-
-        def update(lo: int, hi: int) -> None:
-            i = np.searchsorted(self._pi_cdf, u_draw[lo:hi],
-                                side="right").astype(np.int64)
-            j = self.values[lo:hi]
-            reroute = self.flags[lo:hi] & (u_accept[lo:hi] < self._rminus[j, i])
-            if reroute.any():
-                rows = self._rplus_cdf[j[reroute]]
-                i[reroute] = (u_pick[lo:hi][reroute, None] < rows).argmax(axis=1)
-            new_vals[lo:hi] = i
-            new_flags[lo:hi] = u_save[lo:hi] < self._f[i]
-
-        _run_chunked(update, self.n_samples, threads)
-        self.values = new_vals
-        self.flags = new_flags
-        self.step_index = t
-        self.saved_counts.append(int(new_flags.sum()))
-        return self.values
+    def _update(self, lo, hi, draw, accept, pick, save):
+        # searchsorted and argmax see only whether u < cdf[i], which the
+        # thresholds keep even where a partial sum passes 1 before the end
+        i = np.searchsorted(self._pi, draw >> _SHIFT, side="right")
+        j = self.values[lo:hi]
+        reroute = self.flags[lo:hi] & ((accept >> _SHIFT) < self._rminus[j, i])
+        if reroute.any():
+            rows = self._rplus[j[reroute]]
+            i[reroute] = ((pick[reroute] >> _SHIFT)[:, None] < rows).argmax(axis=1)
+        return i, (save >> _SHIFT) < self._f[i]
 
 
-class CoinEnsemble:
+class CoinEnsemble(_Ensemble):
     """Save/flip ensemble for the perturbed coin.
 
     Every sample redraws a fair bit each step.  A saved sample ignores it
@@ -250,53 +264,36 @@ class CoinEnsemble:
     ``values`` is its uint8 view, so it reads as 0/1.
     """
 
+    streams = 2  # draw, save
+
     def __init__(self, p: float, n_samples: int, seed: int):
         p = float(p)
         _check_unit_interval(p, "p")
+        super().__init__(n_samples, seed)
         self.p = p
         self.save_prob = abs(2 * p - 1)
-        self.n_samples = int(n_samples)
-        self.seed = int(seed)
-        self.step_index = 0
-        self.values = _below(_words(self.seed, 0, 0, self.n_samples),
-                             0.5).view(np.uint8)
-        self.flags = _below(_words(self.seed, 0, 1, self.n_samples),
-                            self.save_prob)
-        self.saved_counts = [int(np.count_nonzero(self.flags))]
+        self._record(0, _below(self._draw(0, 0), 0.5).view(np.uint8),
+                     _below(self._draw(0, 1), self.save_prob))
 
-    def step(self, threads: int = 1) -> np.ndarray:
-        t = self.step_index + 1
-        w_draw = _words(self.seed, t, 0, self.n_samples)
-        w_save = _words(self.seed, t, 1, self.n_samples)
-        new_vals = np.empty(self.n_samples, dtype=bool)
-        new_flags = np.empty(self.n_samples, dtype=bool)
-
-        def update(lo: int, hi: int) -> None:
-            fresh = _below(w_draw[lo:hi], 0.5)
-            saved = self.flags[lo:hi]
-            held = self.values[lo:hi].view(bool)
-            if self.p > 0.5:
-                held = ~held
-            new_vals[lo:hi] = (saved & held) | (fresh & ~saved)
-            new_flags[lo:hi] = _below(w_save[lo:hi], self.save_prob)
-
-        _run_chunked(update, self.n_samples, threads)
-        self.values = new_vals.view(np.uint8)
-        self.flags = new_flags
-        self.step_index = t
-        self.saved_counts.append(int(np.count_nonzero(new_flags)))
-        return self.values
+    def _update(self, lo, hi, draw, save):
+        fresh = _below(draw, 0.5)
+        saved = self.flags[lo:hi]
+        held = self.values[lo:hi].view(bool)
+        if self.p > 0.5:
+            held = ~held
+        return (((saved & held) | (fresh & ~saved)).view(np.uint8),
+                _below(save, self.save_prob))
 
 
 def _run_chunked(update, total: int, threads: int) -> None:
     if threads <= 1 or total < 2:
         update(0, total)
         return
-    # threads chunks on at most one worker per CPU, so a large --threads
-    # does not start that many OS threads
-    workers = min(threads, os.cpu_count() or 1)
-    bounds = np.linspace(0, total, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # at most one chunk per sample and one worker per CPU, so a large
+    # --threads neither builds huge bounds nor starts that many OS threads
+    chunks = min(threads, total)
+    bounds = np.linspace(0, total, chunks + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
         jobs = [pool.submit(update, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
         for job in jobs:

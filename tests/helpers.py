@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
-                          TransitionMatrix, induced_chain, stationary)
+                          TransitionMatrix, as_cdf, induced_chain, stationary)
+from qimem.samplers import RerouteTables
 
 
 def random_chain(rng: np.random.Generator, n: int) -> TransitionMatrix:
@@ -122,3 +123,52 @@ def reference_compare_transitions(prev, nxt, law, h: int):
                 max_z = max(max_z, abs((c - n * p) / math.sqrt(n * p * (1.0 - p))))
         rows[label] = (max_z, 0.5 * tv)
     return rows, hard
+
+
+def reference_uniforms(seed: int, step: int, substream: int,
+                       count: int) -> np.ndarray:
+    """The uniforms in [0, 1) of the ensembles' Philox streams, drawn by
+    numpy's own float conversion rather than from the raw words."""
+    key = np.array([seed, (step << 3) | substream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+
+class ReferenceQISampler:
+    """The save/reroute ensemble on float uniforms and float CDFs, which
+    ``samplers.GeneralQISampler`` must reproduce on integer thresholds:
+    same streams, same tables, one chunk."""
+
+    def __init__(self, chain: TransitionMatrix, n_samples: int, seed: int):
+        tables = RerouteTables.from_chain(chain)
+        n = tables.n
+        self.n_samples, self.seed = n_samples, seed
+        self.pi_cdf = as_cdf(tables.pi)
+        self.f = np.array([float(v) for v in tables.f])
+        self.rminus = np.array([[float(v) for v in row]
+                                for row in tables.rminus])
+        self.rplus_cdf = np.ones((n, n))
+        for j in range(n):
+            if tables.f[j] != 0:
+                self.rplus_cdf[j] = as_cdf(tables.rplus[j])
+        self.step_index = 0
+        self.values = np.searchsorted(
+            self.pi_cdf, reference_uniforms(seed, 0, 0, n_samples),
+            side="right").astype(np.int64)
+        self.flags = reference_uniforms(seed, 0, 3, n_samples) < self.f[self.values]
+        self.saved_counts = [int(self.flags.sum())]
+
+    def step(self) -> np.ndarray:
+        t = self.step_index = self.step_index + 1
+        u_draw, u_accept, u_pick, u_save = (
+            reference_uniforms(self.seed, t, s, self.n_samples)
+            for s in range(4))
+        i = np.searchsorted(self.pi_cdf, u_draw, side="right").astype(np.int64)
+        j = self.values
+        reroute = self.flags & (u_accept < self.rminus[j, i])
+        if reroute.any():
+            rows = self.rplus_cdf[j[reroute]]
+            i[reroute] = (u_pick[reroute, None] < rows).argmax(axis=1)
+        self.values = i
+        self.flags = u_save < self.f[i]
+        self.saved_counts.append(int(self.flags.sum()))
+        return self.values

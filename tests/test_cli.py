@@ -266,8 +266,8 @@ def test_ensemble_outputs_pinned(tmp_path, capsys):
     assert len(steps0) == 1 + 5000 and steps0[1].startswith("0,0,")
 
 
-def _trajectory_peak(steps, out):
-    argv = ["simulate", "--model", "postproc", "--algo", "baseline",
+def _trajectory_peak(steps, out, algo="baseline"):
+    argv = ["simulate", "--model", "postproc", "--algo", algo,
             "--p", "1/9", "--q", "2/3", "--steps", str(steps), "--seed", "5"]
     tracemalloc.start()
     try:
@@ -287,6 +287,16 @@ def test_trajectory_out_memory_independent_of_steps(tmp_path, monkeypatch,
              - _trajectory_peak(steps, None) for steps in (20000, 80000)]
     assert (tmp_path / "traj.txt").read_text().count("\n") == 80000
     assert extra[1] - extra[0] < 100_000, extra
+
+
+@pytest.mark.parametrize("algo", ["baseline", "quantum", "single-bit"])
+def test_trajectory_memory_independent_of_steps(algo, monkeypatch, capsys):
+    """Draws, symbols and context counts go one block at a time, so a run
+    four times longer peaks no higher; holding the run took 23 B a step."""
+    monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 1000)
+    _trajectory_peak(1000, None, algo)  # one-time allocations
+    peaks = [_trajectory_peak(steps, None, algo) for steps in (20000, 80000)]
+    assert peaks[1] - peaks[0] < 100_000, peaks
 
 
 def test_ensemble_memory_independent_of_steps(capsys):

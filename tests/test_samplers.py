@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qimem import samplers
 from qimem.markov import (TransitionMatrix, induced_chain, perturbed_coin,
@@ -28,7 +28,7 @@ from qimem.stats import (compare_transitions, context_counts,
                          transition_counts)
 from qimem.markov import context_law
 
-from helpers import random_chain
+from helpers import ReferenceQISampler, random_chain, reference_uniforms
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_TABLES = RerouteTables.from_chain(DEMO)
@@ -256,6 +256,94 @@ def test_worker_threads_capped_at_cpu_count(monkeypatch):
     assert workers == [min(64, os.cpu_count() or 1)] * 6
 
 
+def test_chunks_bounded_by_sample_count(monkeypatch):
+    """A --threads far above the sample count splits the ensemble into one
+    chunk per sample, not into --threads bounds, with the bytes of one
+    thread."""
+    chunks = []
+
+    class Recording(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            chunks.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(samplers, "ThreadPoolExecutor", Recording)
+    for make in (lambda: CoinEnsemble(0.3, 10, seed=21),
+                 lambda: GeneralQISampler(DEMO, 10, seed=9)):
+        runs = []
+        for threads in (1, 10**7):
+            sampler = make()
+            history = [sampler.values.copy()]
+            for _ in range(5):
+                history.append(sampler.step(threads=threads).copy())
+            runs.append((np.concatenate(history).tobytes(),
+                         tuple(sampler.saved_counts)))
+        assert runs[0] == runs[1]
+    assert chunks == [(lo, lo + 1) for lo in range(10)] * 10
+
+
+# exact chains whose float CDFs pass 1 before their pinned last entry: in
+# PI_OVERSHOOT pi = (9/28, 9/14, 1/28 - e, e), whose float partial sums pass
+# 1 at the third entry; in RPLUS_OVERSHOOT pi is uniform and r_plus row 0 is
+# (9/28, 9/14, 1/28, 0).  Rows 2 and 3 are pi, and rows 0 and 1 move equal
+# mass in opposite directions, so pi stays stationary.
+_E = F(1, 10**30)
+_PI = (F(9, 28), F(9, 14), F(1, 28) - _E, _E)
+PI_OVERSHOOT = TransitionMatrix([(0, F(27, 28), F(1, 28) - _E, _E),
+                                 (F(27, 56), F(27, 56), F(1, 28) - _E, _E),
+                                 _PI, _PI])
+RPLUS_OVERSHOOT = TransitionMatrix([[F(k, 112) for k in (37, 46, 29, 0)],
+                                    [F(k, 112) for k in (19, 10, 27, 56)],
+                                    [F(1, 4)] * 4, [F(1, 4)] * 4])
+
+
+def test_overshoot_chains_pass_one_early():
+    tables = RerouteTables.from_chain(PI_OVERSHOOT)
+    assert tables.pi == _PI
+    assert np.cumsum([float(v) for v in tables.pi])[-2] > 1
+    tables = RerouteTables.from_chain(RPLUS_OVERSHOOT)
+    assert tables.f[0] == 1 and tables.rminus[0][3] == 1
+    assert np.cumsum([float(v) for v in tables.rplus[0]])[-2] > 1
+
+
+@st.composite
+def sparse_chains(draw):
+    """Float chains with zero entries and sure rows, whose one entry is
+    exactly 1.  Row j always reaches state j + 1, so the chain is
+    irreducible."""
+    n = draw(st.integers(2, 11))
+    rows = np.zeros((n, n))
+    for j in range(n):
+        if draw(st.booleans()):
+            rows[j, (j + 1) % n] = 1.0
+        else:
+            rows[j] = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1)),
+                                    min_size=n, max_size=n))
+            rows[j, (j + 1) % n] += 0.5
+            rows[j] /= rows[j].sum()
+    return TransitionMatrix(rows.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain=sparse_chains(), seed=st.integers(0, 2**64 - 1))
+@example(chain=PI_OVERSHOOT, seed=1)
+@example(chain=RPLUS_OVERSHOOT, seed=2**64 - 1)
+def test_general_sampler_matches_float_reference(chain, seed):
+    """Integer thresholds pick the same values and flags as the float CDFs,
+    chunked or not."""
+    reference = ReferenceQISampler(chain, 300, seed)
+    expected = [(reference.values, reference.flags)]
+    expected += [(reference.step(), reference.flags) for _ in range(5)]
+    for threads in (1, 3):
+        sampler = GeneralQISampler(chain, 300, seed)
+        got = [(sampler.values, sampler.flags)]
+        got += [(sampler.step(threads=threads), sampler.flags)
+                for _ in range(5)]
+        for (v, f), (rv, rf) in zip(got, expected):
+            assert np.array_equal(v, rv) and np.array_equal(f, rf)
+        assert sampler.saved_counts == reference.saved_counts
+
+
 def test_coin_ensemble_fair_coin_never_saves():
     ensemble = CoinEnsemble(0.5, 5000, seed=8)
     for _ in range(10):
@@ -267,10 +355,24 @@ def test_coin_ensemble_fair_coin_never_saves():
         CoinEnsemble(1.5, 10, seed=0)
 
 
-# thresholds where u < x is decided by the last bit of u or by an endpoint
+# thresholds where u < x is decided by the last bit of u or by an endpoint,
+# and a float partial sum that passes 1
 EDGE_THRESHOLDS = [0.0, 0.5, 1.0, math.nextafter(0.5, 0),
                    math.nextafter(0.5, 1), math.nextafter(1.0, 0),
-                   math.nextafter(0.0, 1), 2.0 ** -53]
+                   math.nextafter(0.0, 1), 2.0 ** -53, math.nextafter(1.0, 2)]
+
+
+def _assert_thresholds_exact(words, u, x):
+    """``_below`` and a ``_threshold`` table, of x and of every edge, both
+    decide u < x."""
+    below = samplers._below(words, x)
+    assert below.dtype == bool
+    assert np.array_equal(below, u < x)
+    xs = np.array(EDGE_THRESHOLDS + [x])
+    table = samplers._threshold(xs)
+    assert table.dtype == np.uint64
+    assert np.array_equal((words >> np.uint64(11))[:, None] < table,
+                          u[:, None] < xs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,13 +381,11 @@ EDGE_THRESHOLDS = [0.0, 0.5, 1.0, math.nextafter(0.5, 0),
        data=st.data())
 def test_raw_words_match_uniforms(seed, step, substream, count, data):
     words = samplers._words(seed, step, substream, count)
-    u = samplers._uniforms(seed, step, substream, count)
+    u = reference_uniforms(seed, step, substream, count)
     assert words.dtype == np.uint64
     assert np.array_equal(u, (words >> np.uint64(11)) * 2.0 ** -53)
     x = data.draw(st.one_of(st.sampled_from(EDGE_THRESHOLDS), st.floats(0, 1)))
-    below = samplers._below(words, x)
-    assert below.dtype == bool
-    assert np.array_equal(below, u < x)
+    _assert_thresholds_exact(words, u, x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,8 +404,7 @@ def test_below_is_exact_on_any_word(words, data):
         thresholds.append(st.sampled_from(u.tolist()).flatmap(
             lambda v: st.sampled_from([v, math.nextafter(v, 0),
                                        math.nextafter(v, 1)])))
-    x = data.draw(st.one_of(*thresholds))
-    assert np.array_equal(samplers._below(words, x), u < x)
+    _assert_thresholds_exact(words, u, data.draw(st.one_of(*thresholds)))
 
 
 def test_coin_ensemble_state_is_boolean():
