@@ -10,17 +10,18 @@ samplers (``samplers``) and belief propagation on cycle factor graphs
 
 from .markov import (ConvergenceError, EpsilonMachine, ReducibleChainError,
                      TransitionMatrix, coin_mutual_info_bound, context_law,
-                     entropy_bits, exact_kgram_distribution, induced_chain,
-                     machine_from_chain, perturbed_coin, post_processed_coin,
-                     sample_edges, sample_trajectory, stationary,
+                     edge_table, entropy_bits, exact_kgram_distribution,
+                     induced_chain, machine_from_chain, perturbed_coin,
+                     post_processed_coin, sample_edges, stationary,
                      statistical_memory, topological_memory)
 from .quantum import (coin_quantum_memory, quantum_causal_states,
                       quantum_statistical_memory, quantum_topological_memory,
                       stationary_density)
 from .samplers import (CoinEnsemble, DegenerateSupportError, GeneralQISampler,
-                       RerouteTables, StochasticBitMachine, decompose,
-                       effective_kernel, expected_memory, save_fractions,
-                       reroute_ratios, three_state_demo_chain)
+                       RerouteTables, decompose, effective_kernel,
+                       expected_memory, reroute_ratios, save_fractions,
+                       single_bit_start, single_bit_table,
+                       three_state_demo_chain)
 from .stats import (TransitionReport, compare_transitions, context_counts,
                     transition_counts)
 

@@ -19,6 +19,11 @@ from .markov import _check_unit_interval
 from .quantum import cnot, controlled_u, kron, protocol_states, P0
 
 MAX_ENUM_BITS = 24
+# Chained coin steps a bp-verify run takes: each step doubles the width of
+# the dense gates the graph and the circuit route build.  Step 10 takes
+# about 12 s and 186 MB on a 2-vCPU machine, each further step about seven
+# times as long.
+MAX_COIN_STEPS = 10
 
 
 class AnnihilatingFactorError(ValueError):

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import bp, markov, quantum, samplers, stats
 from .markov import (EpsilonMachine, TransitionMatrix, as_cdf,
-                     coin_mutual_info_bound, context_law, induced_chain,
-                     machine_from_chain, perturbed_coin, post_processed_coin,
-                     sample_edges, stationary)
+                     coin_mutual_info_bound, context_law, edge_table,
+                     induced_chain, machine_from_chain, perturbed_coin,
+                     post_processed_coin, sample_edges, stationary)
 
 PASS, STAT_FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 BP_TOL = 1e-10
@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", help="coin bias")
     sp.add_argument("--q", help="post-processing weight")
     sp.add_argument("--steps", type=int, default=1,
-                    help="chained protocol steps for the coin graph "
-                         "(default %(default)s)")
+                    help="chained protocol steps for the coin graph, "
+                         f"at most {bp.MAX_COIN_STEPS} (default %(default)s)")
     common(sp, exact=True)
     sp.set_defaults(func=cmd_bp_verify)
     return parser
@@ -321,8 +321,8 @@ def cmd_simulate(args) -> int:
         body, code = _simulate_trajectory(machine, chain, model, algo, p, q,
                                           seed, steps, sigma, out)
     else:
-        body, code = _simulate_ensemble(machine, chain, algo, p, seed, samples,
-                                        steps, sigma, threads, out)
+        body, code = _simulate_ensemble(chain, algo, p, seed, samples, steps,
+                                        sigma, threads, out)
     report = "\n".join(meta) + "\n" + body
     sys.stdout.write(report)
     if out:
@@ -336,12 +336,12 @@ def _simulate_trajectory(machine: EpsilonMachine, chain, model, algo, p, q,
     rng = np.random.default_rng(seed)
     state = _stationary_start(chain, rng)
     if algo == "baseline":
-        rows = markov._edge_table(machine)
+        rows = edge_table(machine)
     elif algo == "quantum":
         rows = quantum.circuit_step_table(model, p, q)
     else:
-        bit_machine = samplers.StochasticBitMachine(p, q, state, rng)
-        rows, state = bit_machine.rows, bit_machine.bit
+        rows = samplers.single_bit_table(p, q)
+        state = samplers.single_bit_start(state, q, rng)
     # Walked in blocks, so neither the draws, the symbols nor the --out text
     # ever hold the whole run; the last h symbols carry each block's first
     # contexts over from the one before.
@@ -362,14 +362,12 @@ def _simulate_trajectory(machine: EpsilonMachine, chain, model, algo, p, q,
     return _verdict(counts, context_law(machine, h), sigma, h)
 
 
-def _simulate_ensemble(machine: EpsilonMachine, chain, algo, p, seed, samples,
-                       steps, sigma, threads, out):
+def _simulate_ensemble(chain, algo, p, seed, samples, steps, sigma, threads,
+                       out):
     if algo == "qi-ensemble":
         sampler = samplers.CoinEnsemble(p, samples, seed)
-        expected_saved = abs(2.0 * float(p) - 1.0)
     else:
         sampler = samplers.GeneralQISampler(chain, samples, seed)
-        expected_saved = float(samplers.expected_memory(sampler.tables)[0])
     # Only the previous values and an n x n count matrix are kept, so memory
     # stays O(samples) whatever the step count; CSV rows go out per step.
     n = chain.n
@@ -393,13 +391,12 @@ def _simulate_ensemble(machine: EpsilonMachine, chain, algo, p, seed, samples,
             prev = values
             if fh:
                 write_step(t, values)
-    return _verdict(counts, chain.to_numpy(), sigma, 1,
-                    (sampler.saved_counts, samples, expected_saved))
+    return _verdict(counts, chain.to_numpy(), sigma, 1, sampler)
 
 
-def _verdict(counts, law, sigma, context, saved=None):
+def _verdict(counts, law, sigma, context, ensemble=None):
     """Report block of every simulate run: the next-symbol test and, for
-    ensembles, the (saved count per step, samples, expected) fraction."""
+    an ensemble, its saved fraction per step against the expected one."""
     report = stats.compare_transitions(counts, law, sigma, context)
     if not report.windows:
         return "windows=0\npassed=true\n", PASS
@@ -407,11 +404,11 @@ def _verdict(counts, law, sigma, context, saved=None):
     lines = [f"transitions_max_abs_z={report.max_abs_z!r}",
              f"transitions_max_tv={report.max_tv!r}",
              f"hard_failures={';'.join(report.hard_failures)}"]
-    if saved is not None:
-        saved_counts, samples, expected = saved
-        observed = float(np.mean(saved_counts)) / samples
-        saved_z = _saved_fraction_z(observed, expected,
-                                    samples * len(saved_counts))
+    if ensemble is not None:
+        saved, samples = ensemble.saved_counts, ensemble.n_samples
+        expected = ensemble.expected_saved
+        observed = float(np.mean(saved)) / samples
+        saved_z = _saved_fraction_z(observed, expected, samples * len(saved))
         passed = passed and abs(saved_z) <= sigma
         lines += [f"saved_fraction_observed={observed!r}",
                   f"saved_fraction_expected={expected!r}",
@@ -428,8 +425,8 @@ def cmd_bp_verify(args) -> int:
     model, steps = args.model, args.steps
     p = _number(args.p, args.exact, "p")
     q = None
-    if steps < 1:
-        raise UsageError("--steps must be at least 1")
+    if not 1 <= steps <= bp.MAX_COIN_STEPS:
+        raise UsageError(f"--steps must be in 1..{bp.MAX_COIN_STEPS}")
     if model == "postproc":
         q = _number(args.q, args.exact, "q")
         if steps != 1:

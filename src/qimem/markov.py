@@ -295,9 +295,9 @@ def coin_mutual_info_bound(p) -> float:
     return 1.0 - binary_entropy(p)
 
 
-# Steps per block of the trajectory kernel and of a trajectory simulate:
-# bounds the lists and arrays they build at a few MB whatever the run length.
-# At least 2, the longest context a simulate verdict reads.
+# Steps per ``sample_edges`` call of a trajectory simulate: bounds the draws,
+# symbols and --out text it holds at a few MB whatever the run length.  At
+# least 2, the longest context a simulate verdict reads.
 TRAJECTORY_BLOCK = 1 << 16
 
 
@@ -320,7 +320,8 @@ def sample_edges(rows, start: int, steps: int,
     probability exceeds u[t], where u = ``rng.random(steps)`` is drawn once
     up front.  Each step costs one bisection of the current state's CDF,
     whatever the number of states.  Returns the emitted symbols and the
-    state after the last step.
+    state after the last step; a caller that walks a long run in blocks
+    passes that state on to the next call.
     """
     n = len(rows)
     if not 0 <= start < n:
@@ -332,29 +333,19 @@ def sample_edges(rows, start: int, steps: int,
         raise ValueError("every state needs edges into the state range")
     cdfs = [as_cdf([pr for _, pr, _ in row]).tolist() for row in rows]
     edges = [[(x, nx) for x, _, nx in row] for row in rows]
-    out = np.empty(steps, dtype=np.int64)
-    u = rng.random(steps)
+    emitted = []
     state = start
-    for lo in range(0, steps, TRAJECTORY_BLOCK):
-        emitted = []
-        for v in u[lo:lo + TRAJECTORY_BLOCK].tolist():
-            x, state = edges[state][bisect_right(cdfs[state], v)]
-            emitted.append(x)
-        out[lo:lo + len(emitted)] = emitted
-    return out, state
+    for v in rng.random(steps).tolist():
+        x, state = edges[state][bisect_right(cdfs[state], v)]
+        emitted.append(x)
+    return np.array(emitted, dtype=np.int64), state
 
 
-def _edge_table(machine: EpsilonMachine) -> list:
+def edge_table(machine: EpsilonMachine) -> list:
     """The machine's ``(symbol, probability, next_state)`` edges per state,
-    for ``sample_edges``."""
+    in symbol order, for ``sample_edges``."""
     return [[(x, pr, machine.succ[i][x]) for x, pr in sorted(dist.items())]
             for i, dist in enumerate(machine.emit)]
-
-
-def sample_trajectory(machine: EpsilonMachine, start: int, steps: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Emit ``steps`` symbols starting from hidden state ``start``."""
-    return sample_edges(_edge_table(machine), start, steps, rng)[0]
 
 
 MAX_KGRAM = 8

@@ -4,8 +4,10 @@ The general construction splits a target chain T into a rank-one stationary
 part plus a correction, T = 1 pi^T + Delta, and realizes the correction by
 occasionally saving a sample's value and rerouting its next i.i.d. draw.
 Two specializations are provided: the two-outcome coin ensemble, whose
-correction reduces to a conditional bit flip, and a three-symbol machine
-that runs on a single stochastic bit of memory.
+correction reduces to a conditional bit flip, and the edge table of a
+three-symbol machine that runs on a single stochastic bit of memory
+(``single_bit_table``/``single_bit_start``), which ``markov.sample_edges``
+walks like any other trajectory sampler.
 
 Randomness is counter-based: every step of an ensemble consumes Philox
 streams keyed by (seed, step, substream), and sample number ell always
@@ -30,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .markov import (EpsilonMachine, TransitionMatrix, _check_unit_interval,
-                     as_cdf, sample_edges, stationary)
+                     _is_exact, as_cdf, stationary)
 
 DELTA_ROW_TOL = 1e-12
 # a word's top 53 bits are its uniform's numerator over 2**53
@@ -89,10 +91,14 @@ def decompose(chain: TransitionMatrix, pi=None):
 
 def save_fractions(pi, delta) -> tuple:
     """Per-state save probabilities f_j = max over the depleted set of
-    -Delta[j][i] / pi[i]; 0 when row j needs no correction."""
+    -Delta[j][i] / pi[i]; 0 when row j needs no correction.  A float row
+    whose every entry is within DELTA_ROW_TOL of 0 needs none: it equals pi
+    up to the stationary solve's rounding.  Exact rows are taken as given."""
     out = []
     for row in delta:
-        negs = [(-d, w) for d, w in zip(row, pi) if d < 0]
+        noise = (not all(map(_is_exact, row))
+                 and all(abs(d) <= DELTA_ROW_TOL for d in row))
+        negs = [] if noise else [(-d, w) for d, w in zip(row, pi) if d < 0]
         out.append(max(d / w for d, w in negs) if negs else 0 * pi[0])
     return tuple(out)
 
@@ -184,6 +190,8 @@ class _Ensemble:
     word streams (seed, t, 0..streams-1); ``_update(lo, hi, *words)`` gives
     the new values and flags of samples lo..hi-1 from their own elements of
     each stream, their previous state and the subclass's constant tables.
+    ``expected_saved``, a float, is the fraction of samples saved per step
+    in the stationary regime.
     """
 
     def __init__(self, n_samples: int, seed: int):
@@ -232,6 +240,7 @@ class GeneralQISampler(_Ensemble):
     def __init__(self, chain: TransitionMatrix, n_samples: int, seed: int):
         super().__init__(n_samples, seed)
         self.tables = t = RerouteTables.from_chain(chain)
+        self.expected_saved = float(expected_memory(t)[0])
         self._pi = _threshold(as_cdf(t.pi))
         self._f = _threshold(t.f)
         self._rminus = _threshold(t.rminus)
@@ -271,7 +280,8 @@ class CoinEnsemble(_Ensemble):
         _check_unit_interval(p, "p")
         super().__init__(n_samples, seed)
         self.p = p
-        self.save_prob = abs(2 * p - 1)
+        # both values are equally likely and save alike
+        self.save_prob = self.expected_saved = abs(2 * p - 1)
         self._record(0, _below(self._draw(0, 0), 0.5).view(np.uint8),
                      _below(self._draw(0, 1), self.save_prob))
 
@@ -326,48 +336,34 @@ def coin_signed_decomposition(p):
     return (half, half), (c, -c)
 
 
-class StochasticBitMachine:
-    """Three-symbol sampler whose entire memory is one stochastic bit.
+def single_bit_table(p, q) -> list:
+    """Edge table of the three-symbol sampler whose entire memory is one
+    stochastic bit, for ``markov.sample_edges`` with the bit as the state.
 
     The bit plays the role of a causal state drawn from the mixture that
     represents the middle state: bit 0 behaves like the quiet state, bit 1
     deterministically emits the run-continuation symbol.  Per step with
     bit 0: emit 2 and set the bit with probability p, else emit 0 and clear
-    it.  With bit 1: emit 1, then clear the bit with probability q.  That
-    is the edge table ``rows`` walked by ``markov.sample_edges`` with the
-    bit as the state; it is not unifilar, since bit 1 emits 1 either way.
+    it.  With bit 1: emit 1, then clear the bit with probability q.  The
+    table is not unifilar, since bit 1 emits 1 either way.
     """
+    p, q = float(p), float(q)
+    _check_unit_interval(p, "p")
+    _check_unit_interval(q, "q")
+    return [[(2, p, 1), (0, 1 - p, 0)], [(1, q, 0), (1, 1 - q, 1)]]
 
-    def __init__(self, p: float, q: float, start: int, rng: np.random.Generator):
-        p, q = float(p), float(q)
-        _check_unit_interval(p, "p")
-        _check_unit_interval(q, "q")
-        self.p = p
-        self.q = q
-        self.rows = [[(2, p, 1), (0, 1 - p, 0)], [(1, q, 0), (1, 1 - q, 1)]]
-        self.rng = rng
-        self.bit = self._initial_bit(start)
 
-    def _initial_bit(self, start: int) -> int:
-        if start == 0:
-            return 0
-        if start == 2:
-            return 1
-        if start == 1:
-            return 0 if self.rng.random() < self.q else 1
-        raise ValueError(f"start state must be 0, 1 or 2, got {start}")
-
-    def step(self) -> int:
-        """Emit one symbol from one uniform, exactly as ``run(1)`` would:
-        the first edge is taken when u is below its probability."""
-        first, second = self.rows[self.bit]
-        x, _, self.bit = first if self.rng.random() < first[1] else second
-        return x
-
-    def run(self, steps: int) -> np.ndarray:
-        """Emit ``steps`` symbols; one uniform is consumed per step."""
-        out, self.bit = sample_edges(self.rows, self.bit, steps, self.rng)
-        return out
+def single_bit_start(start: int, q, rng: np.random.Generator) -> int:
+    """The bit that stands for machine state ``start``: 0 for the quiet
+    state, 1 for state 2, and for the middle state a draw that clears the
+    bit with probability q, the only case that consumes a uniform."""
+    if start == 0:
+        return 0
+    if start == 2:
+        return 1
+    if start == 1:
+        return 0 if rng.random() < float(q) else 1
+    raise ValueError(f"start state must be 0, 1 or 2, got {start}")
 
 
 def stochastic_causal_dimension(machine: EpsilonMachine, tol: float = 1e-10) -> int:
@@ -375,7 +371,7 @@ def stochastic_causal_dimension(machine: EpsilonMachine, tol: float = 1e-10) -> 
 
     A value below the state count certifies that the machine's future
     statistics live in a lower-dimensional simplex, the structure exploited
-    by samplers like StochasticBitMachine.
+    by samplers like the single-bit machine (``single_bit_table``).
     """
     a = len(machine.symbols)
     pos = {x: c for c, x in enumerate(machine.symbols)}

@@ -209,7 +209,11 @@ TRAJECTORY_DIGESTS = {
 }
 
 
-def test_trajectory_outputs_pinned(tmp_path, capsys):
+@pytest.mark.parametrize("block", [markov.TRAJECTORY_BLOCK, 7, 2])
+def test_trajectory_outputs_pinned(block, tmp_path, monkeypatch, capsys):
+    """The same bytes at the default block and at blocks of 7 and 2 steps,
+    which put thousands of block boundaries inside each run."""
+    monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", block)
     for algo, digest in TRAJECTORY_DIGESTS.items():
         out = tmp_path / f"{algo}.txt"
         run("simulate", "--model", "postproc", "--algo", algo, "--p", "1/9",
@@ -264,6 +268,21 @@ def test_ensemble_outputs_pinned(tmp_path, capsys):
         assert hashlib.sha256(blob).hexdigest() == ENSEMBLE_DIGESTS[name], name
     steps0 = (tmp_path / "qi-general-steps0.csv").read_text().splitlines()
     assert len(steps0) == 1 + 5000 and steps0[1].startswith("0,0,")
+
+
+def test_float_chain_at_pi_expects_no_saves(tmp_path, capsys):
+    """Rows equal to pi need no correction; the stationary solve's rounding
+    must not show up as an expected saved fraction."""
+    matrix = tmp_path / "pi.json"
+    matrix.write_text("[[0.6, 0.4], [0.6, 0.4]]")
+    assert run("simulate", "--model", "custom", "--algo", "qi-general",
+               "--matrix", str(matrix), "--samples", "1000", "--steps", "10",
+               "--seed", "1") == 0
+    fields = dict(line.split("=", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    assert fields["saved_fraction_expected"] == "0.0"
+    assert fields["saved_fraction_observed"] == "0.0"
+    assert fields["saved_z"] == "0.0"
 
 
 def _trajectory_peak(steps, out, algo="baseline"):
@@ -535,6 +554,26 @@ def test_bp_verify_skips_only_enumeration_above_limit(capsys):
         for check in ("message", "loop", "transpose", "marginal"):
             assert float(fields[f"state{j}_{check}_dev"]) < 1e-12
     assert float(fields["max_deviation"]) < 1e-12
+
+
+def test_bp_verify_steps_limit(monkeypatch):
+    """Steps above bp.MAX_COIN_STEPS are refused before any graph is built,
+    as each step doubles the width of the dense gates."""
+    built = []
+
+    def no_graph(*args):
+        built.append(args)
+        raise ValueError("graph built")
+
+    monkeypatch.setattr(bp, "coin_graph", no_graph)
+    for steps in ("11", "1000"):
+        assert run("bp-verify", "--model", "coin", "--p", "0.3",
+                   "--steps", steps) == 2
+    assert built == []
+    # the limit itself is accepted and reaches the graph
+    assert run("bp-verify", "--model", "coin", "--p", "0.3",
+               "--steps", str(bp.MAX_COIN_STEPS)) == 3
+    assert len(built) == 1
 
 
 def test_bp_verify_nan_input_fails():

@@ -15,14 +15,13 @@ from hypothesis import given, settings, strategies as st
 from qimem import markov
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, binary_entropy,
-                          coin_mutual_info_bound, context_law, entropy_bits,
-                          exact_kgram_distribution, induced_chain,
-                          machine_from_chain, perturbed_coin,
-                          post_processed_coin, sample_edges,
-                          sample_trajectory, stationary, statistical_memory,
-                          topological_memory)
+                          coin_mutual_info_bound, context_law, edge_table,
+                          entropy_bits, exact_kgram_distribution,
+                          induced_chain, machine_from_chain, perturbed_coin,
+                          post_processed_coin, sample_edges, stationary,
+                          statistical_memory, topological_memory)
 from qimem.quantum import circuit_step_table
-from qimem.samplers import StochasticBitMachine, three_state_demo_chain
+from qimem.samplers import single_bit_table, three_state_demo_chain
 
 from helpers import (random_chain, random_machine, random_rational_chain,
                      reference_edge_walk)
@@ -210,33 +209,29 @@ def test_mutual_info_bound():
         assert -1e-15 <= coin_mutual_info_bound(p) <= 1.0
 
 
-def test_sample_trajectory_basics():
-    m = perturbed_coin(0.3)
-    a = sample_trajectory(m, 0, 500, np.random.default_rng(42))
-    b = sample_trajectory(m, 0, 500, np.random.default_rng(42))
+def test_machine_table_walk_basics():
+    rows = edge_table(perturbed_coin(0.3))
+    assert rows == [[(0, 0.7, 0), (1, 0.3, 1)], [(0, 0.3, 0), (1, 0.7, 1)]]
+    a, _ = sample_edges(rows, 0, 500, np.random.default_rng(42))
+    b, _ = sample_edges(rows, 0, 500, np.random.default_rng(42))
     assert np.array_equal(a, b)
     assert len(a) == 500 and set(np.unique(a)) <= {0, 1}
-    frozen = sample_trajectory(perturbed_coin(0.0), 0, 100,
-                               np.random.default_rng(1))
+    frozen, _ = sample_edges(edge_table(perturbed_coin(0.0)), 0, 100,
+                             np.random.default_rng(1))
     assert not frozen.any()
     with pytest.raises(ValueError):
-        sample_trajectory(m, 2, 10, np.random.default_rng(0))
-
-
-def machine_rows(machine):
-    return [[(x, pr, machine.succ[i][x]) for x, pr in sorted(dist.items())]
-            for i, dist in enumerate(machine.emit)]
+        sample_edges(rows, 2, 10, np.random.default_rng(0))
 
 
 def edge_tables():
     """Machine, circuit and single-bit tables: the kernel's three callers."""
     rng = np.random.default_rng(11)
-    tables = [machine_rows(random_machine(rng, n, a))
+    tables = [edge_table(random_machine(rng, n, a))
               for n, a in ((1, 2), (2, 2), (3, 3), (4, 3), (5, 4))]
     tables += [circuit_step_table("coin", 0.3),
                circuit_step_table("postproc", F(1, 9), F(2, 3)),
                circuit_step_table("postproc", 0.37, 0.25)]
-    tables += [StochasticBitMachine(p, q, 0, rng).rows
+    tables += [single_bit_table(p, q)
                for p, q in ((1 / 9, 2 / 3), (0.37, 0.25), (0.0, 1.0),
                             (1.0, 0.0))]
     return tables
@@ -252,9 +247,7 @@ def assert_walks_agree(rows, start, steps, seed):
     assert rng_a.random() == rng_b.random()
 
 
-def test_sample_edges_matches_reference(monkeypatch):
-    # a short block puts many block boundaries inside short runs
-    monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 7)
+def test_sample_edges_matches_reference():
     for seed, rows in enumerate(edge_tables()):
         for start in range(len(rows)):
             for steps in (0, 1, 6, 7, 8, 50):
@@ -262,16 +255,24 @@ def test_sample_edges_matches_reference(monkeypatch):
 
 
 def test_sample_edges_across_a_full_block():
-    steps = markov.TRAJECTORY_BLOCK + 1
+    """A trajectory simulate walks a long run one TRAJECTORY_BLOCK per call,
+    passing the final state on: that equals one walk of the whole run."""
+    block = markov.TRAJECTORY_BLOCK
     for rows in (circuit_step_table("postproc", F(1, 9), F(2, 3)),
-                 StochasticBitMachine(0.37, 0.25, 0,
-                                      np.random.default_rng(0)).rows):
+                 single_bit_table(0.37, 0.25)):
         for start in range(len(rows)):
-            assert_walks_agree(rows, start, steps, 1584306215)
+            rng_a = np.random.default_rng(1584306215)
+            rng_b = np.random.default_rng(1584306215)
+            head, state = sample_edges(rows, start, block, rng_a)
+            tail, final = sample_edges(rows, state, 1, rng_a)
+            ref, ref_final = reference_edge_walk(rows, start, block + 1, rng_b)
+            assert np.array_equal(np.concatenate([head, tail]), ref)
+            assert final == ref_final
+            assert rng_a.random() == rng_b.random()
 
 
 @st.composite
-def edge_table(draw):
+def random_rows(draw):
     """Random table whose symbols number the edges, so a trajectory names
     the edges it took.  Rows may hold zero-probability edges, and some are
     endpoint rows: one sure edge among impossible ones."""
@@ -294,16 +295,12 @@ def edge_table(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=edge_table(), steps=st.integers(0, 40),
-       block=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
-       data=st.data())
-def test_sample_edges_property(rows, steps, block, seed, data):
+@given(rows=random_rows(), steps=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sample_edges_property(rows, steps, seed, data):
     start = data.draw(st.integers(0, len(rows) - 1))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(markov, "TRAJECTORY_BLOCK", block)
-        assert_walks_agree(rows, start, steps, seed)
-        out, final = sample_edges(rows, start, steps,
-                                  np.random.default_rng(seed))
+    assert_walks_agree(rows, start, steps, seed)
+    out, final = sample_edges(rows, start, steps, np.random.default_rng(seed))
     edges = {x: (state, pr, nxt) for state, row in enumerate(rows)
              for x, pr, nxt in row}
     state = start

@@ -16,13 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from qimem import samplers
 from qimem.markov import (TransitionMatrix, induced_chain, perturbed_coin,
-                          post_processed_coin, stationary)
+                          post_processed_coin, sample_edges, stationary)
 from qimem.samplers import (CoinEnsemble, DegenerateSupportError,
                             GeneralQISampler, RerouteTables,
-                            StochasticBitMachine, coin_signed_decomposition,
-                            decompose, effective_kernel, expected_memory,
-                            reroute_ratios, save_fractions,
-                            stochastic_causal_dimension,
+                            coin_signed_decomposition, decompose,
+                            effective_kernel, expected_memory,
+                            reroute_ratios, save_fractions, single_bit_start,
+                            single_bit_table, stochastic_causal_dimension,
                             three_state_demo_chain)
 from qimem.stats import (compare_transitions, context_counts,
                          transition_counts)
@@ -79,22 +79,21 @@ def test_decompose_rejects_pi_off_the_simplex():
 
 def test_nan_probabilities_rejected():
     nan = float("nan")
-    rng = np.random.default_rng(0)
     for bad in (nan, float("inf"), -0.5, 1.5):
         with pytest.raises(ValueError):
             CoinEnsemble(bad, 10, seed=0)
         with pytest.raises(ValueError):
             coin_signed_decomposition(bad)
         with pytest.raises(ValueError):
-            StochasticBitMachine(bad, 0.5, 0, rng)
+            single_bit_table(bad, 0.5)
         with pytest.raises(ValueError):
-            StochasticBitMachine(0.5, bad, 0, rng)
+            single_bit_table(0.5, bad)
         with pytest.raises(ValueError):
             three_state_demo_chain(bad, 0.1)
     for p in (0.0, 1.0):
         CoinEnsemble(p, 10, seed=0)
         coin_signed_decomposition(p)
-        StochasticBitMachine(p, p, 0, rng)
+        single_bit_table(p, p)
 
 
 def test_save_fractions_frozen():
@@ -135,6 +134,41 @@ def test_expected_memory():
     fraction, bits = expected_memory(DEMO_TABLES)
     assert fraction == F(5, 12) and bits == F(5, 6)
     assert expected_memory(DEMO_TABLES, n_samples=4)[1] == F(10, 3)
+    # each ensemble states its expected saved fraction as a float
+    assert GeneralQISampler(DEMO, 10, seed=0).expected_saved == 5 / 12
+    assert CoinEnsemble(0.75, 10, seed=0).expected_saved == 0.5
+
+
+def test_float_row_at_pi_needs_no_saves():
+    """A float row equal to pi differs from the solved pi only by rounding,
+    which must not become save fractions and reroute tables."""
+    chain = TransitionMatrix([[0.6, 0.4], [0.6, 0.4]])
+    t = RerouteTables.from_chain(chain)
+    assert t.f == (0.0, 0.0)
+    assert t.rminus == t.rplus == ((0.0, 0.0), (0.0, 0.0))
+    sampler = GeneralQISampler(chain, 1000, seed=1)
+    assert sampler.expected_saved == 0.0
+    sampler.step()
+    assert sampler.saved_counts == [0, 0]
+    # the whole row must be within DELTA_ROW_TOL, and exact rows are exact
+    tiny, past = samplers.DELTA_ROW_TOL, 2 * samplers.DELTA_ROW_TOL
+    assert save_fractions((0.5, 0.5), ((tiny, -tiny), (past, -past))) == (
+        0.0, 2 * past)
+    assert save_fractions((F(1, 2), F(1, 2)), ((F(tiny), -F(tiny)),)) == (
+        2 * F(tiny),)
+
+
+def test_exact_row_near_pi_keeps_exact_saves():
+    """Rows 1e-13 from pi in exact arithmetic keep their exact correction,
+    so the effective kernel still equals the chain exactly."""
+    e = F(1, 10**13)
+    chain = TransitionMatrix([[F(3, 5) + e, F(2, 5) - e],
+                              [F(3, 5) - e, F(2, 5) + e]])
+    t = RerouteTables.from_chain(chain)
+    assert all(abs(d) <= samplers.DELTA_ROW_TOL for row in t.delta for d in row)
+    assert all(0 < f < samplers.DELTA_ROW_TOL for f in t.f)
+    kernel = effective_kernel(t)
+    assert all(kernel[j][i] == chain[j][i] for j in range(2) for i in range(2))
 
 
 def test_coin_tables_specialize_to_flip_rule():
@@ -415,44 +449,37 @@ def test_coin_ensemble_state_is_boolean():
     assert ensemble.flags.dtype == bool
 
 
+def bit_machine_run(p, q, start, steps, rng):
+    """Symbols of the single-bit sampler started from machine state start."""
+    bit = single_bit_start(start, q, rng)
+    return sample_edges(single_bit_table(p, q), bit, steps, rng)[0]
+
+
 def test_bit_machine_initial_law():
     rng = np.random.default_rng(14)
-    assert StochasticBitMachine(0.2, 0.7, 0, rng).bit == 0
-    assert StochasticBitMachine(0.2, 0.7, 2, rng).bit == 1
-    bits = [StochasticBitMachine(0.2, 0.7, 1, rng).bit for _ in range(4000)]
+    assert single_bit_start(0, 0.7, rng) == 0
+    assert single_bit_start(2, 0.7, rng) == 1
+    # only the middle state draws, so the first two calls took no uniform
+    assert rng.random() == np.random.default_rng(14).random()
+    bits = [single_bit_start(1, 0.7, rng) for _ in range(4000)]
     zeros = bits.count(0)
     assert abs(zeros - 4000 * 0.7) < 5 * math.sqrt(4000 * 0.7 * 0.3)
     with pytest.raises(ValueError):
-        StochasticBitMachine(0.2, 0.7, 3, rng)
+        single_bit_start(3, 0.7, rng)
     with pytest.raises(ValueError):
-        StochasticBitMachine(1.2, 0.7, 0, rng)
+        single_bit_table(1.2, 0.7)
 
 
 def test_bit_machine_deterministic_edges():
-    quiet = StochasticBitMachine(0.0, 0.5, 0, np.random.default_rng(0))
-    assert not quiet.run(50).any()
-    metronome = StochasticBitMachine(1.0, 1.0, 0, np.random.default_rng(0))
-    assert np.array_equal(metronome.run(6), [2, 1, 2, 1, 2, 1])
-
-
-def test_bit_machine_step_equals_run():
-    """N calls to step() consume the same uniforms as run(N): same symbols,
-    same final bit, same next draw."""
-    for p, q, start, seed in ((1 / 9, 2 / 3, 1, 33), (0.37, 0.25, 0, 1),
-                              (0.0, 0.5, 2, 5), (1.0, 1.0, 0, 7),
-                              (0.5, 0.0, 1, 9)):
-        a = StochasticBitMachine(p, q, start, np.random.default_rng(seed))
-        b = StochasticBitMachine(p, q, start, np.random.default_rng(seed))
-        assert np.array_equal(np.array([a.step() for _ in range(5000)]),
-                              b.run(5000))
-        assert a.bit == b.bit
-        assert a.rng.random() == b.rng.random()
+    quiet = bit_machine_run(0.0, 0.5, 0, 50, np.random.default_rng(0))
+    assert not quiet.any()
+    metronome = bit_machine_run(1.0, 1.0, 0, 6, np.random.default_rng(0))
+    assert np.array_equal(metronome, [2, 1, 2, 1, 2, 1])
 
 
 def test_bit_machine_statistics():
     machine = post_processed_coin(F(1, 9), F(2, 3))
-    sampler = StochasticBitMachine(1 / 9, 2 / 3, 0, np.random.default_rng(5))
-    traj = sampler.run(200_000)
+    traj = bit_machine_run(1 / 9, 2 / 3, 0, 200_000, np.random.default_rng(5))
     # the symbol after each 2-symbol context follows the conditional law
     report = compare_transitions(context_counts(traj, 2, 3),
                                  context_law(machine, 2), context=2)
@@ -465,8 +492,7 @@ def test_bit_machine_statistics():
 
 def test_bit_machine_matches_chain_rows():
     chain = induced_chain(post_processed_coin(1 / 9, 2 / 3))
-    traj = StochasticBitMachine(1 / 9, 2 / 3, 0,
-                                np.random.default_rng(17)).run(100_000)
+    traj = bit_machine_run(1 / 9, 2 / 3, 0, 100_000, np.random.default_rng(17))
     report = compare_transitions(transition_counts(traj[:-1], traj[1:], 3),
                                  chain.to_numpy(), sigma=5.0)
     assert report.passed, report

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qimem.markov import (as_cdf, context_law, induced_chain, perturbed_coin,
-                          post_processed_coin, sample_edges, sample_trajectory,
+from qimem.markov import (as_cdf, context_law, edge_table, induced_chain,
+                          perturbed_coin, post_processed_coin, sample_edges,
                           stationary)
 from qimem.quantum import circuit_step_table
-from qimem.samplers import StochasticBitMachine
+from qimem.samplers import single_bit_start, single_bit_table
 from qimem.stats import compare_transitions, context_counts, transition_counts
 
 from helpers import exact_coin_trajectory, reference_compare_transitions
@@ -233,20 +233,19 @@ def test_trajectory_samplers_calibrate_at_five_sigma():
     machine = post_processed_coin(p, q)
     cdf = as_cdf(stationary(induced_chain(machine)))
     law = context_law(machine, 2)
-    table = circuit_step_table("postproc", p, q)
-    algos = {
-        "baseline": lambda s, rng: sample_trajectory(machine, s, 20000, rng),
-        "quantum": lambda s, rng: sample_edges(table, s, 20000, rng)[0],
-        "single-bit": lambda s, rng: StochasticBitMachine(
-            p, q, s, rng).run(20000),
-    }
+    tables = {"baseline": edge_table(machine),
+              "quantum": circuit_step_table("postproc", p, q),
+              "single-bit": single_bit_table(p, q)}
     failed = []
-    for algo, sample in algos.items():
+    for algo, table in tables.items():
         for seed in range(150):
             rng = np.random.default_rng(seed)
             start = int(np.searchsorted(cdf, rng.random(), side="right"))
-            report = compare_transitions(
-                context_counts(sample(start, rng), 2, 3), law, context=2)
+            if algo == "single-bit":
+                start = single_bit_start(start, q, rng)
+            report = compare_transitions(context_counts(
+                sample_edges(table, start, 20000, rng)[0], 2, 3),
+                law, context=2)
             if not report.passed:
                 failed.append((algo, seed))
     assert failed == []
