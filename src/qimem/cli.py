@@ -350,12 +350,13 @@ def _simulate_trajectory(machine: EpsilonMachine, chain, model, algo, p, q,
     counts = np.zeros((m ** h, m), dtype=np.int64)
     tail = np.empty(0, dtype=np.int64)
     block = markov.TRAJECTORY_BLOCK
-    with open(out, "w", newline="") if out else nullcontext() as fh:
+    with open(out, "wb") if out else nullcontext() as fh:
+        write_lines = _line_writer(fh, m) if fh else None
         for lo in range(0, steps, block):
             symbols, state = sample_edges(rows, state, min(block, steps - lo),
                                           rng)
             if fh:
-                fh.write("".join(f"{x}\n" for x in symbols.tolist()))
+                write_lines(symbols)
             seq = np.concatenate([tail, symbols])
             counts += stats.context_counts(seq, h, m)
             tail = seq[seq.size - h:]
@@ -373,25 +374,45 @@ def _simulate_ensemble(chain, algo, p, seed, samples, steps, sigma, threads,
     n = chain.n
     counts = np.zeros((n, n), dtype=np.int64)
     prev = sampler.values
-    with open(out, "w", newline="") if out else nullcontext() as fh:
+    with open(out, "wb") if out else nullcontext() as fh:
         if fh:
-            column = [f",{i}," for i in range(samples)]
-            symbol = [f"{v}\n" for v in range(n)]
-
-            def write_step(t, values):
-                tag = str(t)
-                fh.write(tag + tag.join(map(str.__add__, column, map(
-                    symbol.__getitem__, values.tolist()))))
-
-            fh.write("step,sample,value\n")
-            write_step(0, prev)
+            write_lines = _line_writer(
+                fh, n, [f",{i}," for i in range(samples)])
+            fh.write(b"step,sample,value\n")
+            write_lines(prev, "0")
         for t in range(1, steps + 1):
             values = sampler.step(threads=threads)
             counts += stats.transition_counts(prev, values, n)
             prev = values
             if fh:
-                write_step(t, values)
+                write_lines(values, str(t))
     return _verdict(counts, chain.to_numpy(), sigma, 1, sampler)
+
+
+def _line_writer(fh, n_symbols: int, prefixes=("",)):
+    """Writer of data-file lines to the binary file ``fh``.
+
+    ``write(values, tag="")`` writes line k as ``tag + prefixes[k] +
+    f"{values[k]}\\n"`` for values in ``range(n_symbols)``; a single prefix
+    serves every line.  Each call builds its lines as one byte buffer: each
+    part of a line is a NUL-padded field of a numpy record, and dropping the
+    NUL bytes, which decimal text never holds, closes the gaps.
+    """
+    symbols = np.array([f"{v}\n".encode() for v in range(n_symbols)])
+    prefixes = np.array([p.encode() for p in prefixes])
+
+    def write(values, tag=""):
+        tag = tag.encode()
+        lines = np.empty(values.shape, [("tag", f"S{max(1, len(tag))}"),
+                                        ("prefix", prefixes.dtype),
+                                        ("symbol", symbols.dtype)])
+        lines["tag"] = tag
+        lines["prefix"] = prefixes
+        lines["symbol"] = symbols[values]
+        text = lines.view(np.uint8)
+        fh.write(text[text != 0])
+
+    return write
 
 
 def _verdict(counts, law, sigma, context, ensemble=None):

@@ -297,7 +297,8 @@ def coin_mutual_info_bound(p) -> float:
 
 # Steps per ``sample_edges`` call of a trajectory simulate: bounds the draws,
 # symbols and --out text it holds at a few MB whatever the run length.  At
-# least 2, the longest context a simulate verdict reads.
+# least 2, the longest context a simulate verdict reads.  ``sample_edges``
+# also converts its draws to Python floats in slices of this many.
 TRAJECTORY_BLOCK = 1 << 16
 
 
@@ -333,12 +334,18 @@ def sample_edges(rows, start: int, steps: int,
         raise ValueError("every state needs edges into the state range")
     cdfs = [as_cdf([pr for _, pr, _ in row]).tolist() for row in rows]
     edges = [[(x, nx) for x, _, nx in row] for row in rows]
-    emitted = []
+    draws = rng.random(steps)
+    emitted = np.empty(steps, dtype=np.int64)
     state = start
-    for v in rng.random(steps).tolist():
-        x, state = edges[state][bisect_right(cdfs[state], v)]
-        emitted.append(x)
-    return np.array(emitted, dtype=np.int64), state
+    # the draws become Python floats one slice at a time: a list of them
+    # takes about 40 B a step
+    for lo in range(0, steps, TRAJECTORY_BLOCK):
+        walked = []
+        for v in draws[lo:lo + TRAJECTORY_BLOCK].tolist():
+            x, state = edges[state][bisect_right(cdfs[state], v)]
+            walked.append(x)
+        emitted[lo:lo + len(walked)] = walked
+    return emitted, state
 
 
 def edge_table(machine: EpsilonMachine) -> list:

@@ -92,6 +92,21 @@ def reference_edge_walk(rows, start: int, steps: int,
     return out, state
 
 
+def reference_ensemble_csv(steps) -> bytes:
+    """The ensemble ``--out`` file for the values of steps 0, 1, ...: the
+    header, then one ``f"{t},{i},{v}\\n"`` line per sample of each step."""
+    lines = ["step,sample,value\n"]
+    for t, values in enumerate(steps):
+        lines += [f"{t},{i},{v}\n" for i, v in enumerate(values.tolist())]
+    return "".join(lines).encode()
+
+
+def reference_trajectory_text(symbols) -> bytes:
+    """The trajectory ``--out`` file of a run: one ``f"{x}\\n"`` line per
+    emitted symbol."""
+    return "".join(f"{x}\n" for x in symbols).encode()
+
+
 def reference_compare_transitions(prev, nxt, law, h: int):
     """The mask-per-context comparison that ``stats.compare_transitions``
     on a ``transition_counts`` matrix must reproduce.

@@ -14,11 +14,15 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qimem import bp, cli, markov
+from qimem import bp, cli, markov, samplers
 from qimem.markov import binary_entropy
 from qimem.quantum import coin_quantum_memory
+
+from helpers import (random_chain, reference_ensemble_csv,
+                     reference_trajectory_text)
 
 DEMO_MATRIX = [["1/3", "1/3", "1/3"],
                ["1/9", "2/3", "2/9"],
@@ -268,6 +272,73 @@ def test_ensemble_outputs_pinned(tmp_path, capsys):
         assert hashlib.sha256(blob).hexdigest() == ENSEMBLE_DIGESTS[name], name
     steps0 = (tmp_path / "qi-general-steps0.csv").read_text().splitlines()
     assert len(steps0) == 1 + 5000 and steps0[1].startswith("0,0,")
+
+
+def _chain_file(tmp_path, n):
+    """A JSON file of a DEMO_MATRIX (n=3) or of a float chain on n states."""
+    path = tmp_path / f"chain{n}.json"
+    rows = (DEMO_MATRIX if n == 3 else
+            [list(row) for row in random_chain(np.random.default_rng(n), n)])
+    path.write_text(json.dumps(rows))
+    return path
+
+
+@pytest.mark.parametrize("states, samples, steps, threads", [
+    (12, 300, 12, 1),   # two-digit values
+    (12, 300, 12, 3),
+    (3, 3, 101, 1),     # tags of one, two and three digits
+    (3, 1, 12, 1),
+    (12, 12, 0, 1),
+])
+def test_ensemble_out_matches_reference(states, samples, steps, threads,
+                                        tmp_path, monkeypatch, capsys):
+    """The --out CSV is the reference formatting of the values the sampler
+    returned, which no pinned digest reaches for 10 or more states."""
+    seen = []
+
+    class Recording(samplers.GeneralQISampler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            seen.append(self.values.copy())
+
+        def step(self, threads=1):
+            values = super().step(threads=threads)
+            seen.append(values.copy())
+            return values
+
+    monkeypatch.setattr(samplers, "GeneralQISampler", Recording)
+    out = tmp_path / "run.csv"
+    # the verdict is not under test: a few hundred transitions out of a row
+    # with a 1e-4 entry can fail the z test by one hit
+    assert run("simulate", "--model", "custom", "--algo", "qi-general",
+               "--matrix", str(_chain_file(tmp_path, states)),
+               "--samples", str(samples), "--steps", str(steps),
+               "--threads", str(threads), "--seed", "7",
+               "--out", str(out)) in (cli.PASS, cli.STAT_FAIL)
+    assert len(seen) == steps + 1
+    assert states < 10 or max(v.max() for v in seen) >= 10
+    assert out.read_bytes() == reference_ensemble_csv(seen)
+
+
+def test_trajectory_out_matches_reference(tmp_path, monkeypatch, capsys):
+    """A 12-symbol baseline trajectory, walked in blocks of 7 steps, is the
+    reference formatting of the symbols the kernel emitted."""
+    blocks = []
+
+    def recording(*args):
+        symbols, state = markov.sample_edges(*args)
+        blocks.append(symbols.copy())
+        return symbols, state
+
+    monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 7)
+    monkeypatch.setattr(cli, "sample_edges", recording)
+    out = tmp_path / "traj.txt"
+    assert run("simulate", "--model", "custom", "--algo", "baseline",
+               "--matrix", str(_chain_file(tmp_path, 12)), "--steps", "100",
+               "--seed", "7", "--out", str(out)) in (cli.PASS, cli.STAT_FAIL)
+    symbols = np.concatenate(blocks)
+    assert symbols.size == 100 and symbols.max() >= 10
+    assert out.read_bytes() == reference_trajectory_text(symbols.tolist())
 
 
 def test_float_chain_at_pi_expects_no_saves(tmp_path, capsys):
