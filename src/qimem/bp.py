@@ -65,17 +65,13 @@ class Message:
     """BP message owned by one variable.
 
     Forward messages point along the factor order (variable ell toward
-    ell+1), backward messages against it.  Values are unnormalized; the
-    quantum comparisons normalize to unit Euclidean norm and marginals
-    normalize the elementwise product.
+    ell+1), backward messages against it.  Values are unnormalized;
+    marginals normalize the elementwise product.
     """
 
     variable: int
     direction: str
     values: np.ndarray
-
-    def unit(self) -> np.ndarray:
-        return self.values / np.linalg.norm(self.values)
 
 
 def _checked(var: int, direction: str, values: np.ndarray) -> Message:
@@ -155,29 +151,6 @@ def diagonal_distribution(P: np.ndarray) -> np.ndarray:
     if z == 0:
         raise ValueError("zero normalizer")
     return np.diag(P) / z
-
-
-def message_phase_decompose(mu: Message, nu: Message):
-    """Split a message pair into a probability and a phase field.
-
-    On the shared support, mu = sqrt(p) e^phi and nu = sqrt(p) e^-phi up to
-    the overall normalization; entries where exactly one message vanishes
-    have no such splitting and raise.
-    """
-    if mu.variable != nu.variable:
-        raise ValueError("messages belong to different variables")
-    m, n = mu.values, nu.values
-    support = m != 0
-    if not np.array_equal(support, n != 0):
-        raise ValueError("messages have mismatched supports")
-    if np.any(m[support] < 0) or np.any(n[support] < 0):
-        raise ValueError("phase decomposition needs positive messages")
-    prob = np.zeros_like(m)
-    phase = np.zeros_like(m)
-    prob[support] = m[support] * n[support]
-    prob /= prob.sum()
-    phase[support] = 0.5 * np.log(m[support] / n[support])
-    return prob, phase
 
 
 def enumerable(graph: CycleFactorGraph) -> bool:

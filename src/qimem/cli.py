@@ -180,6 +180,14 @@ def _number(text, exact: bool, name: str):
     return number
 
 
+def _refuse_unread(args, *names) -> None:
+    """Model flags a run does not read are usage errors, like the flags a
+    subcommand does not register."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise UsageError(f"--{name} is not read by --model {args.model}")
+
+
 def _write_text(out, text: str) -> None:
     if out:
         with open(out, "w", newline="") as fh:
@@ -296,8 +304,11 @@ def cmd_simulate(args) -> int:
     allowed = {"coin": {"baseline", "quantum", "qi-ensemble", "qi-general"},
                "postproc": {"baseline", "quantum", "single-bit", "qi-general"},
                "custom": {"baseline", "qi-general"}}
+    unread = {"coin": ("q", "matrix"), "postproc": ("matrix",),
+              "custom": ("p", "q")}
     if algo not in allowed[model]:
         raise UsageError(f"algo {algo} is not defined for model {model}")
+    _refuse_unread(args, *unread[model])
 
     p = q = None
     if model == "coin":
@@ -452,6 +463,8 @@ def cmd_bp_verify(args) -> int:
         q = _number(args.q, args.exact, "q")
         if steps != 1:
             raise UsageError("--steps applies to the coin graph only")
+    else:
+        _refuse_unread(args, "q")
     lines = []
     devs = []
     states = (0, 1) if model == "coin" else (0, 1, 2)

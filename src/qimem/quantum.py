@@ -42,18 +42,18 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     return reduce(np.kron, ops)
 
 
-def check_unit(state: np.ndarray, tol: float = UNIT_TOL) -> np.ndarray:
+def check_unit(state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > UNIT_TOL:
         raise ValueError(f"state norm {norm!r} is not 1")
     return state
 
 
-def check_orthogonal(gate: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
+def check_orthogonal(gate: np.ndarray) -> np.ndarray:
     gate = np.asarray(gate, dtype=float)
     dev = np.max(np.abs(gate.T @ gate - np.eye(gate.shape[0])))
-    if dev > tol:
+    if dev > ORTHO_TOL:
         raise ValueError(f"gate fails G^T G = I by {dev!r}")
     return gate
 
@@ -161,11 +161,11 @@ def stationary_density(machine: EpsilonMachine,
     return check_density(rho)
 
 
-def check_density(rho: np.ndarray, tol: float = UNIT_TOL) -> np.ndarray:
+def check_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
-    if np.max(np.abs(rho - rho.T)) > tol:
+    if np.max(np.abs(rho - rho.T)) > UNIT_TOL:
         raise ValueError("density matrix is not symmetric")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > UNIT_TOL:
         raise ValueError(f"density trace {np.trace(rho)!r} is not 1")
     if np.min(np.linalg.eigvalsh(rho)) < EIG_FLOOR:
         raise ValueError("density matrix has a significantly negative eigenvalue")
@@ -179,11 +179,12 @@ def density_spectrum(rho: np.ndarray) -> np.ndarray:
     return np.clip(vals[::-1], 0.0, None)
 
 
-def quantum_topological_memory(rho: np.ndarray, tol: float = RANK_TOL) -> float:
+def quantum_topological_memory(rho: np.ndarray) -> float:
     """log2 of the rank of the stationary memory state."""
-    rank = int(np.sum(density_spectrum(rho) > tol))
+    rank = int(np.sum(density_spectrum(rho) > RANK_TOL))
     if rank < 1:
-        raise ValueError(f"no eigenvalue of the memory state exceeds {tol!r}")
+        raise ValueError("no eigenvalue of the memory state exceeds "
+                         f"{RANK_TOL!r}")
     return math.log2(rank)
 
 
@@ -291,12 +292,6 @@ def protocol_step(model: str, j: int, p, q=None,
             continue
         out.append((sum(bit << i for i, bit in enumerate(y)), pr, post))
     return sorted(out)
-
-
-def coin_two_step_distribution(j: int, p) -> dict:
-    """Exact law of the output pair (b1, b2) of two chained coin steps."""
-    theta = protocol_states("coin", p, j, steps=2)[-1]
-    return {word: pr for word, pr, _ in measure(theta, (1, 2)) if pr > 0}
 
 
 def circuit_step_table(model: str, p, q=None) -> list:

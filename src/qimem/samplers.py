@@ -31,8 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .markov import (EpsilonMachine, TransitionMatrix, _check_unit_interval,
-                     _is_exact, as_cdf, stationary)
+from .markov import (TransitionMatrix, _check_unit_interval, _is_exact, as_cdf,
+                     stationary)
 
 DELTA_ROW_TOL = 1e-12
 # a word's top 53 bits are its uniform's numerator over 2**53
@@ -140,8 +140,8 @@ class RerouteTables:
     rplus: tuple
 
     @classmethod
-    def from_chain(cls, chain: TransitionMatrix, pi=None) -> "RerouteTables":
-        pi, delta = decompose(chain, pi)
+    def from_chain(cls, chain: TransitionMatrix) -> "RerouteTables":
+        pi, delta = decompose(chain)
         f = save_fractions(pi, delta)
         rminus, rplus = reroute_ratios(pi, delta, f)
         return cls(pi=tuple(pi), delta=tuple(map(tuple, delta)), f=f,
@@ -178,11 +178,11 @@ def effective_kernel(tables: RerouteTables):
     return rows
 
 
-def expected_memory(tables: RerouteTables, n_samples: int = 1):
+def expected_memory(tables: RerouteTables):
     """Expected saved fraction sum_j f_j pi_j and expected saved bits per
-    step for an ensemble of ``n_samples`` (ceil(log2 n) bits per save)."""
+    sample and step (ceil(log2 n) bits per save)."""
     fraction = sum(fj * pj for fj, pj in zip(tables.f, tables.pi))
-    return fraction, fraction * math.ceil(math.log2(tables.n)) * n_samples
+    return fraction, fraction * math.ceil(math.log2(tables.n))
 
 
 class _Ensemble:
@@ -239,7 +239,7 @@ class GeneralQISampler(_Ensemble):
 
     def __init__(self, chain: TransitionMatrix, n_samples: int, seed: int):
         super().__init__(n_samples, seed)
-        self.tables = t = RerouteTables.from_chain(chain)
+        t = RerouteTables.from_chain(chain)
         self.expected_saved = float(expected_memory(t)[0])
         self._pi = _threshold(as_cdf(t.pi))
         self._f = _threshold(t.f)
@@ -281,9 +281,9 @@ class CoinEnsemble(_Ensemble):
         super().__init__(n_samples, seed)
         self.p = p
         # both values are equally likely and save alike
-        self.save_prob = self.expected_saved = abs(2 * p - 1)
+        self.expected_saved = abs(2 * p - 1)
         self._record(0, _below(self._draw(0, 0), 0.5).view(np.uint8),
-                     _below(self._draw(0, 1), self.save_prob))
+                     _below(self._draw(0, 1), self.expected_saved))
 
     def _update(self, lo, hi, draw, save):
         fresh = _below(draw, 0.5)
@@ -292,7 +292,7 @@ class CoinEnsemble(_Ensemble):
         if self.p > 0.5:
             held = ~held
         return (((saved & held) | (fresh & ~saved)).view(np.uint8),
-                _below(save, self.save_prob))
+                _below(save, self.expected_saved))
 
 
 def _run_chunked(update, total: int, threads: int) -> None:
@@ -325,17 +325,6 @@ def three_state_demo_chain(p, q) -> TransitionMatrix:
     return TransitionMatrix([uniform, [p, q, 1 - p - q], list(uniform)])
 
 
-def coin_signed_decomposition(p):
-    """Write the biased coin (1-p, p) as the fair coin plus a signed
-    correction: (1/2)(1, 1) + ((1-2p)/2)(1, -1).  The second component has
-    a negative weight for p > 1/2, which is why it cannot be sampled
-    directly and is implemented by the flip rule instead."""
-    _check_unit_interval(p, "p")
-    half = Fraction(1, 2) if isinstance(p, Fraction) else 0.5
-    c = (1 - 2 * p) * half
-    return (half, half), (c, -c)
-
-
 def single_bit_table(p, q) -> list:
     """Edge table of the three-symbol sampler whose entire memory is one
     stochastic bit, for ``markov.sample_edges`` with the bit as the state.
@@ -364,19 +353,3 @@ def single_bit_start(start: int, q, rng: np.random.Generator) -> int:
     if start == 1:
         return 0 if rng.random() < float(q) else 1
     raise ValueError(f"start state must be 0, 1 or 2, got {start}")
-
-
-def stochastic_causal_dimension(machine: EpsilonMachine, tol: float = 1e-10) -> int:
-    """Dimension of the span of the per-state pair distributions P(x, j | i).
-
-    A value below the state count certifies that the machine's future
-    statistics live in a lower-dimensional simplex, the structure exploited
-    by samplers like the single-bit machine (``single_bit_table``).
-    """
-    a = len(machine.symbols)
-    pos = {x: c for c, x in enumerate(machine.symbols)}
-    rows = np.zeros((machine.n, machine.n * a))
-    for i in range(machine.n):
-        for x, pr in machine.emit[i].items():
-            rows[i, machine.succ[i][x] * a + pos[x]] = float(pr)
-    return int(np.linalg.matrix_rank(rows, tol=tol))

@@ -13,8 +13,8 @@ from qimem import bp
 from qimem.bp import (AnnihilatingFactorError, CycleFactorGraph, Message,
                       backward_pass, brute_marginals, coin_graph,
                       diagonal_distribution, expected_messages, forward_pass,
-                      marginal, message_phase_decompose, postproc_graph,
-                      prep_factor, probability_matrix)
+                      marginal, postproc_graph, prep_factor,
+                      probability_matrix)
 from qimem.markov import exact_kgram_distribution, perturbed_coin
 from qimem.quantum import protocol_states
 
@@ -187,25 +187,3 @@ def test_marginal_validation():
         marginal(mu, mu)  # two forward messages
     with pytest.raises(ValueError):
         probability_matrix(coin_graph(0.3, 0), 4)
-
-
-def test_message_phase_decompose():
-    probs = np.array([0.2, 0.3, 0.5])
-    phase = np.array([0.1, -0.2, 0.4])
-    mu = Message(0, "forward", 2.7 * np.sqrt(probs) * np.exp(phase))
-    nu = Message(0, "backward", 0.9 * np.sqrt(probs) * np.exp(-phase))
-    got_p, got_phi = message_phase_decompose(mu, nu)
-    assert np.allclose(got_p, probs, atol=1e-13)
-    # the phase field is recovered up to one overall constant
-    assert np.allclose(got_phi - got_phi[0], phase - phase[0], atol=1e-13)
-
-    padded = Message(0, "forward", np.array([0.5, 0.0, 0.5]))
-    matched = Message(0, "backward", np.array([0.5, 0.0, 0.5]))
-    got_p, got_phi = message_phase_decompose(padded, matched)
-    assert got_p[1] == 0.0 and got_phi[1] == 0.0
-    with pytest.raises(ValueError):
-        message_phase_decompose(padded, nu)  # support mismatch
-    with pytest.raises(ValueError):
-        message_phase_decompose(
-            Message(0, "forward", np.array([-1.0, 1.0])),
-            Message(0, "backward", np.array([-1.0, 1.0])))

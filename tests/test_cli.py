@@ -426,12 +426,28 @@ def test_ensemble_memory_independent_of_steps(capsys):
     ("appendix-a", "--seed", "1"),
     ("appendix-a", "--exact"),
     ("bp-verify", "--model", "coin", "--p", "0.3", "--seed", "1"),
+    # model flags the chosen model would ignore
+    ("simulate", "--model", "coin", "--algo", "baseline", "--p", "0.3",
+     "--q", "0.5", "--steps", "10", "--seed", "1"),
+    ("simulate", "--model", "coin", "--algo", "baseline", "--p", "0.3",
+     "--matrix", "chain.json", "--steps", "10", "--seed", "1"),
+    ("simulate", "--model", "postproc", "--algo", "baseline", "--p", "1/9",
+     "--q", "2/3", "--matrix", "chain.json", "--steps", "10", "--seed", "1"),
+    ("simulate", "--model", "custom", "--algo", "baseline", "--matrix",
+     "chain.json", "--p", "0.3", "--steps", "10", "--seed", "1"),
+    ("simulate", "--model", "custom", "--algo", "baseline", "--matrix",
+     "chain.json", "--q", "0.5", "--steps", "10", "--seed", "1"),
+    ("bp-verify", "--model", "coin", "--p", "0.3", "--q", "0.5"),
 ], ids=["p-above-one", "p-below-zero", "p-not-a-number", "p-zero-denominator",
         "q-above-one", "negative-seed", "seed-above-uint64",
         "bp-verify-zero-steps", "bp-verify-p-not-a-number",
         "memory-curve-seed", "memory-curve-exact", "appendix-a-seed",
-        "appendix-a-exact", "bp-verify-seed"])
-def test_bad_input_is_usage_error(argv, capsys):
+        "appendix-a-exact", "bp-verify-seed", "coin-q", "coin-matrix",
+        "postproc-matrix", "custom-p", "custom-q", "bp-verify-coin-q"])
+def test_bad_input_is_usage_error(argv, capsys, tmp_path, monkeypatch):
+    # a valid chain, so only the unread flag can be at fault
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.json").write_text("[[0.5, 0.5], [0.25, 0.75]]")
     assert run(*argv) == 2
     assert "usage error" in capsys.readouterr().err
 
@@ -499,6 +515,7 @@ SIMULATE_CONFIG = {"model": "coin", "algo": "qi-ensemble", "p": 0.3,
     ("simulate", {"sampels": 100}),
     ("simulate", {"samp": 100}),
     ("memory-curve", {"seed": 1}),
+    ("simulate", {"q": 0.5}),
 ], ids=["seed-float", "seed-bool", "seed-text", "samples-text",
         "samples-float", "steps-text", "steps-float", "threads-bool",
         "threads-list", "sigma-text", "sigma-bool", "sigma-nan",
@@ -506,7 +523,7 @@ SIMULATE_CONFIG = {"model": "coin", "algo": "qi-ensemble", "p": 0.3,
         "bp-verify-steps-text", "bp-verify-steps-bool", "exact-text",
         "exact-int", "exact-null", "bp-verify-exact-text", "model-unknown",
         "bp-verify-model-unknown", "matrix-list", "key-misspelt",
-        "key-prefix", "memory-curve-seed"])
+        "key-prefix", "memory-curve-seed", "coin-q"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
     if command == "simulate":
         config = {**SIMULATE_CONFIG, **config}

@@ -19,9 +19,9 @@ from qimem.markov import (binary_entropy, context_law,
                           topological_memory)
 from qimem.quantum import (check_density, check_orthogonal, check_unit,
                            circuit_step_table, cnot, coin_memory_qubits,
-                           coin_quantum_memory, coin_two_step_distribution,
-                           controlled_u, density_spectrum, kron, measure,
-                           n_qubits, postproc_memory_qubits, protocol_states,
+                           coin_quantum_memory, controlled_u,
+                           density_spectrum, kron, measure, n_qubits,
+                           postproc_memory_qubits, protocol_states,
                            protocol_step, quantum_causal_states,
                            quantum_statistical_memory,
                            quantum_topological_memory, stationary_density,
@@ -69,6 +69,10 @@ def test_u_x_columns():
         check_orthogonal(u)
         check_orthogonal(u_x(x, completion="reflection"))
     assert np.allclose(u_x(0.36, "reflection")[:, 1], [0.6, -0.8], atol=1e-15)
+    stretched = u_x(0.3)
+    stretched[:, 1] *= 1 + 1e-9
+    with pytest.raises(ValueError):
+        check_orthogonal(stretched)
     with pytest.raises(ValueError):
         u_x(-0.1)
     with pytest.raises(ValueError):
@@ -133,6 +137,10 @@ def test_coin_memory_qubits():
                                           abs=1e-14)
     xi0, xi1 = coin_memory_qubits(0.25)
     assert xi0 @ xi1 == pytest.approx(0.8660254037844386, abs=1e-15)
+    # UNIT_TOL is 1e-12: rounding passes, a real norm error does not
+    check_unit(xi0 * (1 + 1e-14))
+    with pytest.raises(ValueError):
+        check_unit(xi0 * (1 + 1e-9))
 
 
 def test_encoded_states_match_single_qubit_overlaps():
@@ -393,7 +401,8 @@ def test_two_step_state_matches_word_law():
             theta = protocol_states("coin", p, j, steps=2)[-1]
             assert theta.shape == (8,)
             check_unit(theta)
-            dist = coin_two_step_distribution(j, p)
+            dist = {word: pr for word, pr, _ in measure(theta, (1, 2))
+                    if pr > 0}
             law = exact_kgram_distribution(machine, 2, start=j)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-14)
             for word in set(dist) | set(law):

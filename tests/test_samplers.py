@@ -18,12 +18,10 @@ from qimem import samplers
 from qimem.markov import (TransitionMatrix, induced_chain, perturbed_coin,
                           post_processed_coin, sample_edges, stationary)
 from qimem.samplers import (CoinEnsemble, DegenerateSupportError,
-                            GeneralQISampler, RerouteTables,
-                            coin_signed_decomposition, decompose,
+                            GeneralQISampler, RerouteTables, decompose,
                             effective_kernel, expected_memory,
                             reroute_ratios, save_fractions, single_bit_start,
-                            single_bit_table, stochastic_causal_dimension,
-                            three_state_demo_chain)
+                            single_bit_table, three_state_demo_chain)
 from qimem.stats import (compare_transitions, context_counts,
                          transition_counts)
 from qimem.markov import context_law
@@ -83,8 +81,6 @@ def test_nan_probabilities_rejected():
         with pytest.raises(ValueError):
             CoinEnsemble(bad, 10, seed=0)
         with pytest.raises(ValueError):
-            coin_signed_decomposition(bad)
-        with pytest.raises(ValueError):
             single_bit_table(bad, 0.5)
         with pytest.raises(ValueError):
             single_bit_table(0.5, bad)
@@ -92,7 +88,6 @@ def test_nan_probabilities_rejected():
             three_state_demo_chain(bad, 0.1)
     for p in (0.0, 1.0):
         CoinEnsemble(p, 10, seed=0)
-        coin_signed_decomposition(p)
         single_bit_table(p, p)
 
 
@@ -133,7 +128,6 @@ def test_effective_kernel_float_sweep():
 def test_expected_memory():
     fraction, bits = expected_memory(DEMO_TABLES)
     assert fraction == F(5, 12) and bits == F(5, 6)
-    assert expected_memory(DEMO_TABLES, n_samples=4)[1] == F(10, 3)
     # each ensemble states its expected saved fraction as a float
     assert GeneralQISampler(DEMO, 10, seed=0).expected_saved == 5 / 12
     assert CoinEnsemble(0.75, 10, seed=0).expected_saved == 0.5
@@ -182,17 +176,6 @@ def test_coin_tables_specialize_to_flip_rule():
     assert np.allclose(t.f, [0.4, 0.4], atol=1e-12)
     assert np.allclose(t.rminus, [[0, 1], [1, 0]], atol=1e-12)
     assert np.allclose(t.rplus, [[1, 0], [0, 1]], atol=1e-12)
-
-
-def test_signed_decomposition():
-    base, signed = coin_signed_decomposition(F(3, 10))
-    assert base == (F(1, 2), F(1, 2))
-    assert signed == (F(1, 5), F(-1, 5))
-    assert (base[0] + signed[0], base[1] + signed[1]) == (F(7, 10), F(3, 10))
-    base, signed = coin_signed_decomposition(0.8)
-    assert base[0] + signed[0] == pytest.approx(0.2, abs=1e-15)
-    assert signed[0] + signed[1] == 0.0
-    assert abs(signed[0]) + abs(signed[1]) == pytest.approx(0.6, abs=1e-15)
 
 
 def test_general_sampler_reproducible():
@@ -498,15 +481,3 @@ def test_bit_machine_matches_chain_rows():
     assert report.passed, report
     assert list(report.z) == ["0", "1", "2"]
     assert report.max_tv < 0.02
-
-
-def test_stochastic_causal_dimension():
-    assert stochastic_causal_dimension(post_processed_coin(F(1, 9), F(2, 3))) == 2
-    assert stochastic_causal_dimension(post_processed_coin(0.3, 0.6)) == 2
-    assert stochastic_causal_dimension(perturbed_coin(0.3)) == 2
-    # the demo chain has two identical rows, so its machine drops rank too
-    from qimem.markov import machine_from_chain
-    assert stochastic_causal_dimension(machine_from_chain(DEMO)) == 2
-    rng = np.random.default_rng(3)
-    assert stochastic_causal_dimension(
-        machine_from_chain(random_chain(rng, 3))) == 3
