@@ -20,6 +20,7 @@ byte-identical outputs whatever --threads is set to.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -48,7 +49,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared: a parse
+    keeps no state in the parser, so the calls of ``main`` stay independent."""
     parser = _Parser(
         prog="qimem",
         description="memory-frugal samplers with circuit and BP cross-checks")
@@ -133,10 +137,8 @@ def _load_config(argv) -> tuple[list, list[str]]:
     """Keys of the config file that ``--config`` names in a subcommand's
     ``argv``, and the flags they spell: ``--key=<value text>``, or a bare
     ``--exact`` for a true ``exact``.  No config gives no keys or flags."""
-    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    finder.add_argument("--config")
     try:
-        path = finder.parse_known_args(argv)[0].config
+        path = _config_finder().parse_known_args(argv)[0].config
     except argparse.ArgumentError:  # --config without a value
         return [], []  # the full parse reports it
     if not path:
@@ -161,6 +163,13 @@ def _load_config(argv) -> tuple[list, list[str]]:
         else:
             flags.append(f"--{key}={value}")
     return list(config), flags
+
+
+@functools.cache
+def _config_finder() -> argparse.ArgumentParser:
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    return finder
 
 
 def _number(text, exact: bool, name: str):
@@ -486,9 +495,14 @@ def cmd_bp_verify(args) -> int:
 
 
 def _worst(deviations) -> float:
-    """Largest of some deviations (scalars or arrays).  Unlike ``max``,
-    which drops a NaN unless it comes first, any NaN makes the result NaN."""
-    return float(np.max([np.max(d) for d in deviations]))
+    """Largest of some scalar deviations.  Unlike ``max``, which drops a NaN
+    unless it comes first, any NaN makes the result NaN."""
+    return float(np.max(deviations))
+
+
+def _dev(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entrywise ``|a - b|``, NaN if any entry is NaN."""
+    return float(np.abs(a - b).max())
 
 
 def _verify_graph(graph, model, p, q, j, steps, lines) -> float:
@@ -498,15 +512,21 @@ def _verify_graph(graph, model, p, q, j, steps, lines) -> float:
     nu = bp.backward_pass(graph, init)
     expected = bp.expected_messages(model, p, j, q=q, steps=steps)
     L = graph.n_vars
-    msg_dev = _worst(np.abs(mu[ell].values - expected[ell])
-                     for ell in range(L + 1))
-    loop_dev = _worst([np.abs(mu[L].values - init)])
-    transpose_dev = _worst(np.abs(nu[ell].values - mu[ell].values)
-                           for ell in range(L))
-    marg_dev = _worst(
-        np.abs(bp.marginal(mu[ell], nu[ell])
-               - bp.diagonal_distribution(bp.probability_matrix(graph, ell)))
-        for ell in range(L))
+    # One comparison per kind of deviation, over the arrays of every variable
+    # laid end to end; the last forward message is the loop's.  The dense
+    # probability matrices come first: the copies are not alive beside them.
+    diagonals = np.concatenate([
+        bp.diagonal_distribution(bp.probability_matrix(graph, ell))
+        for ell in range(L)])
+    forward = np.concatenate([m.values for m in mu])
+    backward = np.concatenate([m.values for m in nu[:L]])
+    marginals = np.concatenate([bp.marginal(mu[ell], nu[ell])
+                                for ell in range(L)])
+    cut = backward.size
+    msg_dev = _dev(forward, np.concatenate(expected))
+    loop_dev = _dev(forward[cut:], init)
+    transpose_dev = _dev(backward, forward[:cut])
+    marg_dev = _dev(marginals, diagonals)
     devs = [msg_dev, loop_dev, transpose_dev, marg_dev]
     lines.append(f"state{j}_message_dev={msg_dev!r}")
     lines.append(f"state{j}_loop_dev={loop_dev!r}")
@@ -515,8 +535,7 @@ def _verify_graph(graph, model, p, q, j, steps, lines) -> float:
     # graphs above bp.MAX_ENUM_BITS skip only the brute-force cross-check
     if bp.enumerable(graph):
         enum_marg, _ = bp.brute_marginals(graph)
-        devs.append(_worst(np.abs(bp.marginal(mu[ell], nu[ell]) - m)
-                           for ell, m in enumerate(enum_marg)))
+        devs.append(_dev(marginals, np.concatenate(enum_marg)))
         lines.append(f"state{j}_enumeration_dev={devs[-1]!r}")
     else:
         lines.append(f"state{j}_enumeration_dev=skipped")

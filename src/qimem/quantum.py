@@ -13,7 +13,6 @@ stationary mixture of amplitude-encoded causal states.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -39,7 +38,23 @@ def n_qubits(dim: int) -> int:
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
-    return reduce(np.kron, ops)
+    """Kronecker product of vectors or of matrices, left to right.
+
+    Each pair is one broadcast multiply: np.kron makes the same products
+    a_ij * b_kl after its axis bookkeeping, so the entries are identical.
+    """
+    out = ops[0]
+    for op in ops[1:]:
+        if out.ndim == op.ndim == 1:
+            out = (out[:, None] * op).ravel()
+        elif out.ndim == op.ndim == 2:
+            (m, n), (k, l) = out.shape, op.shape
+            out = (out[:, None, :, None] * op[None, :, None, :]).reshape(
+                m * k, n * l)
+        else:
+            raise ValueError("kron takes all vectors or all matrices, got "
+                             f"shapes {out.shape} and {op.shape}")
+    return out
 
 
 def check_unit(state: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ not to be loosened: a red criterion is information, not an obstacle.
 import contextlib
 import io
 import json
-import math
 import time
 from fractions import Fraction as F
 
@@ -17,8 +16,8 @@ import numpy as np
 import pytest
 
 from qimem import cli
-from qimem.markov import (binary_entropy, induced_chain, perturbed_coin,
-                          post_processed_coin, statistical_memory, stationary)
+from qimem.markov import (binary_entropy, perturbed_coin, post_processed_coin,
+                          statistical_memory)
 from qimem.quantum import (density_spectrum, quantum_statistical_memory,
                            quantum_topological_memory, stationary_density)
 from qimem.samplers import RerouteTables, effective_kernel, three_state_demo_chain

@@ -9,7 +9,6 @@ per-edge comparison with states built from raw gates.
 import numpy as np
 import pytest
 
-from qimem import bp
 from qimem.bp import (AnnihilatingFactorError, CycleFactorGraph, Message,
                       backward_pass, brute_marginals, coin_graph,
                       diagonal_distribution, expected_messages, forward_pass,

@@ -585,6 +585,16 @@ def test_undecodable_files_are_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().err.count("usage error") == 2
 
 
+def fresh_process(*argv) -> str:
+    """Stdout of ``python -m qimem.cli argv``, which must exit 0."""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "qimem.cli", *argv],
+                          capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_module_entry_point_reads_sys_argv(tmp_path, capsys):
     """python -m qimem.cli runs main() on sys.argv and prints what an
     in-process call prints."""
@@ -592,13 +602,51 @@ def test_module_entry_point_reads_sys_argv(tmp_path, capsys):
     cfg.write_text(json.dumps(SIMULATE_CONFIG))
     argv = ["simulate", "--config", str(cfg), "--steps", "3"]
     assert run(*argv) == 0
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-m", "qimem.cli", *argv],
-                          capture_output=True, text=True, check=False,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == capsys.readouterr().out
-    assert "steps=3" in proc.stdout
+    stdout = fresh_process(*argv)
+    assert stdout == capsys.readouterr().out
+    assert "steps=3" in stdout
+
+
+def test_shared_parser_after_usage_errors(capsys):
+    """The parser is built once per process; a parse that failed part way
+    leaves nothing behind for the next call."""
+    valid = ("bp-verify", "--model", "coin", "--p", "0.3", "--steps", "2")
+    assert run("bp-verify", "--model", "foo", "--p", "0.3") == 2
+    assert run("bp-verify", "--model", "coin", "--p", "0.3",
+               "--steps") == 2
+    assert run("bp-verify", "--model", "coin", "--p", "abc") == 2
+    capsys.readouterr()
+    assert run(*valid) == 0
+    assert capsys.readouterr().out == fresh_process(*valid)
+
+
+def test_shared_parser_drops_config_values(tmp_path, capsys):
+    """Values a config file supplied, --exact included, are gone from the
+    next call, which reads only its own flags and the defaults."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SIMULATE_CONFIG, "exact": True}))
+    assert run("simulate", "--config", str(cfg)) == 0
+    flags = ("simulate", "--model", "coin", "--algo", "qi-ensemble",
+             "--p", "0.3", "--seed", "2", "--steps", "3")
+    capsys.readouterr()
+    assert run(*flags) == 0
+    out = capsys.readouterr().out
+    assert "samples=1000" in out and "seed=2" in out
+    assert out == fresh_process(*flags)
+
+
+def test_shared_parser_drops_exact(capsys):
+    """--exact on one call does not make the next call exact: at --p 0.3
+    exact and float arithmetic print different deviations."""
+    float_run = ("bp-verify", "--model", "coin", "--p", "0.3")
+    assert run(*float_run, "--exact") == 0
+    exact_out = capsys.readouterr().out
+    assert run("bp-verify", "--model", "coin", "--exact", "--p", "1/3") == 0
+    capsys.readouterr()
+    assert run(*float_run) == 0
+    out = capsys.readouterr().out
+    assert out == fresh_process(*float_run)
+    assert out != exact_out
 
 
 def test_unwritable_out_is_usage_error(tmp_path):

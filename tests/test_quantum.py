@@ -7,11 +7,13 @@ here crosses two computation paths.
 
 import math
 from fractions import Fraction as F
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qimem import quantum
 from qimem.bp import expected_messages
 from qimem.markov import (binary_entropy, context_law,
                           exact_kgram_distribution, induced_chain, perturbed_coin, post_processed_coin,
@@ -91,6 +93,41 @@ def test_nan_probabilities_rejected():
         u_x(x)
         coin_quantum_memory(x)
         postproc_memory_qubits(x)
+
+
+KRON_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-4.0, 4.0))
+
+
+def kron_chains(ndim: int):
+    """Two or three operands of ``ndim`` axes, each axis of length 1 to 4."""
+    shapes = st.tuples(*[st.integers(1, 4)] * ndim)
+    operand = shapes.flatmap(lambda s: arrays(float, s, elements=KRON_VALUES))
+    return st.lists(operand, min_size=2, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.sampled_from([1, 2]).flatmap(kron_chains))
+@example(ops=[np.eye(4), np.array([[math.sqrt(0.7)], [math.sqrt(0.3)]])])
+@example(ops=[np.array([-0.0, math.nan]), np.array([math.inf, -1.0]),
+              np.array([0.5, -0.0])])
+@example(ops=[np.array([[-0.0, math.inf]]), np.array([[math.nan], [-2.0]])])
+def test_kron_matches_numpy_bytes(ops):
+    """Every entry is np.kron's product a_ij * b_kl, signed zeros, infinities
+    and NaNs included; the (4, 4) x (2, 1) chain is the coin's ancilla."""
+    with np.errstate(invalid="ignore"):  # inf * 0 is a NaN here too
+        expected = reduce(np.kron, ops)
+        got = kron(*ops)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_kron_refuses_mixed_operands():
+    with pytest.raises(ValueError):
+        kron(np.eye(2), np.ones(2))
+    with pytest.raises(ValueError):
+        kron(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
 
 
 def test_gate_orthogonality():

@@ -16,12 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from qimem import samplers
 from qimem.markov import (TransitionMatrix, induced_chain, perturbed_coin,
-                          post_processed_coin, sample_edges, stationary)
+                          post_processed_coin, sample_edges)
 from qimem.samplers import (CoinEnsemble, DegenerateSupportError,
                             GeneralQISampler, RerouteTables, decompose,
-                            effective_kernel, expected_memory,
-                            reroute_ratios, save_fractions, single_bit_start,
-                            single_bit_table, three_state_demo_chain)
+                            effective_kernel, expected_memory, save_fractions,
+                            single_bit_start, single_bit_table,
+                            three_state_demo_chain)
 from qimem.stats import (compare_transitions, context_counts,
                          transition_counts)
 from qimem.markov import context_law
