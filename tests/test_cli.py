@@ -283,6 +283,40 @@ def _chain_file(tmp_path, n):
     return path
 
 
+# sha256 of stdout, the --out file and the report of the custom-chain runs,
+# with their exit codes: the rational demo chain and float chains of 12 and
+# 50 states, through the chain -> machine -> chain round trip of simulate.
+# The 12-state baseline run exits 1 on a correct sampler: its row 7.5 scores
+# z = 5.10 on a cell the binomial normal approximation misjudges at small
+# expected counts.
+CUSTOM_DIGESTS = {
+    "baseline-3":
+        (0, "ffb3ec83e8b36ef540ae7372d89870705a74fc6d2e1de2a411fbe3ed8968090f"),
+    "baseline-12":
+        (1, "427b37121443b4508b46ec27ff568b5c1b41aa3f665f17e698f95fa665edfafd"),
+    "qi-general-50":
+        (0, "f51cc09f6579849787cc65145d87de34fce8a99e35e390b7c5f81613a7cc4233"),
+}
+
+
+def test_custom_outputs_pinned(tmp_path, capsys):
+    commands = {
+        "baseline-3": (3, "baseline", "--steps", "10000", "--seed", "1"),
+        "baseline-12": (12, "baseline", "--steps", "20000", "--seed", "5"),
+        "qi-general-50": (50, "qi-general", "--samples", "2000",
+                          "--steps", "10", "--seed", "5"),
+    }
+    for name, (states, algo, *flags) in commands.items():
+        out = tmp_path / f"{name}.txt"
+        code = run("simulate", "--model", "custom", "--algo", algo,
+                   "--matrix", str(_chain_file(tmp_path, states)), *flags,
+                   "--out", str(out))
+        blob = (capsys.readouterr().out.encode() + out.read_bytes()
+                + Path(f"{out}.report.txt").read_bytes())
+        assert (code, hashlib.sha256(blob).hexdigest()) \
+            == CUSTOM_DIGESTS[name], name
+
+
 @pytest.mark.parametrize("states, samples, steps, threads", [
     (12, 300, 12, 1),   # two-digit values
     (12, 300, 12, 3),
