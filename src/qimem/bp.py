@@ -11,7 +11,6 @@ of a single sweep even though the graph has a loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,44 +60,31 @@ class CycleFactorGraph:
         return [f.shape[1] for f in self.factors]
 
 
-@dataclass(frozen=True)
-class Message:
-    """BP message owned by one variable.
-
-    Forward messages point along the factor order (variable ell toward
-    ell+1), backward messages against it.  Values are unnormalized;
-    marginals normalize the elementwise product.
-    """
-
-    variable: int
-    direction: str
-    values: np.ndarray
-
-
-def _checked(var: int, direction: str, values: np.ndarray) -> Message:
+def _checked(values: np.ndarray) -> np.ndarray:
     if not values.any():
         raise AnnihilatingFactorError("annihilating factor")
-    return Message(variable=var, direction=direction, values=values)
+    return values
 
 
-def forward_pass(graph: CycleFactorGraph, init: np.ndarray) -> list[Message]:
+def forward_pass(graph: CycleFactorGraph,
+                 init: np.ndarray) -> list[np.ndarray]:
     """Propagate mu once around the cycle from mu_{0 -> 1} = init.
 
-    Returns L + 1 messages: one per variable plus the recirculated message
-    at variable 0, whose equality with ``init`` is the self-consistency of
-    the loop.
+    Returns L + 1 unnormalized messages: one per variable, pointing along
+    the factor order, plus the recirculated message at variable 0, whose
+    equality with ``init`` is the self-consistency of the loop.
     """
     init = np.asarray(init, dtype=float)
     if init.shape != (graph.dims[0],):
         raise ValueError("init has the wrong dimension for variable 0")
-    msgs = [_checked(0, "forward", init)]
-    for ell in range(1, graph.n_vars + 1):
-        values = graph.factors[ell - 1] @ msgs[-1].values
-        msgs.append(_checked(ell % graph.n_vars, "forward", values))
+    msgs = [_checked(init)]
+    for factor in graph.factors:
+        msgs.append(_checked(factor @ msgs[-1]))
     return msgs
 
 
-def backward_pass(graph: CycleFactorGraph, init: np.ndarray) -> list[Message]:
+def backward_pass(graph: CycleFactorGraph,
+                  init: np.ndarray) -> list[np.ndarray]:
     """Propagate nu once around the cycle from nu at variable 0.
 
     The returned list is indexed by variable (position ell holds nu_ell),
@@ -110,22 +96,17 @@ def backward_pass(graph: CycleFactorGraph, init: np.ndarray) -> list[Message]:
         raise ValueError("init has the wrong dimension for variable 0")
     L = graph.n_vars
     out: list = [None] * (L + 1)
-    out[0] = _checked(0, "backward", init)
-    current = out[0]
+    out[0] = current = _checked(init)
     for ell in range(L - 1, -1, -1):
-        values = current.values @ graph.factors[ell]
-        current = _checked(ell % L, "backward", values)
+        current = _checked(current @ graph.factors[ell])
         out[ell if ell > 0 else L] = current
     return out
 
 
-def marginal(mu: Message, nu: Message) -> np.ndarray:
-    """Normalized elementwise product of the two messages at one variable."""
-    if mu.variable != nu.variable:
-        raise ValueError("messages belong to different variables")
-    if (mu.direction, nu.direction) != ("forward", "backward"):
-        raise ValueError("marginal needs one forward and one backward message")
-    prod = mu.values * nu.values
+def marginal(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Normalized elementwise product of the forward and the backward
+    message at one variable."""
+    prod = mu * nu
     z = prod.sum()
     if z == 0:
         raise ValueError("zero normalizer")

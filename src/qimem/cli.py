@@ -31,9 +31,9 @@ import numpy as np
 
 from . import bp, markov, quantum, samplers, stats
 from .markov import (EpsilonMachine, TransitionMatrix, as_cdf,
-                     coin_mutual_info_bound, context_law, edge_table,
-                     induced_chain, machine_from_chain, perturbed_coin,
-                     post_processed_coin, sample_edges, stationary)
+                     coin_mutual_info_bound, context_law, induced_chain,
+                     machine_from_chain, perturbed_coin, post_processed_coin,
+                     sample_edges, stationary)
 
 PASS, STAT_FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 BP_TOL = 1e-10
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE
-    except (ValueError, ArithmeticError, RuntimeError,
+    except (ValueError, ArithmeticError, RuntimeError, MemoryError,
             np.linalg.LinAlgError) as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return NUMERIC
@@ -356,7 +356,7 @@ def _simulate_trajectory(machine: EpsilonMachine, chain, model, algo, p, q,
     rng = np.random.default_rng(seed)
     state = _stationary_start(chain, rng)
     if algo == "baseline":
-        rows = edge_table(machine)
+        rows = machine.edges
     elif algo == "quantum":
         rows = quantum.circuit_step_table(model, p, q)
     else:
@@ -366,7 +366,7 @@ def _simulate_trajectory(machine: EpsilonMachine, chain, model, algo, p, q,
     # ever hold the whole run; the last h symbols carry each block's first
     # contexts over from the one before.
     h = max(0, min(2, steps - 1))
-    m = len(machine.symbols)
+    m = machine.n_symbols
     counts = np.zeros((m ** h, m), dtype=np.int64)
     tail = np.empty(0, dtype=np.int64)
     block = markov.TRAJECTORY_BLOCK
@@ -518,8 +518,8 @@ def _verify_graph(graph, model, p, q, j, steps, lines) -> float:
     diagonals = np.concatenate([
         bp.diagonal_distribution(bp.probability_matrix(graph, ell))
         for ell in range(L)])
-    forward = np.concatenate([m.values for m in mu])
-    backward = np.concatenate([m.values for m in nu[:L]])
+    forward = np.concatenate(mu)
+    backward = np.concatenate(nu[:L])
     marginals = np.concatenate([bp.marginal(mu[ell], nu[ell])
                                 for ell in range(L)])
     cut = backward.size

@@ -75,43 +75,52 @@ class TransitionMatrix:
 
 @dataclass(frozen=True)
 class EpsilonMachine:
-    """Unifilar hidden-state machine.
+    """Unifilar hidden-state machine, given as its edge table.
 
-    ``emit[i][x]`` is the probability of emitting symbol x from state i and
-    ``succ[i][x]`` the state reached after that emission.  Unifilarity means
-    the successor is a function of (state, symbol), so the pair distribution
-    P(x, j | i) factors as ``emit[i][x]`` times an indicator on j.
+    ``edges[i]`` lists the ``(symbol, probability, next_state)`` edges of
+    state i in strictly increasing symbol order, over the symbols
+    0..n_symbols-1.  Since no state has two edges with one symbol, the
+    successor is a function of (state, symbol): the machine is unifilar,
+    and the table is what ``sample_edges`` walks.
     """
 
-    emit: tuple[dict, ...]
-    succ: tuple[dict, ...]
-    symbols: tuple[int, ...]
+    edges: tuple[tuple[tuple, ...], ...]
+    n_symbols: int
 
     def __post_init__(self):
-        n = len(self.emit)
-        if n == 0 or len(self.succ) != n:
-            raise ValueError("emit and succ must cover the same non-empty state set")
-        for i, dist in enumerate(self.emit):
-            if not dist:
+        n = len(self.edges)
+        if n == 0:
+            raise ValueError("a machine needs at least one state")
+        for i, row in enumerate(self.edges):
+            if not row:
                 raise ValueError(f"state {i} has no outputs")
-            if not abs(sum(dist.values()) - 1) <= ROW_SUM_TOL:
+            if not abs(sum(pr for _, pr, _ in row) - 1) <= ROW_SUM_TOL:
                 raise ValueError(f"output distribution of state {i} does not sum to 1")
-            for x, pr in dist.items():
+            last = -1
+            for x, pr, nxt in row:
                 _check_unit_interval(pr, f"P({x}|{i})")
-                if x not in self.symbols:
-                    raise ValueError(f"symbol {x} not in alphabet {self.symbols}")
-                if x not in self.succ[i]:
-                    raise ValueError(f"no successor for state {i}, symbol {x}")
-                if not 0 <= self.succ[i][x] < n:
-                    raise ValueError(f"successor {self.succ[i][x]} out of range")
+                if not last < x < self.n_symbols:
+                    raise ValueError(f"state {i} has symbol {x} out of order or "
+                                     f"outside 0..{self.n_symbols - 1}")
+                if not 0 <= nxt < n:
+                    raise ValueError(f"successor {nxt} out of range")
+                last = x
 
     @property
     def n(self) -> int:
-        return len(self.emit)
+        return len(self.edges)
 
     @property
     def exact(self) -> bool:
-        return all(_is_exact(pr) for dist in self.emit for pr in dist.values())
+        return all(_is_exact(pr) for row in self.edges for _, pr, _ in row)
+
+
+def _announcing(dists, n_symbols: int) -> EpsilonMachine:
+    """The machine whose next state is the symbol it emits, with
+    ``dists[i][x]`` = P(x | i); zero entries get no edge."""
+    return EpsilonMachine(
+        tuple(tuple((x, pr, x) for x, pr in enumerate(d) if pr != 0)
+              for d in dists), n_symbols)
 
 
 def perturbed_coin(p) -> EpsilonMachine:
@@ -122,10 +131,7 @@ def perturbed_coin(p) -> EpsilonMachine:
     state always equals the emitted symbol.
     """
     _check_unit_interval(p, "p")
-    emit = tuple({x: pr for x, pr in d.items() if pr != 0}
-                 for d in ({0: 1 - p, 1: p}, {0: p, 1: 1 - p}))
-    succ = tuple({x: x for x in d} for d in emit)
-    return EpsilonMachine(emit=emit, succ=succ, symbols=(0, 1))
+    return _announcing(((1 - p, p), (p, 1 - p)), 2)
 
 
 def post_processed_coin(p, q) -> EpsilonMachine:
@@ -137,14 +143,9 @@ def post_processed_coin(p, q) -> EpsilonMachine:
     """
     _check_unit_interval(p, "p")
     _check_unit_interval(q, "q")
-    emit = (
-        {0: 1 - p, 2: p},
-        {0: q * (1 - p), 1: 1 - q, 2: q * p},
-        {1: _one_like(q)},
-    )
-    emit = tuple({x: pr for x, pr in d.items() if pr != 0} for d in emit)
-    succ = tuple({x: x for x in d} for d in emit)
-    return EpsilonMachine(emit=emit, succ=succ, symbols=(0, 1, 2))
+    return _announcing(((1 - p, 0, p),
+                        (q * (1 - p), 1 - q, q * p),
+                        (0, _one_like(q), 0)), 3)
 
 
 def _one_like(v):
@@ -159,10 +160,7 @@ def _check_unit_interval(v, name: str) -> None:
 
 def machine_from_chain(T: TransitionMatrix) -> EpsilonMachine:
     """View a chain as the unifilar machine that announces its next state."""
-    emit = tuple({x: T[i][x] for x in range(T.n) if T[i][x] != 0}
-                 for i in range(T.n))
-    succ = tuple({x: x for x in dist} for dist in emit)
-    return EpsilonMachine(emit=emit, succ=succ, symbols=tuple(range(T.n)))
+    return _announcing(T.rows, T.n)
 
 
 def induced_chain(machine: EpsilonMachine) -> TransitionMatrix:
@@ -170,14 +168,16 @@ def induced_chain(machine: EpsilonMachine) -> TransitionMatrix:
     n = machine.n
     zero = Fraction(0) if machine.exact else 0.0
     rows = [[zero] * n for _ in range(n)]
-    for i, dist in enumerate(machine.emit):
-        for x, pr in dist.items():
-            rows[i][machine.succ[i][x]] += pr
+    for row, edges in zip(rows, machine.edges):
+        for _, pr, nxt in edges:
+            row[nxt] += pr
     if not machine.exact:
         # aggregation can overshoot 1 by a few ulp; dividing by the row sum
         # keeps every entry in [0, 1] without moving anything beyond the
         # tolerance the machine was validated under
-        rows = [[v / sum(row) for v in row] for row in rows]
+        for row in rows:
+            total = sum(row)
+            row[:] = [v / total for v in row]
     return TransitionMatrix(rows)
 
 
@@ -348,13 +348,6 @@ def sample_edges(rows, start: int, steps: int,
     return emitted, state
 
 
-def edge_table(machine: EpsilonMachine) -> list:
-    """The machine's ``(symbol, probability, next_state)`` edges per state,
-    in symbol order, for ``sample_edges``."""
-    return [[(x, pr, machine.succ[i][x]) for x, pr in sorted(dist.items())]
-            for i, dist in enumerate(machine.emit)]
-
-
 MAX_KGRAM = 8
 
 
@@ -383,8 +376,8 @@ def exact_kgram_distribution(machine: EpsilonMachine, k: int,
     for _ in range(k):
         nxt: dict = {}
         for (word, i), w in frontier.items():
-            for x, pr in machine.emit[i].items():
-                key = (word + (x,), machine.succ[i][x])
+            for x, pr, after in machine.edges[i]:
+                key = (word + (x,), after)
                 nxt[key] = nxt.get(key, 0) + w * pr
         frontier = nxt
     for (word, _), w in frontier.items():
@@ -397,15 +390,13 @@ def context_law(machine: EpsilonMachine, h: int) -> np.ndarray:
 
     Row c, column y is P(c y) / P(c) from the (h + 1)-word law, rounded
     after the division; row c codes its context as ``stats.context_counts``
-    does, with symbols indexed by position in ``machine.symbols``.
-    Contexts the process never emits get a row of zeros.
+    does.  Contexts the process never emits get a row of zeros.
     """
-    m = len(machine.symbols)
-    index = {x: i for i, x in enumerate(machine.symbols)}
+    m = machine.n_symbols
     rows: dict = {}
     for word, w in exact_kgram_distribution(machine, h + 1).items():
-        c = int(np.ravel_multi_index([index[x] for x in word[:-1]], (m,) * h))
-        rows.setdefault(c, {})[index[word[-1]]] = w
+        c = int(np.ravel_multi_index(word[:-1], (m,) * h))
+        rows.setdefault(c, {})[word[-1]] = w
     law = np.zeros((m ** h, m))
     for c, row in rows.items():
         total = sum(row.values())

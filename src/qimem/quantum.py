@@ -143,17 +143,16 @@ def quantum_causal_states(machine: EpsilonMachine) -> list[np.ndarray]:
     """Amplitude-encoded causal states on the (state x output) product space.
 
     State i maps to the unit vector with amplitude sqrt(P(x, j | i)) at the
-    flat index j * |alphabet| + position of x.  Pairwise overlaps are the
-    sums of square-root transition products, which is what makes the
-    encoding compressible below the classical state count.
+    flat index j * n_symbols + x.  Pairwise overlaps are the sums of
+    square-root transition products, which is what makes the encoding
+    compressible below the classical state count.
     """
-    a = len(machine.symbols)
-    pos = {x: c for c, x in enumerate(machine.symbols)}
+    a = machine.n_symbols
     out = []
-    for i in range(machine.n):
+    for edges in machine.edges:
         vec = np.zeros(machine.n * a)
-        for x, pr in machine.emit[i].items():
-            vec[machine.succ[i][x] * a + pos[x]] = math.sqrt(float(pr))
+        for x, pr, nxt in edges:
+            vec[nxt * a + x] = math.sqrt(float(pr))
         out.append(check_unit(vec))
     return out
 

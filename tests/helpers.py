@@ -37,16 +37,17 @@ def random_machine(rng: np.random.Generator, n_states: int,
                    n_symbols: int) -> EpsilonMachine:
     """Random unifilar machine whose state chain is irreducible."""
     while True:
-        emit, succ = [], []
+        edges = []
         for _ in range(n_states):
             k = int(rng.integers(1, n_symbols + 1))
             syms = rng.choice(n_symbols, size=k, replace=False)
             probs = np.maximum(rng.dirichlet(np.ones(k)), 1e-6)
             probs /= probs.sum()
-            emit.append({int(x): float(w) for x, w in zip(syms, probs)})
-            succ.append({int(x): int(rng.integers(0, n_states)) for x in syms})
-        machine = EpsilonMachine(emit=tuple(emit), succ=tuple(succ),
-                                 symbols=tuple(range(n_symbols)))
+            nexts = [int(rng.integers(0, n_states)) for _ in syms]
+            edges.append(tuple(sorted(
+                (int(x), float(w), nx)
+                for x, w, nx in zip(syms, probs, nexts))))
+        machine = EpsilonMachine(tuple(edges), n_symbols)
         try:
             stationary(induced_chain(machine))
         except ReducibleChainError:

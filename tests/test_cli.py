@@ -190,6 +190,21 @@ def test_simulate_numeric_failure_exit(tmp_path):
                "--matrix", str(matrix), "--seed", "1") == 3
 
 
+def test_simulate_memory_error_is_numeric_error(monkeypatch, capsys):
+    """An ensemble too large to allocate is a numerical error, reported on
+    one line, not a statistical failure with a traceback."""
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(samplers, "_words", no_memory)
+    assert run("simulate", "--model", "coin", "--algo", "qi-ensemble",
+               "--p", "0.3", "--samples", str(2 ** 40), "--steps", "1",
+               "--seed", "1") == cli.NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: Unable to allocate 8.00 TiB\n"
+
+
 def test_simulate_nan_is_numeric_error():
     for algo in ("qi-ensemble", "baseline"):
         assert run("simulate", "--model", "coin", "--algo", algo,

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from qimem import markov
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, binary_entropy,
-                          coin_mutual_info_bound, context_law, edge_table,
-                          entropy_bits, exact_kgram_distribution,
-                          induced_chain, machine_from_chain, perturbed_coin,
+                          coin_mutual_info_bound, context_law, entropy_bits,
+                          exact_kgram_distribution, induced_chain,
+                          machine_from_chain, perturbed_coin,
                           post_processed_coin, sample_edges, stationary,
                           statistical_memory, topological_memory)
 from qimem.quantum import circuit_step_table
@@ -59,10 +59,9 @@ def test_matrix_numpy_roundtrip():
 
 def test_coin_machine():
     m = perturbed_coin(F(1, 4))
-    assert m.exact and m.n == 2 and m.symbols == (0, 1)
-    assert m.emit[0] == {0: F(3, 4), 1: F(1, 4)}
-    assert m.emit[1] == {0: F(1, 4), 1: F(3, 4)}
-    assert m.succ[0] == {0: 0, 1: 1} and m.succ[1] == {0: 0, 1: 1}
+    assert m.exact and m.n == 2 and m.n_symbols == 2
+    assert m.edges == (((0, F(3, 4), 0), (1, F(1, 4), 1)),
+                       ((0, F(1, 4), 0), (1, F(3, 4), 1)))
     chain = induced_chain(m)
     assert chain[0][1] == F(1, 4) and chain[1][1] == F(3, 4)
 
@@ -70,31 +69,39 @@ def test_coin_machine():
 def test_coin_degenerate_ends():
     # zero-probability emissions are dropped from the support
     frozen = perturbed_coin(0)
-    assert frozen.emit[0] == {0: 1} and frozen.emit[1] == {1: 1}
+    assert frozen.edges == (((0, 1, 0),), ((1, 1, 1),))
     hot = perturbed_coin(1)
-    assert hot.emit[0] == {1: 1} and hot.emit[1] == {0: 1}
+    assert hot.edges == (((1, 1, 1),), ((0, 1, 0),))
     with pytest.raises(ValueError):
         perturbed_coin(1.2)
 
 
 def test_postproc_machine():
     m = post_processed_coin(F(1, 9), F(2, 3))
-    assert m.exact and m.n == 3 and m.symbols == (0, 1, 2)
-    assert m.emit[0] == {0: F(8, 9), 2: F(1, 9)}
-    assert m.emit[1] == {0: F(16, 27), 1: F(1, 3), 2: F(2, 27)}
-    assert m.emit[2] == {1: 1}
+    assert m.exact and m.n == 3 and m.n_symbols == 3
     # emitted symbol names the successor state
-    for i in range(3):
-        assert m.succ[i] == {x: x for x in m.emit[i]}
+    assert m.edges == (((0, F(8, 9), 0), (2, F(1, 9), 2)),
+                       ((0, F(16, 27), 0), (1, F(1, 3), 1),
+                        (2, F(2, 27), 2)),
+                       ((1, 1, 1),))
 
 
 def test_machine_validation():
-    with pytest.raises(ValueError):
-        EpsilonMachine(emit=({0: 1.0},), succ=({0: 5},), symbols=(0,))
-    with pytest.raises(ValueError):
-        EpsilonMachine(emit=({0: 0.5},), succ=({0: 0},), symbols=(0,))
-    with pytest.raises(ValueError):
-        EpsilonMachine(emit=({3: 1.0},), succ=({3: 0},), symbols=(0, 1))
+    nan = float("nan")
+    for edges, n_symbols, reason in [
+        ((((0, 1.0, 5),),), 1, "successor"),           # past the states
+        ((((0, 1.0, -1),),), 1, "successor"),          # negative
+        ((((0, 0.5, 0),),), 1, "sum"),
+        ((((3, 1.0, 0),),), 2, "symbol 3"),            # past n_symbols
+        ((((1, 0.5, 0), (0, 0.5, 0)),), 2, "symbol 0"),  # decreasing
+        # one symbol twice: not unifilar
+        ((((0, 0.5, 0), (0, 0.5, 1)), ((0, 1.0, 0),)), 2, "symbol 0"),
+        ((((0, nan, 0), (1, 1.0, 0)),), 2, "sum"),
+        ((((0, 1.0, 0),), ()), 1, "state 1 has no outputs"),
+        ((), 1, "at least one state"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            EpsilonMachine(edges, n_symbols)
 
 
 def test_nan_and_inf_rejected():
@@ -105,8 +112,7 @@ def test_nan_and_inf_rejected():
         with pytest.raises(ValueError):
             TransitionMatrix([[1.0, 0.0], [bad, 1.0]])
         with pytest.raises(ValueError):
-            EpsilonMachine(emit=({0: bad, 1: 0.5},), succ=({0: 0, 1: 0},),
-                           symbols=(0, 1))
+            EpsilonMachine((((0, bad, 0), (1, 0.5, 0)),), 2)
         with pytest.raises(ValueError):
             perturbed_coin(bad)
         with pytest.raises(ValueError):
@@ -211,13 +217,13 @@ def test_mutual_info_bound():
 
 
 def test_machine_table_walk_basics():
-    rows = edge_table(perturbed_coin(0.3))
-    assert rows == [[(0, 0.7, 0), (1, 0.3, 1)], [(0, 0.3, 0), (1, 0.7, 1)]]
+    rows = perturbed_coin(0.3).edges
+    assert rows == (((0, 0.7, 0), (1, 0.3, 1)), ((0, 0.3, 0), (1, 0.7, 1)))
     a, _ = sample_edges(rows, 0, 500, np.random.default_rng(42))
     b, _ = sample_edges(rows, 0, 500, np.random.default_rng(42))
     assert np.array_equal(a, b)
     assert len(a) == 500 and set(np.unique(a)) <= {0, 1}
-    frozen, _ = sample_edges(edge_table(perturbed_coin(0.0)), 0, 100,
+    frozen, _ = sample_edges(perturbed_coin(0.0).edges, 0, 100,
                              np.random.default_rng(1))
     assert not frozen.any()
     with pytest.raises(ValueError):
@@ -227,7 +233,7 @@ def test_machine_table_walk_basics():
 def edge_tables():
     """Machine, circuit and single-bit tables: the kernel's three callers."""
     rng = np.random.default_rng(11)
-    tables = [edge_table(random_machine(rng, n, a))
+    tables = [random_machine(rng, n, a).edges
               for n, a in ((1, 2), (2, 2), (3, 3), (4, 3), (5, 4))]
     tables += [circuit_step_table("coin", 0.3),
                circuit_step_table("postproc", F(1, 9), F(2, 3)),

@@ -36,15 +36,15 @@ P_GRID = [i / 10 for i in range(11)]
 
 
 def gram_from_machine(machine) -> np.ndarray:
-    """Overlap matrix of the encoded memory states, straight from emit/succ."""
+    """Overlap matrix of the encoded memory states, straight from the edges:
+    a pair of edges overlaps where symbol and successor agree."""
     n = machine.n
     G = np.eye(n)
     for i in range(n):
         for k in range(i + 1, n):
-            s = sum(math.sqrt(float(machine.emit[i][x]) * float(machine.emit[k][x]))
-                    for x in machine.emit[i]
-                    if x in machine.emit[k]
-                    and machine.succ[i][x] == machine.succ[k][x])
+            s = sum(math.sqrt(float(a) * float(b))
+                    for x, a, nx in machine.edges[i]
+                    for y, b, ny in machine.edges[k] if (x, nx) == (y, ny))
             G[i, k] = G[k, i] = s
     return G
 
@@ -201,11 +201,11 @@ def test_coin_step_matches_machine():
         machine = perturbed_coin(p)
         refs = coin_memory_qubits(p)
         for j in range(2):
+            emit = {x: pr for x, pr, _ in machine.edges[j]}
             outcomes = protocol_step("coin", j, p)
             assert sum(pr for _, pr, _ in outcomes) == pytest.approx(1.0, abs=1e-14)
             for x, pr, post in outcomes:
-                assert pr == pytest.approx(float(machine.emit[j].get(x, 0)),
-                                           abs=1e-13)
+                assert pr == pytest.approx(float(emit.get(x, 0)), abs=1e-13)
                 if pr > 0:
                     assert np.allclose(post, refs[x], atol=1e-13)
 
@@ -228,11 +228,11 @@ def test_postproc_step_matches_machine():
         machine = post_processed_coin(p, q)
         refs = postproc_memory_qubits(q)
         for j in range(3):
+            emit = {x: pr for x, pr, _ in machine.edges[j]}
             outcomes = protocol_step("postproc", j, p, q)
             assert sum(pr for _, pr, _ in outcomes) == pytest.approx(1.0, abs=1e-14)
             for x, pr, post in outcomes:
-                assert pr == pytest.approx(float(machine.emit[j].get(x, 0)),
-                                           abs=1e-13)
+                assert pr == pytest.approx(float(emit.get(x, 0)), abs=1e-13)
                 if pr > 0:
                     assert np.allclose(post, refs[x], atol=1e-13)
             b = protocol_step("postproc", j, p, q,

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qimem.markov import (as_cdf, context_law, edge_table, induced_chain,
-                          perturbed_coin, post_processed_coin, sample_edges,
-                          stationary)
+from qimem.markov import (as_cdf, context_law, induced_chain, perturbed_coin,
+                          post_processed_coin, sample_edges, stationary)
 from qimem.quantum import circuit_step_table
 from qimem.samplers import single_bit_start, single_bit_table
 from qimem.stats import compare_transitions, context_counts, transition_counts
@@ -233,7 +232,7 @@ def test_trajectory_samplers_calibrate_at_five_sigma():
     machine = post_processed_coin(p, q)
     cdf = as_cdf(stationary(induced_chain(machine)))
     law = context_law(machine, 2)
-    tables = {"baseline": edge_table(machine),
+    tables = {"baseline": machine.edges,
               "quantum": circuit_step_table("postproc", p, q),
               "single-bit": single_bit_table(p, q)}
     failed = []
