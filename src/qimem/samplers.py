@@ -28,6 +28,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,7 +54,13 @@ def _words(seed: int, step: int, substream: int, count: int) -> np.ndarray:
 
 def _threshold(x):
     """``ceil(x * 2**53)`` as uint64, elementwise: a word's uniform is below
-    x exactly when ``word >> 11`` is below it, as scaling by 2**53 is exact."""
+    x exactly when ``word >> 11`` is below it, as scaling by 2**53 is exact.
+    Exact rationals get the ceiling in integers, without a rounding to float
+    that could leave it one short."""
+    x = np.asarray(x)
+    if x.dtype == object:
+        return np.array([-(-v.numerator * 2 ** 53 // v.denominator)
+                         for v in x.flat], dtype=np.uint64).reshape(x.shape)
     return np.ceil(np.asarray(x, dtype=np.float64) * 2.0 ** 53).astype(np.uint64)
 
 
@@ -241,10 +248,12 @@ class GeneralQISampler(_Ensemble):
         super().__init__(n_samples, seed)
         t = RerouteTables.from_chain(chain)
         self.expected_saved = float(expected_memory(t)[0])
-        self._pi = _threshold(as_cdf(t.pi))
+        # an exact chain's CDFs are summed in Fractions, and end at 1 exactly
+        cdf = (lambda w: list(accumulate(w))) if chain.exact else as_cdf
+        self._pi = _threshold(cdf(t.pi))
         self._f = _threshold(t.f)
         self._rminus = _threshold(t.rminus)
-        self._rplus = _threshold([as_cdf(row) if fj else np.ones(t.n)
+        self._rplus = _threshold([cdf(row) if fj else (1,) * t.n
                                   for fj, row in zip(t.f, t.rplus)])
         values = np.searchsorted(self._pi, self._draw(0, 0) >> _SHIFT,
                                  side="right").astype(np.int64)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qimem import markov
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, as_cdf, induced_chain, stationary)
 from qimem.samplers import RerouteTables
@@ -53,6 +54,42 @@ def random_machine(rng: np.random.Generator, n_states: int,
         except ReducibleChainError:
             continue
         return machine
+
+
+def reference_stationary(T: TransitionMatrix) -> np.ndarray:
+    """The float power iteration that ``markov.stationary`` must reproduce
+    byte for byte: one iterate at a time, with a fresh array for every
+    product, difference and average.  Reads ``MAX_POWER_ITER`` at call
+    time and raises ``ConvergenceError`` after that many iterates."""
+    A = np.array([[float(v) for v in row] for row in T.rows])
+    pi = np.full(T.n, 1.0 / T.n)
+    for _ in range(markov.MAX_POWER_ITER):
+        step = pi @ A
+        if np.max(np.abs(step - pi)) < markov.STATIONARY_TOL:
+            return pi
+        pi = 0.5 * (step + pi)
+        pi /= pi.sum()
+    raise markov.ConvergenceError("reference power iteration did not converge")
+
+
+def reference_strongly_connected(T: TransitionMatrix) -> bool:
+    """Depth-first search over the positive entries of T, forward and
+    backward from state 0: the plainest irreducibility test."""
+    def reach(adj):
+        seen = {0}
+        stack = [0]
+        while stack:
+            j = stack.pop()
+            for i in adj[j]:
+                if i not in seen:
+                    seen.add(i)
+                    stack.append(i)
+        return seen
+
+    n = T.n
+    fwd = [[i for i in range(n) if T[j][i] > 0] for j in range(n)]
+    bwd = [[j for j in range(n) if T[j][i] > 0] for i in range(n)]
+    return len(reach(fwd)) == n and len(reach(bwd)) == n
 
 
 def exact_coin_trajectory(p: float, steps: int,

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qimem import markov
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
@@ -25,7 +25,8 @@ from qimem.quantum import circuit_step_table
 from qimem.samplers import single_bit_table, three_state_demo_chain
 
 from helpers import (random_chain, random_machine, random_rational_chain,
-                     reference_edge_walk)
+                     reference_edge_walk, reference_stationary,
+                     reference_strongly_connected)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_PI = (F(2, 9), F(1, 2), F(5, 18))
@@ -55,6 +56,23 @@ def test_matrix_numpy_roundtrip():
     assert A.shape == (3, 3)
     assert A[1, 0] == pytest.approx(float(F(1, 9)), abs=0)
     assert TransitionMatrix(A.tolist()) == TransitionMatrix(A.tolist())
+
+
+TINY = F(1, 2**1100)  # positive, but 0.0 as a float
+
+
+@pytest.mark.parametrize("rows", [
+    random_chain(np.random.default_rng(4), 5).rows,
+    DEMO.rows,
+    [[0, 1], [0.25, 0.75]],
+    [[1 - TINY, TINY], [F(1, 2), F(1, 2)]],
+    [[F(10**400 + 1, 10**400 + 3), F(2, 10**400 + 3)], [1, 0]],
+])
+def test_matrix_numpy_is_each_entry_as_float(rows):
+    A = TransitionMatrix(rows).to_numpy()
+    entrywise = np.array([[float(v) for v in row] for row in rows])
+    assert A.dtype == np.float64 and A.shape == entrywise.shape
+    assert A.tobytes() == entrywise.tobytes()
 
 
 def test_coin_machine():
@@ -188,6 +206,151 @@ def test_stationary_iteration_budget(monkeypatch):
     monkeypatch.setattr(markov, "MAX_POWER_ITER", 10)
     with pytest.raises(markov.ConvergenceError):
         stationary(slow)
+
+
+# bench/workloads.py's slow-mixing chain: gap 1e-3, 43,269 iterates
+SLOW_MATRIX = [[0.99975, 0.00025], [0.00075, 0.99925]]
+
+
+def test_stationary_slow_chain_pinned():
+    pi = stationary(TransitionMatrix(SLOW_MATRIX))
+    assert pi.tolist() == [0.7499999999000511, 0.2500000000999489]
+
+
+def _floored_chain(rows) -> TransitionMatrix:
+    rows = np.maximum(rows, 1e-12)
+    return TransitionMatrix((rows / rows.sum(axis=1, keepdims=True)).tolist())
+
+
+@st.composite
+def dirichlet_chains(draw):
+    """Dense chains of 2 to 64 states: rows longer than numpy's 8-element
+    pairwise-sum unroll sum in another order than short ones."""
+    n = draw(st.integers(2, 64))
+    alpha = draw(st.sampled_from((0.3, 1.0, 5.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _floored_chain(rng.dirichlet(np.full(n, alpha), n))
+
+
+@st.composite
+def rotation_chains(draw):
+    """Near-periodic chains (1 - eps) roll(I) + eps R with R random."""
+    n = draw(st.integers(2, 24))
+    eps = 10.0 ** draw(st.floats(-3, 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rotation = np.roll(np.eye(n), 1, axis=1)
+    return _floored_chain((1 - eps) * rotation
+                          + eps * rng.dirichlet(np.ones(n), n))
+
+
+@st.composite
+def two_state_chains(draw):
+    """Slow-mixing two-state chains: spectral gap a + b from 1e-2 to 1e-4."""
+    gap = 10.0 ** draw(st.floats(-4, -2))
+    a = gap * draw(st.floats(0.05, 0.95))
+    return TransitionMatrix([[1 - a, a], [gap - a, 1 - (gap - a)]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(chain=st.one_of(dirichlet_chains(), rotation_chains()))
+def test_stationary_bytes_match_reference(chain):
+    assert stationary(chain).tobytes() == reference_stationary(chain).tobytes()
+
+
+# each gap-1e-4 chain, which Hypothesis always tries, takes ~390,000 iterates
+@settings(max_examples=2, deadline=None)
+@given(chain=two_state_chains())
+@example(chain=TransitionMatrix(SLOW_MATRIX))
+def test_stationary_bytes_match_reference_slow_mixing(chain):
+    assert stationary(chain).tobytes() == reference_stationary(chain).tobytes()
+
+
+def _within_budget(solve, chain, budget, monkeypatch):
+    monkeypatch.setattr(markov, "MAX_POWER_ITER", budget)
+    try:
+        return solve(chain).tobytes()
+    except markov.ConvergenceError:
+        return None
+
+
+def test_stationary_budget_counts_every_iterate(monkeypatch):
+    # find the least budget that converges, then check the solver against
+    # the reference on both sides of it and around block boundaries
+    chain = TransitionMatrix([[0.97, 0.03], [0.02, 0.98]])
+    lo, hi = 1, 4096
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _within_budget(reference_stationary, chain, mid, monkeypatch):
+            hi = mid
+        else:
+            lo = mid + 1
+    assert 256 < lo < 4096
+    for budget in (1, 255, 256, 257, lo - 1, lo, lo + 1, 4096):
+        assert (_within_budget(stationary, chain, budget, monkeypatch)
+                == _within_budget(reference_stationary, chain, budget,
+                                  monkeypatch)), budget
+
+
+# numpy warns when the positivity test meets the NaN
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_stationary_nan_residual_never_converges(monkeypatch):
+    # a NaN smuggled past validation: the first residuals are (0, NaN, 0),
+    # which a max that skips NaN would take for convergence
+    chain = TransitionMatrix([[1 / 3] * 3] * 3)
+    chain.rows = (chain.rows[0], (1 / 3, math.nan, 1 / 3), chain.rows[2])
+    monkeypatch.setattr(markov, "MAX_POWER_ITER", 10)
+    for solve in (stationary, reference_stationary):
+        with pytest.raises(markov.ConvergenceError):
+            solve(chain)
+
+
+@st.composite
+def sparse_digraph_chains(draw):
+    """Chains on random sparse digraphs, each row uniform on its edges.
+    In half of them every state also steps to the next one, so the chain
+    is irreducible until an edge is taken out."""
+    n = draw(st.integers(1, 12))
+    edges = set(draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=2 * n)))
+    if draw(st.booleans()):
+        edges |= {(j, (j + 1) % n) for j in range(n)}
+    return n, edges
+
+
+def _digraph_chain(n, edges) -> TransitionMatrix:
+    out = [[i for j2, i in edges if j2 == j] or [j] for j in range(n)]
+    return TransitionMatrix([[1.0 / len(out[j]) if i in out[j] else 0.0
+                              for i in range(n)] for j in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=sparse_digraph_chains())
+def test_strongly_connected_matches_dfs(graph):
+    n, edges = graph
+    # the graph and every graph one edge short of it; a state left without
+    # edges loops on itself
+    chains = [_digraph_chain(n, edges)]
+    chains += [_digraph_chain(n, edges - {e}) for e in edges]
+    for chain in chains:
+        assert (markov._strongly_connected(chain)
+                == reference_strongly_connected(chain))
+
+
+def test_strongly_connected_one_edge_short_of_a_cycle():
+    for n in (2, 3, 10, 50):
+        cycle = {(j, (j + 1) % n) for j in range(n)}
+        assert markov._strongly_connected(_digraph_chain(n, cycle))
+        # the last state loops on itself instead of closing the cycle
+        assert not markov._strongly_connected(
+            _digraph_chain(n, cycle - {(n - 1, 0)}))
+
+
+def test_tiny_exact_entry_is_an_edge():
+    chain = TransitionMatrix([[1 - TINY, TINY], [F(1, 2), F(1, 2)]])
+    assert chain.to_numpy()[0, 1] == 0.0
+    assert markov._strongly_connected(chain)
+    assert stationary(chain) == (1 / (1 + 2 * TINY), 2 * TINY / (1 + 2 * TINY))
 
 
 def test_entropy_units():

@@ -424,6 +424,28 @@ def test_below_is_exact_on_any_word(words, data):
     _assert_thresholds_exact(words, u, data.draw(st.one_of(*thresholds)))
 
 
+def test_exact_thresholds_are_exact_ceilings():
+    # through a float, 2/3 and 2/9 both land one below their ceilings
+    for x in (F(2, 3), F(2, 9), F(1, 3)):
+        t = int(samplers._threshold(x))
+        assert t == math.ceil(x * 2**53)
+        words = np.array([(t - 1) << 11, t << 11], dtype=np.uint64)
+        assert samplers._below(words, x).tolist() == [True, False]
+    table = samplers._threshold(((F(2, 3), F(1, 3)), (F(2, 9), 1)))
+    assert table.dtype == np.uint64
+    assert table.tolist() == [[math.ceil(x * 2**53) for x in row]
+                              for row in ((F(2, 3), F(1, 3)), (F(2, 9), 1))]
+
+
+def test_exact_chain_cdfs_summed_in_fractions():
+    sampler = GeneralQISampler(DEMO, 10, seed=0)
+    pi_cdf = [F(2, 9), F(13, 18), F(1)]
+    assert sampler._pi.tolist() == [math.ceil(c * 2**53) for c in pi_cdf]
+    rplus_cdf = [F(2, 3), F(2, 3), F(1)]  # r_plus row 0 is (2/3, 0, 1/3)
+    assert sampler._rplus[0].tolist() == [math.ceil(c * 2**53)
+                                          for c in rplus_cdf]
+
+
 def test_coin_ensemble_state_is_boolean():
     ensemble = CoinEnsemble(0.7, 1000, seed=3)
     for values in (ensemble.values, ensemble.step()):
