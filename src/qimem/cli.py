@@ -11,10 +11,11 @@ Exit codes: 0 pass, 1 statistical or verification failure, 2 usage error,
 3 numerical error.  A config file holds the subcommand's flags as a JSON
 object: each key is read as ``--key=<value text>`` before the flags on the
 command line, so explicit flags win and a value gets the checks of its flag.
-Values are strings or numbers (read as their text), and for ``exact`` a bool
-or "true"/"false".  A key the subcommand lacks and a null, list or object
-value are usage errors.  Runs with the same seed and config produce
-byte-identical outputs whatever --threads is set to.
+Values are strings or numbers, read as their text; a key the subcommand
+lacks and a bool, null, list or object value are usage errors.  A ratio
+``a/b`` is exact and a decimal a float; a ``--matrix`` with a string entry is
+exact.  Runs with the same seed and config produce byte-identical outputs
+whatever --threads is set to.
 """
 
 from __future__ import annotations
@@ -58,12 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="memory-frugal samplers with circuit and BP cross-checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, exact=False):
+    def common(sp):
         sp.add_argument("--out", help="output file")
         sp.add_argument("--config", help="JSON file of flag values")
-        if exact:
-            sp.add_argument("--exact", action="store_true",
-                            help="exact rational arithmetic where supported")
 
     sp = sub.add_parser("memory-curve",
                         help="coin memory measures on a p grid, as CSV")
@@ -95,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=1,
                     help="worker threads (default %(default)s)")
     sp.add_argument("--seed", type=int, required=True, help="RNG seed")
-    common(sp, exact=True)
+    common(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("bp-verify",
@@ -106,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=1,
                     help="chained protocol steps for the coin graph, "
                          f"at most {bp.MAX_COIN_STEPS} (default %(default)s)")
-    common(sp, exact=True)
+    common(sp)
     sp.set_defaults(func=cmd_bp_verify)
     return parser
 
@@ -135,8 +133,8 @@ def main(argv=None) -> int:
 
 def _load_config(argv) -> tuple[list, list[str]]:
     """Keys of the config file that ``--config`` names in a subcommand's
-    ``argv``, and the flags they spell: ``--key=<value text>``, or a bare
-    ``--exact`` for a true ``exact``.  No config gives no keys or flags."""
+    ``argv``, and the flags they spell: ``--key=<value text>``.  No config
+    gives no keys or flags."""
     try:
         path = _config_finder().parse_known_args(argv)[0].config
     except argparse.ArgumentError:  # --config without a value
@@ -152,16 +150,10 @@ def _load_config(argv) -> tuple[list, list[str]]:
         raise UsageError("config must be a JSON object")
     flags = []
     for key, value in config.items():
-        # "is", not "==": 1 == True, and {"exact": 1} must be refused
-        if key == "exact" and (value is True or value == "true"):
-            flags.append("--exact")
-        elif key == "exact" and (value is False or value == "false"):
-            continue
-        elif type(value) not in (str, int, float):  # a bool is no int here
+        if type(value) not in (str, int, float):  # a bool is no int here
             raise UsageError(f"config {key}={json.dumps(value)} is not a "
                              "string or number")
-        else:
-            flags.append(f"--{key}={value}")
+        flags.append(f"--{key}={value}")
     return list(config), flags
 
 
@@ -172,8 +164,8 @@ def _config_finder() -> argparse.ArgumentParser:
     return finder
 
 
-def _number(text, exact: bool, name: str):
-    """Parse a probability flag; "a/b" strings force exact mode.
+def _number(text, name: str):
+    """Parse a probability flag: a ``Fraction`` for "a/b", else a float.
 
     Text that is not a number and values outside [0, 1] are usage errors.
     NaN passes through, so the library rejects it as a numerical error.
@@ -181,11 +173,16 @@ def _number(text, exact: bool, name: str):
     if text is None:
         raise UsageError(f"--{name} is required here")
     try:
-        number = Fraction(text) if exact or "/" in text else float(text)
+        number = Fraction(text) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"--{name} {text!r} is not a number") from None
+    return _in_unit(number, f"--{name} = {text}")
+
+
+def _in_unit(number, what: str):
+    """``number``, or a usage error if it lies outside [0, 1]; NaN passes."""
     if number < 0 or number > 1:
-        raise UsageError(f"--{name} = {text} outside [0, 1]")
+        raise UsageError(f"{what} outside [0, 1]")
     return number
 
 
@@ -203,6 +200,15 @@ def _write_text(out, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_report(path, text: str) -> None:
+    """A report goes to stdout, and first to ``path`` when one is given, so
+    a report file that cannot be written leaves stdout empty."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
 
 
 # ----------------------------------------------------------------- curves
@@ -248,16 +254,14 @@ def cmd_appendix_a(args) -> int:
               for j in range(3)]
     lines += [f"saved_fraction={fraction}", f"bits_per_sample={bits}",
               f"kernel_exact={'true' if kernel_exact else 'false'}"]
-    text = "\n".join(lines) + "\n"
-    _write_text(args.out, text)
-    if args.out:
-        sys.stdout.write(text)
+    _write_report(args.out, "\n".join(lines) + "\n")
     return PASS if kernel_exact else STAT_FAIL
 
 
 # --------------------------------------------------------------- simulate
 
-def _load_matrix(path, exact: bool) -> TransitionMatrix:
+def _load_matrix(path) -> TransitionMatrix:
+    """The chain of a JSON file of rows, exact when any entry is a string."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -268,8 +272,7 @@ def _load_matrix(path, exact: bool) -> TransitionMatrix:
         raise UsageError("matrix file must be a JSON array of rows")
     if not raw or any(len(row) != len(raw) for row in raw):
         raise UsageError("matrix must be square and non-empty")
-    has_strings = any(isinstance(v, str) for row in raw for v in row)
-    exact = exact or has_strings
+    exact = any(isinstance(v, str) for row in raw for v in row)
     rows = []
     for row in raw:
         parsed = []
@@ -277,13 +280,14 @@ def _load_matrix(path, exact: bool) -> TransitionMatrix:
             if isinstance(v, bool):
                 raise UsageError(f"matrix entry {v!r} is not a number")
             if exact and isinstance(v, float) and not v.is_integer():
-                raise UsageError(
-                    "exact mode needs rational strings, not floats")
+                raise UsageError(f"matrix entry {v!r} is a float among "
+                                 "rational strings; write it as a string")
             try:
-                parsed.append(Fraction(v) if exact else float(v))
-            except (ValueError, TypeError, ZeroDivisionError):
+                number = Fraction(v) if exact else float(v)
+            except (ValueError, TypeError, ZeroDivisionError, OverflowError):
                 raise UsageError(
                     f"matrix entry {v!r} is not a number") from None
+            parsed.append(_in_unit(number, f"matrix entry {v!r}"))
         rows.append(parsed)
     return TransitionMatrix(rows)
 
@@ -321,16 +325,16 @@ def cmd_simulate(args) -> int:
 
     p = q = None
     if model == "coin":
-        p = _number(args.p, args.exact, "p")
+        p = _number(args.p, "p")
         machine = perturbed_coin(p)
     elif model == "postproc":
-        p = _number(args.p, args.exact, "p")
-        q = _number(args.q, args.exact, "q")
+        p = _number(args.p, "p")
+        q = _number(args.q, "q")
         machine = post_processed_coin(p, q)
     else:
         if not args.matrix:
             raise UsageError("--model custom needs --matrix")
-        machine = machine_from_chain(_load_matrix(args.matrix, args.exact))
+        machine = machine_from_chain(_load_matrix(args.matrix))
     chain = induced_chain(machine)
 
     # threads is a performance knob with no statistical footprint, so it
@@ -343,11 +347,7 @@ def cmd_simulate(args) -> int:
     else:
         body, code = _simulate_ensemble(chain, algo, p, seed, samples, steps,
                                         sigma, threads, out)
-    report = "\n".join(meta) + "\n" + body
-    sys.stdout.write(report)
-    if out:
-        with open(out + ".report.txt", "w", newline="") as fh:
-            fh.write(report)
+    _write_report(out and out + ".report.txt", "\n".join(meta) + "\n" + body)
     return code
 
 
@@ -464,12 +464,12 @@ def _verdict(counts, law, sigma, context, ensemble=None):
 
 def cmd_bp_verify(args) -> int:
     model, steps = args.model, args.steps
-    p = _number(args.p, args.exact, "p")
+    p = _number(args.p, "p")
     q = None
     if not 1 <= steps <= bp.MAX_COIN_STEPS:
         raise UsageError(f"--steps must be in 1..{bp.MAX_COIN_STEPS}")
     if model == "postproc":
-        q = _number(args.q, args.exact, "q")
+        q = _number(args.q, "q")
         if steps != 1:
             raise UsageError("--steps applies to the coin graph only")
     else:
@@ -487,10 +487,7 @@ def cmd_bp_verify(args) -> int:
     lines.append(f"max_deviation={worst!r}")
     passed = worst < BP_TOL
     lines.append(f"passed={'true' if passed else 'false'}")
-    text = "\n".join(lines) + "\n"
-    _write_text(args.out, text)
-    if args.out:
-        sys.stdout.write(text)
+    _write_report(args.out, "\n".join(lines) + "\n")
     return PASS if passed else STAT_FAIL
 
 

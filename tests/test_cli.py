@@ -289,6 +289,42 @@ def test_ensemble_outputs_pinned(tmp_path, capsys):
     assert len(steps0) == 1 + 5000 and steps0[1].startswith("0,0,")
 
 
+# sha256 of stdout of runs that spelled exactness with the --exact flag of
+# earlier releases: bias 0.3 (0.1 and 0.6 for single-bit) with --exact.  The
+# ratio spelling of the same bias must print the same bytes.
+RATIO_DIGESTS = {
+    "baseline":
+        "54db2ce204a5ec585cfc5009c8af866ea58b0fef0e9f132e96da46369bd6b211",
+    "qi-general":
+        "3d56b777f06512fd3db56bca35f92696ad22c21740963ae3e4b2e77acd20a961",
+    "qi-ensemble":
+        "69906ed9d2bb7f7ef0bdeb5ec501937c968c26ca48bd4759a3ca520b3c61cd79",
+    "single-bit":
+        "fb1aa4180fb64d80fe781daf467cd4751cad42a109bb8754f0336108ab204c8c",
+    "bp-verify":
+        "b8d689bf80e7519e39bdcf8c271f8bc3ecba1ac0a407a1974dfa4e2dca3beaac",
+}
+
+
+def test_ratio_bias_reproduces_exact_flag_outputs(capsys):
+    coin = ("simulate", "--model", "coin", "--p", "3/10", "--seed", "7")
+    ensemble = ("--samples", "2000", "--steps", "10")
+    commands = {
+        "baseline": coin + ("--algo", "baseline", "--steps", "2000"),
+        "qi-general": coin + ("--algo", "qi-general") + ensemble,
+        "qi-ensemble": coin + ("--algo", "qi-ensemble") + ensemble,
+        "single-bit": ("simulate", "--model", "postproc", "--algo",
+                       "single-bit", "--p", "1/10", "--q", "3/5",
+                       "--steps", "5000", "--seed", "7"),
+        "bp-verify": ("bp-verify", "--model", "coin", "--p", "3/10",
+                      "--steps", "2"),
+    }
+    for name, argv in commands.items():
+        assert run(*argv) == 0, name
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == RATIO_DIGESTS[name], name
+
+
 def _chain_file(tmp_path, n):
     """A JSON file of a DEMO_MATRIX (n=3) or of a float chain on n states."""
     path = tmp_path / f"chain{n}.json"
@@ -475,6 +511,10 @@ def test_ensemble_memory_independent_of_steps(capsys):
     ("appendix-a", "--seed", "1"),
     ("appendix-a", "--exact"),
     ("bp-verify", "--model", "coin", "--p", "0.3", "--seed", "1"),
+    # exactness is read from the numbers: a ratio or a string matrix entry
+    ("simulate", "--model", "coin", "--algo", "baseline", "--p", "0.3",
+     "--steps", "10", "--seed", "1", "--exact"),
+    ("bp-verify", "--model", "coin", "--p", "0.3", "--exact"),
     # model flags the chosen model would ignore
     ("simulate", "--model", "coin", "--algo", "baseline", "--p", "0.3",
      "--q", "0.5", "--steps", "10", "--seed", "1"),
@@ -491,7 +531,8 @@ def test_ensemble_memory_independent_of_steps(capsys):
         "q-above-one", "negative-seed", "seed-above-uint64",
         "bp-verify-zero-steps", "bp-verify-p-not-a-number",
         "memory-curve-seed", "memory-curve-exact", "appendix-a-seed",
-        "appendix-a-exact", "bp-verify-seed", "coin-q", "coin-matrix",
+        "appendix-a-exact", "bp-verify-seed", "simulate-exact",
+        "bp-verify-exact", "coin-q", "coin-matrix",
         "postproc-matrix", "custom-p", "custom-q", "bp-verify-coin-q"])
 def test_bad_input_is_usage_error(argv, capsys, tmp_path, monkeypatch):
     # a valid chain, so only the unread flag can be at fault
@@ -509,8 +550,13 @@ def test_bad_input_is_usage_error(argv, capsys, tmp_path, monkeypatch):
     [["1/2", "x"], ["1/2", "1/2"]],
     [[0.5, 0.5], [True, False]],
     [["1/2", "1/2"], ["1/2", True]],
+    [["1/2", 0.5], ["1/2", "1/2"]],
+    [[10 ** 400, 0.5], [0.5, 0.5]],
+    [[1.5, -0.5], [0.5, 0.5]],
+    [["3/2", "-1/2"], ["1/2", "1/2"]],
 ], ids=["non-square", "ragged", "empty", "null-entry", "bad-rational",
-        "bool-entries", "bool-among-rationals"])
+        "bool-entries", "bool-among-rationals", "float-among-rationals",
+        "int-too-large-for-float", "entry-above-one", "rational-above-one"])
 def test_bad_matrix_is_usage_error(tmp_path, capsys, matrix):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(matrix))
@@ -557,6 +603,7 @@ SIMULATE_CONFIG = {"model": "coin", "algo": "qi-ensemble", "p": 0.3,
     ("simulate", {"exact": "yes"}),
     ("simulate", {"exact": 1}),
     ("simulate", {"exact": None}),
+    ("simulate", {"exact": True}),
     ("bp-verify", {"model": "coin", "p": 0.3, "exact": "False"}),
     ("simulate", {"model": "foo"}),
     ("bp-verify", {"model": "foo", "p": 0.3}),
@@ -570,7 +617,7 @@ SIMULATE_CONFIG = {"model": "coin", "algo": "qi-ensemble", "p": 0.3,
         "threads-list", "sigma-text", "sigma-bool", "sigma-nan",
         "sigma-negative", "p-bool", "grid-text", "grid-float",
         "bp-verify-steps-text", "bp-verify-steps-bool", "exact-text",
-        "exact-int", "exact-null", "bp-verify-exact-text", "model-unknown",
+        "exact-int", "exact-null", "exact-bool", "bp-verify-exact-text", "model-unknown",
         "bp-verify-model-unknown", "matrix-list", "key-misspelt",
         "key-prefix", "memory-curve-seed", "coin-q"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
@@ -593,18 +640,6 @@ def test_config_numbers_as_text(tmp_path, capsys):
                                "sigma": 5}))
     assert run("simulate", "--config", str(cfg)) == 0
     assert capsys.readouterr().out == as_text
-
-
-def test_config_exact_as_text(tmp_path):
-    # a float matrix runs unless exact mode is on, however it is spelled
-    matrix = tmp_path / "chain.json"
-    matrix.write_text(json.dumps([[0.5, 0.5], [0.25, 0.75]]))
-    cfg = tmp_path / "cfg.json"
-    for exact, code in (("false", 0), (False, 0), ("true", 2), (True, 2)):
-        cfg.write_text(json.dumps({
-            "model": "custom", "algo": "qi-general", "matrix": str(matrix),
-            "seed": 1, "samples": 100, "steps": 5, "exact": exact}))
-        assert run("simulate", "--config", str(cfg)) == code
 
 
 def test_config_number_is_read_as_text(tmp_path, monkeypatch, capsys):
@@ -670,10 +705,10 @@ def test_shared_parser_after_usage_errors(capsys):
 
 
 def test_shared_parser_drops_config_values(tmp_path, capsys):
-    """Values a config file supplied, --exact included, are gone from the
-    next call, which reads only its own flags and the defaults."""
+    """Values a config file supplied are gone from the next call, which
+    reads only its own flags and the defaults."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**SIMULATE_CONFIG, "exact": True}))
+    cfg.write_text(json.dumps(SIMULATE_CONFIG))
     assert run("simulate", "--config", str(cfg)) == 0
     flags = ("simulate", "--model", "coin", "--algo", "qi-ensemble",
              "--p", "0.3", "--seed", "2", "--steps", "3")
@@ -684,22 +719,21 @@ def test_shared_parser_drops_config_values(tmp_path, capsys):
     assert out == fresh_process(*flags)
 
 
-def test_shared_parser_drops_exact(capsys):
-    """--exact on one call does not make the next call exact: at --p 0.3
-    exact and float arithmetic print different deviations."""
-    float_run = ("bp-verify", "--model", "coin", "--p", "0.3")
-    assert run(*float_run, "--exact") == 0
-    exact_out = capsys.readouterr().out
-    assert run("bp-verify", "--model", "coin", "--exact", "--p", "1/3") == 0
-    capsys.readouterr()
-    assert run(*float_run) == 0
-    out = capsys.readouterr().out
-    assert out == fresh_process(*float_run)
-    assert out != exact_out
-
-
 def test_unwritable_out_is_usage_error(tmp_path):
     assert run("memory-curve", "--out", str(tmp_path / "no" / "dir.csv")) == 2
+
+
+def test_unwritable_report_prints_nothing(tmp_path, capsys):
+    """The report file is written before stdout, so a report path that
+    cannot be opened (here a directory) exits 2 with stdout empty."""
+    out = tmp_path / "traj.txt"
+    (tmp_path / "traj.txt.report.txt").mkdir()
+    assert run("simulate", "--model", "coin", "--algo", "baseline",
+               "--p", "0.3", "--steps", "10", "--seed", "1",
+               "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
 
 
 def test_bp_verify_coin(tmp_path, capsys):
