@@ -335,11 +335,13 @@ def _chain_file(tmp_path, n):
 
 
 # sha256 of stdout, the --out file and the report of the custom-chain runs,
-# with their exit codes: the rational demo chain and float chains of 12 and
-# 50 states, through the chain -> machine -> chain round trip of simulate.
-# The 12-state baseline run exits 1 on a correct sampler: its row 7.5 scores
-# z = 5.10 on a cell the binomial normal approximation misjudges at small
-# expected counts.
+# with their exit codes: the rational demo chain and float chains of 12, 50
+# and 200 states, through the chain -> machine -> chain round trip of
+# simulate.  The rows of the 200-state chain are longer than the 128 entries
+# of a numpy pairwise-sum block.  Two runs exit 1 on a correct sampler, on
+# cells the binomial normal approximation misjudges at small expected
+# counts: the 12-state baseline's row 7.5 scores z = 5.10, and the 200-state
+# qi-general's row 27 scores z = 17.3.
 CUSTOM_DIGESTS = {
     "baseline-3":
         (0, "ffb3ec83e8b36ef540ae7372d89870705a74fc6d2e1de2a411fbe3ed8968090f"),
@@ -347,6 +349,8 @@ CUSTOM_DIGESTS = {
         (1, "427b37121443b4508b46ec27ff568b5c1b41aa3f665f17e698f95fa665edfafd"),
     "qi-general-50":
         (0, "f51cc09f6579849787cc65145d87de34fce8a99e35e390b7c5f81613a7cc4233"),
+    "qi-general-200":
+        (1, "6a86fdf10ed80d329593e0371166fea87223b44720c1614f1c601a54f1705fbd"),
 }
 
 
@@ -356,6 +360,8 @@ def test_custom_outputs_pinned(tmp_path, capsys):
         "baseline-12": (12, "baseline", "--steps", "20000", "--seed", "5"),
         "qi-general-50": (50, "qi-general", "--samples", "2000",
                           "--steps", "10", "--seed", "5"),
+        "qi-general-200": (200, "qi-general", "--samples", "2000",
+                           "--steps", "10", "--seed", "5"),
     }
     for name, (states, algo, *flags) in commands.items():
         out = tmp_path / f"{name}.txt"
