@@ -33,8 +33,8 @@ import numpy as np
 from . import bp, markov, quantum, samplers, stats
 from .markov import (EpsilonMachine, TransitionMatrix, as_cdf,
                      coin_mutual_info_bound, context_law, induced_chain,
-                     machine_from_chain, perturbed_coin, post_processed_coin,
-                     sample_edges, stationary)
+                     machine_from_chain, normalized_chain, perturbed_coin,
+                     post_processed_coin, sample_edges, stationary)
 
 PASS, STAT_FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 BP_TOL = 1e-10
@@ -176,13 +176,8 @@ def _number(text, name: str):
         number = Fraction(text) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"--{name} {text!r} is not a number") from None
-    return _in_unit(number, f"--{name} = {text}")
-
-
-def _in_unit(number, what: str):
-    """``number``, or a usage error if it lies outside [0, 1]; NaN passes."""
     if number < 0 or number > 1:
-        raise UsageError(f"{what} outside [0, 1]")
+        raise UsageError(f"--{name} = {text} outside [0, 1]")
     return number
 
 
@@ -239,9 +234,8 @@ def cmd_appendix_a(args) -> int:
     p, q = Fraction(1, 9), Fraction(2, 3)
     chain = samplers.three_state_demo_chain(p, q)
     tables = samplers.RerouteTables.from_chain(chain)
-    kernel = samplers.effective_kernel(tables)
-    kernel_exact = all(kernel[j][i] == chain[j][i]
-                       for j in range(3) for i in range(3))
+    kernel_exact = bool(np.all(samplers.effective_kernel(tables)
+                               == chain.array))
     fraction, bits = samplers.expected_memory(tables)
     lines = [f"chain_p={p}", f"chain_q={q}",
              f"pi={_over_common_denominator(tables.pi)}"]
@@ -273,28 +267,27 @@ def _load_matrix(path) -> TransitionMatrix:
     if not raw or any(len(row) != len(raw) for row in raw):
         raise UsageError("matrix must be square and non-empty")
     exact = any(isinstance(v, str) for row in raw for v in row)
-    rows = []
-    for row in raw:
-        parsed = []
-        for v in row:
-            if isinstance(v, bool):
-                raise UsageError(f"matrix entry {v!r} is not a number")
-            if exact and isinstance(v, float) and not v.is_integer():
-                raise UsageError(f"matrix entry {v!r} is a float among "
-                                 "rational strings; write it as a string")
-            try:
-                number = Fraction(v) if exact else float(v)
-            except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-                raise UsageError(
-                    f"matrix entry {v!r} is not a number") from None
-            parsed.append(_in_unit(number, f"matrix entry {v!r}"))
-        rows.append(parsed)
-    return TransitionMatrix(rows)
+
+    def number(v):
+        if isinstance(v, bool):
+            raise UsageError(f"matrix entry {v!r} is not a number")
+        if exact and isinstance(v, float) and not v.is_integer():
+            raise UsageError(f"matrix entry {v!r} is a float among "
+                             "rational strings; write it as a string")
+        try:
+            x = Fraction(v) if exact else float(v)
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+            raise UsageError(f"matrix entry {v!r} is not a number") from None
+        if x < 0 or x > 1:  # NaN passes, so the chain rejects it
+            raise UsageError(f"matrix entry {v!r} outside [0, 1]")
+        return x
+
+    return TransitionMatrix([[number(v) for v in row] for row in raw])
 
 
 def _stationary_start(chain: TransitionMatrix, rng: np.random.Generator) -> int:
-    return int(np.searchsorted(as_cdf(stationary(chain)), rng.random(),
-                               side="right"))
+    pi = np.array(stationary(chain), dtype=float)
+    return int(np.searchsorted(as_cdf(pi), rng.random(), side="right"))
 
 
 def _saved_fraction_z(observed: float, expected: float, draws: int) -> float:
@@ -323,25 +316,29 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"algo {algo} is not defined for model {model}")
     _refuse_unread(args, *unread[model])
 
+    trajectory = algo in ("baseline", "quantum", "single-bit")
     p = q = None
-    if model == "coin":
-        p = _number(args.p, "p")
-        machine = perturbed_coin(p)
-    elif model == "postproc":
-        p = _number(args.p, "p")
-        q = _number(args.q, "q")
-        machine = post_processed_coin(p, q)
-    else:
+    if model == "custom":
         if not args.matrix:
             raise UsageError("--model custom needs --matrix")
-        machine = machine_from_chain(_load_matrix(args.matrix))
-    chain = induced_chain(machine)
+        parsed = _load_matrix(args.matrix)
+        chain = normalized_chain(parsed.array)
+        # a trajectory walks the entries as parsed, not as normalized
+        machine = machine_from_chain(parsed) if trajectory else None
+    else:
+        p = _number(args.p, "p")
+        if model == "coin":
+            machine = perturbed_coin(p)
+        else:
+            q = _number(args.q, "q")
+            machine = post_processed_coin(p, q)
+        chain = induced_chain(machine)
 
     # threads is a performance knob with no statistical footprint, so it
     # stays out of the report: outputs are byte-identical whatever its value
     meta = [f"model={model}", f"algo={algo}", f"seed={seed}",
             f"samples={samples}", f"steps={steps}", f"sigma={sigma!r}"]
-    if algo in ("baseline", "quantum", "single-bit"):
+    if trajectory:
         body, code = _simulate_trajectory(machine, chain, model, algo, p, q,
                                           seed, steps, sigma, out)
     else:

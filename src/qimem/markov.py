@@ -39,38 +39,63 @@ class TransitionMatrix:
 
     Parameters
     ----------
-    rows : sequence of sequences
+    rows : sequence of sequences, or a 2-D array
         ``rows[j][i]`` is the probability of the transition j -> i.  Every
-        entry must lie in [0, 1] and every row must sum to 1 within 1e-12.
-        If all entries are rationals the matrix is flagged exact and exact
-        arithmetic is used wherever supported.
+        entry must lie in [0, 1].  ``array`` holds the entries as Fractions
+        (an ``object`` array) when all of them are rationals, and as float64
+        otherwise; a Fraction row must sum to 1 exactly, a float row within
+        1e-12.
     """
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("transition matrix must be square and non-empty")
-        for j, row in enumerate(rows):
-            for v in row:
-                _check_unit_interval(v, f"entry in row {j}")
-            if not abs(sum(row) - 1) <= ROW_SUM_TOL:
-                raise ValueError(f"row {j} sums to {float(sum(row))!r}, not 1")
-        self.rows = rows
-        self.n = n
-        self.exact = all(_is_exact(v) for row in rows for v in row)
-
-    def __getitem__(self, j):
-        return self.rows[j]
+        self.array = array = _chain_array(rows)
+        self.n = len(array)
+        self.exact = array.dtype == object
+        outside = np.argwhere(~((array >= 0) & (array <= 1)))
+        if outside.size:
+            j, i = outside[0]
+            raise ValueError(f"entry in row {j} = {array[j].tolist()[i]!r} "
+                             "outside [0, 1]")
+        sums = _row_sums(array)
+        tol = 0 if self.exact else ROW_SUM_TOL  # Fractions do not round
+        off = np.flatnonzero(~(abs(sums - 1) <= tol))
+        if off.size:
+            raise ValueError(f"row {off[0]} sums to {sums.tolist()[off[0]]}, "
+                             "not 1")
 
     def __eq__(self, other):
-        return isinstance(other, TransitionMatrix) and self.rows == other.rows
+        return (isinstance(other, TransitionMatrix)
+                and np.array_equal(self.array, other.array))
 
     def __repr__(self):
-        return f"TransitionMatrix({[list(r) for r in self.rows]!r})"
+        return f"TransitionMatrix({self.array.tolist()!r})"
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float)
+        return self.array.astype(np.float64)
+
+
+def _chain_array(rows) -> np.ndarray:
+    """``rows`` as one square array: Fractions when every entry is rational,
+    else float64."""
+    array = np.array(rows, dtype=object)
+    if array.ndim != 2 or array.shape[0] != array.shape[1] or not array.size:
+        raise ValueError("transition matrix must be square and non-empty")
+    if all(map(_is_exact, array.flat)):
+        return np.frompyfunc(Fraction, 1, 1)(array)
+    return array.astype(np.float64)
+
+
+def _row_sums(array: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D array, each added left to right like ``sum(row)``,
+    so that the bits of a float sum do not depend on numpy's blocking."""
+    return np.cumsum(array, axis=1)[:, -1]
+
+
+def normalized_chain(rows) -> TransitionMatrix:
+    """The chain whose row j is ``rows[j]`` divided by its left-to-right sum:
+    float entries move by a few ulp at most, and Fractions not at all."""
+    array = _chain_array(rows)
+    return TransitionMatrix(array / _row_sums(array)[:, None])
 
 
 @dataclass(frozen=True)
@@ -91,10 +116,12 @@ class EpsilonMachine:
         n = len(self.edges)
         if n == 0:
             raise ValueError("a machine needs at least one state")
+        # rational rows sum to 1 exactly, float rows up to rounding
+        tol = 0 if self.exact else ROW_SUM_TOL
         for i, row in enumerate(self.edges):
             if not row:
                 raise ValueError(f"state {i} has no outputs")
-            if not abs(sum(pr for _, pr, _ in row) - 1) <= ROW_SUM_TOL:
+            if not abs(sum(pr for _, pr, _ in row) - 1) <= tol:
                 raise ValueError(f"output distribution of state {i} does not sum to 1")
             last = -1
             for x, pr, nxt in row:
@@ -160,32 +187,25 @@ def _check_unit_interval(v, name: str) -> None:
 
 def machine_from_chain(T: TransitionMatrix) -> EpsilonMachine:
     """View a chain as the unifilar machine that announces its next state."""
-    return _announcing(T.rows, T.n)
+    return _announcing(T.array.tolist(), T.n)
 
 
 def induced_chain(machine: EpsilonMachine) -> TransitionMatrix:
-    """Marginalize the outputs away, leaving the chain on hidden states."""
+    """Marginalize the outputs away, leaving the chain on hidden states;
+    the rows are normalized, as aggregated floats can pass 1 by an ulp."""
     n = machine.n
-    zero = Fraction(0) if machine.exact else 0.0
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for row, edges in zip(rows, machine.edges):
         for _, pr, nxt in edges:
             row[nxt] += pr
-    if not machine.exact:
-        # aggregation can overshoot 1 by a few ulp; dividing by the row sum
-        # keeps every entry in [0, 1] without moving anything beyond the
-        # tolerance the machine was validated under
-        for row in rows:
-            total = sum(row)
-            row[:] = [v / total for v in row]
-    return TransitionMatrix(rows)
+    return normalized_chain(rows)
 
 
 def _strongly_connected(T: TransitionMatrix) -> bool:
     # Level-synchronous search from state 0 along the positive entries,
     # forward and then backward.  Positivity is read from the entries
     # themselves: a positive rational can still be 0.0 as a float.
-    positive = np.array(T.rows, dtype=object) > 0
+    positive = T.array > 0
     for adjacent in (positive, positive.T):
         seen = np.zeros(T.n, dtype=bool)
         seen[0] = True
@@ -203,10 +223,8 @@ def _stationary_exact(T: TransitionMatrix) -> tuple:
     # the last (redundant) balance equation, by Gaussian elimination over
     # Fraction.  Irreducibility makes the reduced system non-singular.
     n = T.n
-    aug = [
-        [Fraction(T[j][i]) - (1 if i == j else 0) for j in range(n)] + [Fraction(0)]
-        for i in range(n)
-    ]
+    aug = [row + [Fraction(0)]
+           for row in (T.array.T - np.eye(n, dtype=int)).tolist()]
     aug[n - 1] = [Fraction(1)] * n + [Fraction(1)]
     for c in range(n):
         piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
@@ -220,8 +238,7 @@ def _stationary_exact(T: TransitionMatrix) -> tuple:
                 factor = aug[r][c]
                 aug[r] = [vr - factor * vc for vr, vc in zip(aug[r], aug[c])]
     pi = tuple(aug[r][n] for r in range(n))
-    check = tuple(sum(pi[j] * T[j][i] for j in range(n)) for i in range(n))
-    if check != pi:
+    if tuple(np.dot(pi, T.array).tolist()) != pi:
         raise ArithmeticError("exact stationary solve failed its fixed-point check")
     return pi
 
@@ -252,7 +269,7 @@ def stationary(T: TransitionMatrix):
         raise ReducibleChainError("non-unique stationary state")
     if T.exact:
         return _stationary_exact(T)
-    A = T.to_numpy()
+    A = T.array
     n = T.n
     # Iterates are written into the rows of P and their products into the
     # rows of S, a block at a time, and one reduction checks a whole block:
@@ -325,11 +342,12 @@ TRAJECTORY_BLOCK = 1 << 16
 
 
 def as_cdf(weights) -> np.ndarray:
-    """Float cumulative sums of ``weights`` with the last entry pinned to 1,
-    so that ``searchsorted(cdf, u, side="right")`` maps every u in [0, 1)
-    to a valid index."""
-    cdf = np.cumsum([float(w) for w in weights])
-    cdf[-1] = 1.0
+    """Cumulative sums of ``weights`` along the last axis, left to right in
+    the weights' own arithmetic, with the last entry pinned to 1, so that
+    ``searchsorted(cdf, u, side="right")`` maps every u in [0, 1) to a valid
+    index.  Fractions are summed exactly, and end at 1 already."""
+    cdf = np.cumsum(weights, axis=-1)
+    cdf[..., -1] = 1
     return cdf
 
 
@@ -354,7 +372,7 @@ def sample_edges(rows, start: int, steps: int,
     if any(not row or any(not 0 <= nx < n for _, _, nx in row)
            for row in rows):
         raise ValueError("every state needs edges into the state range")
-    cdfs = [as_cdf([pr for _, pr, _ in row]).tolist() for row in rows]
+    cdfs = [as_cdf([float(pr) for _, pr, _ in row]).tolist() for row in rows]
     edges = [[(x, nx) for x, _, nx in row] for row in rows]
     draws = rng.random(steps)
     emitted = np.empty(steps, dtype=np.int64)

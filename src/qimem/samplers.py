@@ -28,12 +28,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
-from .markov import (TransitionMatrix, _check_unit_interval, _is_exact, as_cdf,
-                     stationary)
+from .markov import (TransitionMatrix, _check_unit_interval, _row_sums,
+                     as_cdf, stationary)
 
 DELTA_ROW_TOL = 1e-12
 # a word's top 53 bits are its uniform's numerator over 2**53
@@ -74,43 +73,38 @@ def _below(words: np.ndarray, x: float) -> np.ndarray:
 
 
 def decompose(chain: TransitionMatrix, pi=None):
-    """Split T into 1 pi^T + Delta and return (pi, Delta).
+    """Split T into 1 pi^T + Delta and return (pi, Delta) as arrays.
 
     Delta rows sum to 0 (within 1e-12 in float, exactly in rational mode).
     Raises DegenerateSupportError when pi has a zero entry, since the
     correction ratios divide by pi.
     """
-    if pi is None:
-        pi = stationary(chain)
-    n = chain.n
-    if len(pi) != n:
+    pi = np.asarray(stationary(chain) if pi is None else pi)
+    if pi.shape != (chain.n,):
         raise ValueError("pi must have one entry per state")
-    for w in pi:
-        if w <= 0:
-            raise DegenerateSupportError("degenerate stationary support")
-    delta = tuple(tuple(chain[j][i] - pi[i] for i in range(n))
-                  for j in range(n))
-    for j, row in enumerate(delta):
-        if not abs(sum(row)) <= DELTA_ROW_TOL:
-            raise ValueError(f"Delta row {j} does not sum to 0")
-    return tuple(pi), delta
+    if np.any(pi <= 0):
+        raise DegenerateSupportError("degenerate stationary support")
+    delta = chain.array - pi
+    off = np.flatnonzero(~(abs(_row_sums(delta)) <= DELTA_ROW_TOL))
+    if off.size:
+        raise ValueError(f"Delta row {off[0]} does not sum to 0")
+    return pi, delta
 
 
-def save_fractions(pi, delta) -> tuple:
+def save_fractions(pi, delta) -> np.ndarray:
     """Per-state save probabilities f_j = max over the depleted set of
     -Delta[j][i] / pi[i]; 0 when row j needs no correction.  A float row
     whose every entry is within DELTA_ROW_TOL of 0 needs none: it equals pi
     up to the stationary solve's rounding.  Exact rows are taken as given."""
-    out = []
-    for row in delta:
-        noise = (not all(map(_is_exact, row))
-                 and all(abs(d) <= DELTA_ROW_TOL for d in row))
-        negs = [] if noise else [(-d, w) for d, w in zip(row, pi) if d < 0]
-        out.append(max(d / w for d, w in negs) if negs else 0 * pi[0])
-    return tuple(out)
+    pi, delta = np.asarray(pi), np.asarray(delta)
+    zero = 0 * pi[0]
+    f = np.where(delta < 0, -delta / pi, zero).max(axis=1)
+    if delta.dtype != object:
+        f[np.all(abs(delta) <= DELTA_ROW_TOL, axis=1)] = zero
+    return f
 
 
-def reroute_ratios(pi, delta, f) -> tuple[tuple, tuple]:
+def reroute_ratios(pi, delta, f) -> tuple[np.ndarray, np.ndarray]:
     """Reroute ratios (r_minus, r_plus) as dense per-state tables.
 
     r_minus[j][i] is the probability of abandoning a fresh draw i given the
@@ -118,48 +112,44 @@ def reroute_ratios(pi, delta, f) -> tuple[tuple, tuple]:
     distribution the abandoned draw is rerouted to (supported on the
     surplus set).  Rows with f_j = 0 are identically zero.
     """
-    n = len(pi)
+    pi, delta, f = np.asarray(pi), np.asarray(delta), np.asarray(f)
     zero = 0 * pi[0]
-    rminus = [[zero] * n for _ in range(n)]
-    rplus = [[zero] * n for _ in range(n)]
-    for j, row in enumerate(delta):
-        if f[j] == 0:
-            continue
-        surplus = sum(d for d in row if d > 0)
-        if not surplus > 0:
-            raise ValueError(f"Delta row {j} has a depleted set but no surplus")
-        for i, d in enumerate(row):
-            if d < 0:
-                rminus[j][i] = -d / (f[j] * pi[i])
-            elif d > 0:
-                rplus[j][i] = d / surplus
-    return tuple(map(tuple, rminus)), tuple(map(tuple, rplus))
+    active = (f != 0)[:, None]
+    surplus = _row_sums(np.where(delta > 0, delta, zero))
+    short = np.flatnonzero(active[:, 0] & ~(surplus > 0))
+    if short.size:
+        raise ValueError(f"Delta row {short[0]} has a depleted set but no "
+                         "surplus")
+    rminus = np.full(delta.shape, zero, dtype=delta.dtype)
+    rplus = rminus.copy()
+    np.divide(-delta, f[:, None] * pi, out=rminus, where=active & (delta < 0))
+    np.divide(delta, surplus[:, None], out=rplus, where=active & (delta > 0))
+    return rminus, rplus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RerouteTables:
-    """Constant tables driving the save/reroute sampler for one chain."""
+    """Constant tables driving the save/reroute sampler for one chain, as
+    arrays of the chain's own numbers: Fractions or float64."""
 
-    pi: tuple
-    delta: tuple
-    f: tuple
-    rminus: tuple
-    rplus: tuple
+    pi: np.ndarray
+    delta: np.ndarray
+    f: np.ndarray
+    rminus: np.ndarray
+    rplus: np.ndarray
 
     @classmethod
     def from_chain(cls, chain: TransitionMatrix) -> "RerouteTables":
         pi, delta = decompose(chain)
         f = save_fractions(pi, delta)
-        rminus, rplus = reroute_ratios(pi, delta, f)
-        return cls(pi=tuple(pi), delta=tuple(map(tuple, delta)), f=f,
-                   rminus=rminus, rplus=rplus)
+        return cls(pi, delta, f, *reroute_ratios(pi, delta, f))
 
     @property
     def n(self) -> int:
         return len(self.pi)
 
 
-def effective_kernel(tables: RerouteTables):
+def effective_kernel(tables: RerouteTables) -> np.ndarray:
     """Single-step distribution of the save/reroute protocol.
 
     Row j conditions on the saved value being j, marginalizing over the
@@ -168,27 +158,16 @@ def effective_kernel(tables: RerouteTables):
     the depletion removes pi_i f_j r_minus and the zero-sum of Delta routes
     exactly that mass onto the surplus states.
     """
-    n = tables.n
-    pi, f, rm, rp = tables.pi, tables.f, tables.rminus, tables.rplus
-    rows = []
-    for j in range(n):
-        moved = sum(pi[i2] * rm[j][i2] for i2 in range(n) if rm[j][i2] != 0)
-        row = []
-        for i in range(n):
-            if rm[j][i] != 0:
-                row.append(pi[i] * (1 - f[j] * rm[j][i]))
-            elif rp[j][i] != 0:
-                row.append(pi[i] + f[j] * moved * rp[j][i])
-            else:
-                row.append(pi[i])
-        rows.append(row)
-    return rows
+    pi, f, rm, rp = tables.pi, tables.f[:, None], tables.rminus, tables.rplus
+    moved = _row_sums(pi * rm)[:, None]
+    return np.where(rm != 0, pi * (1 - f * rm),
+                    np.where(rp != 0, pi + f * moved * rp, pi))
 
 
 def expected_memory(tables: RerouteTables):
     """Expected saved fraction sum_j f_j pi_j and expected saved bits per
     sample and step (ceil(log2 n) bits per save)."""
-    fraction = sum(fj * pj for fj, pj in zip(tables.f, tables.pi))
+    fraction = sum((tables.f * tables.pi).tolist())
     return fraction, fraction * math.ceil(math.log2(tables.n))
 
 
@@ -248,13 +227,11 @@ class GeneralQISampler(_Ensemble):
         super().__init__(n_samples, seed)
         t = RerouteTables.from_chain(chain)
         self.expected_saved = float(expected_memory(t)[0])
-        # an exact chain's CDFs are summed in Fractions, and end at 1 exactly
-        cdf = (lambda w: list(accumulate(w))) if chain.exact else as_cdf
-        self._pi = _threshold(cdf(t.pi))
+        self._pi = _threshold(as_cdf(t.pi))
         self._f = _threshold(t.f)
         self._rminus = _threshold(t.rminus)
-        self._rplus = _threshold([cdf(row) if fj else (1,) * t.n
-                                  for fj, row in zip(t.f, t.rplus)])
+        # the r_plus rows of states that never save are never read
+        self._rplus = _threshold(as_cdf(t.rplus))
         values = np.searchsorted(self._pi, self._draw(0, 0) >> _SHIFT,
                                  side="right").astype(np.int64)
         self._record(0, values, (self._draw(0, 3) >> _SHIFT) < self._f[values])

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qimem import markov
+from qimem import markov, samplers
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, as_cdf, induced_chain, stationary)
 from qimem.samplers import RerouteTables
@@ -61,7 +61,7 @@ def reference_stationary(T: TransitionMatrix) -> np.ndarray:
     byte for byte: one iterate at a time, with a fresh array for every
     product, difference and average.  Reads ``MAX_POWER_ITER`` at call
     time and raises ``ConvergenceError`` after that many iterates."""
-    A = np.array([[float(v) for v in row] for row in T.rows])
+    A = np.array([[float(v) for v in row] for row in T.array])
     pi = np.full(T.n, 1.0 / T.n)
     for _ in range(markov.MAX_POWER_ITER):
         step = pi @ A
@@ -70,6 +70,38 @@ def reference_stationary(T: TransitionMatrix) -> np.ndarray:
         pi = 0.5 * (step + pi)
         pi /= pi.sum()
     raise markov.ConvergenceError("reference power iteration did not converge")
+
+
+def reference_reroute_tables(chain: TransitionMatrix) -> tuple:
+    """The save/reroute tables that ``RerouteTables.from_chain`` must
+    reproduce, (pi, Delta, f, r_minus, r_plus) as tuples, each entry
+    computed on its own and each sum taken left to right by ``sum``."""
+    pi = tuple(stationary(chain))
+    n = chain.n
+    rows = chain.array.tolist()
+    delta = tuple(tuple(rows[j][i] - pi[i] for i in range(n))
+                  for j in range(n))
+    zero = 0 * pi[0]
+    f = []
+    for row in delta:
+        # a float row within the tolerance of pi needs no saves
+        noise = (not all(isinstance(d, Fraction) for d in row)
+                 and all(abs(d) <= samplers.DELTA_ROW_TOL for d in row))
+        negs = [] if noise else [(-d, w) for d, w in zip(row, pi) if d < 0]
+        f.append(max(d / w for d, w in negs) if negs else zero)
+    rminus = [[zero] * n for _ in range(n)]
+    rplus = [[zero] * n for _ in range(n)]
+    for j, row in enumerate(delta):
+        if f[j] == 0:
+            continue
+        surplus = sum(d for d in row if d > 0)
+        for i, d in enumerate(row):
+            if d < 0:
+                rminus[j][i] = -d / (f[j] * pi[i])
+            elif d > 0:
+                rplus[j][i] = d / surplus
+    return (pi, delta, tuple(f), tuple(map(tuple, rminus)),
+            tuple(map(tuple, rplus)))
 
 
 def reference_strongly_connected(T: TransitionMatrix) -> bool:
@@ -87,8 +119,8 @@ def reference_strongly_connected(T: TransitionMatrix) -> bool:
         return seen
 
     n = T.n
-    fwd = [[i for i in range(n) if T[j][i] > 0] for j in range(n)]
-    bwd = [[j for j in range(n) if T[j][i] > 0] for i in range(n)]
+    fwd = [[i for i in range(n) if T.array[j, i] > 0] for j in range(n)]
+    bwd = [[j for j in range(n) if T.array[j, i] > 0] for i in range(n)]
     return len(reach(fwd)) == n and len(reach(bwd)) == n
 
 
@@ -195,14 +227,14 @@ class ReferenceQISampler:
         tables = RerouteTables.from_chain(chain)
         n = tables.n
         self.n_samples, self.seed = n_samples, seed
-        self.pi_cdf = as_cdf(tables.pi)
+        self.pi_cdf = as_cdf(tables.pi.astype(float))
         self.f = np.array([float(v) for v in tables.f])
         self.rminus = np.array([[float(v) for v in row]
                                 for row in tables.rminus])
         self.rplus_cdf = np.ones((n, n))
         for j in range(n):
             if tables.f[j] != 0:
-                self.rplus_cdf[j] = as_cdf(tables.rplus[j])
+                self.rplus_cdf[j] = as_cdf(tables.rplus[j].astype(float))
         self.step_index = 0
         self.values = np.searchsorted(
             self.pi_cdf, reference_uniforms(seed, 0, 0, n_samples),

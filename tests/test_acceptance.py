@@ -106,7 +106,7 @@ def test_criterion_3_kernel_theorem(capsys):
         t0 = time.perf_counter()
         demo = three_state_demo_chain(F(1, 9), F(2, 3))
         kernel = effective_kernel(RerouteTables.from_chain(demo))
-        assert tuple(tuple(row) for row in kernel) == demo.rows
+        assert kernel.tolist() == demo.array.tolist()
         rng = np.random.default_rng(20250815)
         worst = 0.0
         for _ in range(500):

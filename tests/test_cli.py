@@ -190,6 +190,37 @@ def test_simulate_numeric_failure_exit(tmp_path):
                "--matrix", str(matrix), "--seed", "1") == 3
 
 
+@pytest.mark.parametrize("algo", ["qi-general", "baseline"])
+def test_exact_row_off_one_is_refused(tmp_path, capsys, algo):
+    """A rational row 1/3e15 past 1 is no chain: the run names the row at
+    construction instead of failing the exact stationary solve."""
+    matrix = tmp_path / "off.json"
+    matrix.write_text(json.dumps(
+        [["1/2", "1/2"], ["1/3", "666666666666667/1000000000000000"]]))
+    assert run("simulate", "--model", "custom", "--algo", algo,
+               "--matrix", str(matrix), "--seed", "1") == 3
+    assert ("row 1 sums to 3000000000000001/3000000000000000, not 1"
+            in capsys.readouterr().err)
+
+
+def test_custom_ensemble_builds_no_machine(tmp_path, monkeypatch, capsys):
+    """A custom ensemble reads only the parsed chain: with the machine
+    conversions broken, the 50-state run still gives its pinned output."""
+    def broken(*args):
+        raise AssertionError("a custom ensemble built a machine")
+
+    monkeypatch.setattr(cli, "machine_from_chain", broken)
+    monkeypatch.setattr(cli, "induced_chain", broken)
+    out = tmp_path / "run.txt"
+    code = run("simulate", "--model", "custom", "--algo", "qi-general",
+               "--matrix", str(_chain_file(tmp_path, 50)), "--samples", "2000",
+               "--steps", "10", "--seed", "5", "--out", str(out))
+    blob = (capsys.readouterr().out.encode() + out.read_bytes()
+            + Path(f"{out}.report.txt").read_bytes())
+    assert (code, hashlib.sha256(blob).hexdigest()) \
+        == CUSTOM_DIGESTS["qi-general-50"]
+
+
 def test_simulate_memory_error_is_numeric_error(monkeypatch, capsys):
     """An ensemble too large to allocate is a numerical error, reported on
     one line, not a statistical failure with a traceback."""
@@ -329,19 +360,20 @@ def _chain_file(tmp_path, n):
     """A JSON file of a DEMO_MATRIX (n=3) or of a float chain on n states."""
     path = tmp_path / f"chain{n}.json"
     rows = (DEMO_MATRIX if n == 3 else
-            [list(row) for row in random_chain(np.random.default_rng(n), n)])
+            random_chain(np.random.default_rng(n), n).array.tolist())
     path.write_text(json.dumps(rows))
     return path
 
 
 # sha256 of stdout, the --out file and the report of the custom-chain runs,
 # with their exit codes: the rational demo chain and float chains of 12, 50
-# and 200 states, through the chain -> machine -> chain round trip of
-# simulate.  The rows of the 200-state chain are longer than the 128 entries
-# of a numpy pairwise-sum block.  Two runs exit 1 on a correct sampler, on
-# cells the binomial normal approximation misjudges at small expected
-# counts: the 12-state baseline's row 7.5 scores z = 5.10, and the 200-state
-# qi-general's row 27 scores z = 17.3.
+# and 200 states.  A trajectory walks the machine of the entries as parsed;
+# its stationary start, and an ensemble, read the chain of those rows each
+# divided by its left-to-right sum.  The rows of the 200-state chain are
+# longer than the 128 entries of a numpy pairwise-sum block.  Two runs exit
+# 1 on a correct sampler, on cells the binomial normal approximation
+# misjudges at small expected counts: the 12-state baseline's row 7.5 scores
+# z = 5.10, and the 200-state qi-general's row 27 scores z = 17.3.
 CUSTOM_DIGESTS = {
     "baseline-3":
         (0, "ffb3ec83e8b36ef540ae7372d89870705a74fc6d2e1de2a411fbe3ed8968090f"),

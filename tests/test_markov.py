@@ -62,8 +62,8 @@ TINY = F(1, 2**1100)  # positive, but 0.0 as a float
 
 
 @pytest.mark.parametrize("rows", [
-    random_chain(np.random.default_rng(4), 5).rows,
-    DEMO.rows,
+    random_chain(np.random.default_rng(4), 5).array.tolist(),
+    DEMO.array.tolist(),
     [[0, 1], [0.25, 0.75]],
     [[1 - TINY, TINY], [F(1, 2), F(1, 2)]],
     [[F(10**400 + 1, 10**400 + 3), F(2, 10**400 + 3)], [1, 0]],
@@ -81,7 +81,7 @@ def test_coin_machine():
     assert m.edges == (((0, F(3, 4), 0), (1, F(1, 4), 1)),
                        ((0, F(1, 4), 0), (1, F(3, 4), 1)))
     chain = induced_chain(m)
-    assert chain[0][1] == F(1, 4) and chain[1][1] == F(3, 4)
+    assert chain.array[0, 1] == F(1, 4) and chain.array[1, 1] == F(3, 4)
 
 
 def test_coin_degenerate_ends():
@@ -102,6 +102,18 @@ def test_postproc_machine():
                        ((0, F(16, 27), 0), (1, F(1, 3), 1),
                         (2, F(2, 27), 2)),
                        ((1, 1, 1),))
+
+
+def test_exact_rows_sum_to_exactly_one():
+    """A float row may miss 1 by rounding; a rational row has none to miss
+    by, so 1e-15 off is refused for chains and machines alike."""
+    off = F(1, 10**15)
+    with pytest.raises(ValueError, match="row 1 sums to 1000000000000001/"):
+        TransitionMatrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2) + off]])
+    with pytest.raises(ValueError, match="state 0 does not sum to 1"):
+        EpsilonMachine((((0, F(1, 2), 0), (1, F(1, 2) - off, 0)),), 2)
+    assert not TransitionMatrix([[0.5, 0.5], [0.5, 0.5 + 1e-15]]).exact
+    EpsilonMachine((((0, 0.5, 0), (1, 0.5 - 1e-15, 0)),), 2)
 
 
 def test_machine_validation():
@@ -168,7 +180,7 @@ def test_stationary_float_matches_exact():
         Tq = random_rational_chain(rng, n)
         exact = stationary(Tq)
         approx = stationary(TransitionMatrix(
-            [[float(v) for v in row] for row in Tq.rows]))
+            [[float(v) for v in row] for row in Tq.array]))
         assert np.max(np.abs(np.asarray(approx)
                              - [float(v) for v in exact])) < 1e-10
 
@@ -297,7 +309,7 @@ def test_stationary_nan_residual_never_converges(monkeypatch):
     # a NaN smuggled past validation: the first residuals are (0, NaN, 0),
     # which a max that skips NaN would take for convergence
     chain = TransitionMatrix([[1 / 3] * 3] * 3)
-    chain.rows = (chain.rows[0], (1 / 3, math.nan, 1 / 3), chain.rows[2])
+    chain.array[1, 1] = math.nan
     monkeypatch.setattr(markov, "MAX_POWER_ITER", 10)
     for solve in (stationary, reference_stationary):
         with pytest.raises(markov.ConvergenceError):

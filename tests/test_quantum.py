@@ -405,7 +405,7 @@ def test_circuit_step_table_successors():
     for j, row in enumerate(table):
         for x, pr, nxt in row:
             assert nxt == x
-            assert pr == pytest.approx(float(chain[j][nxt]), abs=1e-13)
+            assert pr == pytest.approx(float(chain.array[j, nxt]), abs=1e-13)
     table = circuit_step_table("postproc", F(1, 9), F(2, 3))
     assert [[nxt for _, _, nxt in row] for row in table] \
         == [[0, 2], [0, 1, 2], [1]]

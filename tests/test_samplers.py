@@ -26,16 +26,17 @@ from qimem.stats import (compare_transitions, context_counts,
                          transition_counts)
 from qimem.markov import context_law
 
-from helpers import ReferenceQISampler, random_chain, reference_uniforms
+from helpers import (ReferenceQISampler, random_chain, random_rational_chain,
+                     reference_reroute_tables, reference_uniforms)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_TABLES = RerouteTables.from_chain(DEMO)
 
 
 def test_demo_chain_rows():
-    assert DEMO[0] == (F(1, 3), F(1, 3), F(1, 3))
-    assert DEMO[1] == (F(1, 9), F(2, 3), F(2, 9))
-    assert DEMO[2] == DEMO[0]
+    assert DEMO.array.tolist() == [[F(1, 3), F(1, 3), F(1, 3)],
+                                   [F(1, 9), F(2, 3), F(2, 9)],
+                                   [F(1, 3), F(1, 3), F(1, 3)]]
     with pytest.raises(ValueError):
         three_state_demo_chain(0.7, 0.5)
     with pytest.raises(ValueError):
@@ -44,14 +45,14 @@ def test_demo_chain_rows():
 
 def test_decompose_exact():
     pi, delta = decompose(DEMO)
-    assert pi == (F(2, 9), F(1, 2), F(5, 18))
-    assert delta[0] == (F(1, 9), F(-1, 6), F(1, 18))
-    assert delta[1] == (F(-1, 9), F(1, 6), F(-1, 18))
-    assert delta[2] == delta[0]
+    assert pi.tolist() == [F(2, 9), F(1, 2), F(5, 18)]
+    assert delta.tolist() == [[F(1, 9), F(-1, 6), F(1, 18)],
+                              [F(-1, 9), F(1, 6), F(-1, 18)],
+                              [F(1, 9), F(-1, 6), F(1, 18)]]
     for j in range(3):
         assert sum(delta[j]) == 0
         for i in range(3):
-            assert pi[i] + delta[j][i] == DEMO[j][i]
+            assert pi[i] + delta[j][i] == DEMO.array[j, i]
 
 
 def test_decompose_float():
@@ -92,16 +93,16 @@ def test_nan_probabilities_rejected():
 
 
 def test_save_fractions_frozen():
-    assert DEMO_TABLES.f == (F(1, 3), F(1, 2), F(1, 3))
+    assert DEMO_TABLES.f.tolist() == [F(1, 3), F(1, 2), F(1, 3)]
 
 
 def test_reroute_ratios_frozen():
-    assert DEMO_TABLES.rminus == ((F(0), F(1), F(0)),
-                                  (F(1), F(0), F(2, 5)),
-                                  (F(0), F(1), F(0)))
-    assert DEMO_TABLES.rplus == ((F(2, 3), F(0), F(1, 3)),
-                                 (F(0), F(1), F(0)),
-                                 (F(2, 3), F(0), F(1, 3)))
+    assert DEMO_TABLES.rminus.tolist() == [[F(0), F(1), F(0)],
+                                           [F(1), F(0), F(2, 5)],
+                                           [F(0), F(1), F(0)]]
+    assert DEMO_TABLES.rplus.tolist() == [[F(2, 3), F(0), F(1, 3)],
+                                          [F(0), F(1), F(0)],
+                                          [F(2, 3), F(0), F(1, 3)]]
     # ratios are probabilities
     for table in (DEMO_TABLES.rminus, DEMO_TABLES.rplus):
         assert all(0 <= v <= 1 for row in table for v in row)
@@ -111,7 +112,7 @@ def test_effective_kernel_exact():
     kernel = effective_kernel(DEMO_TABLES)
     for j in range(3):
         for i in range(3):
-            assert kernel[j][i] == DEMO[j][i]
+            assert kernel[j][i] == DEMO.array[j, i]
 
 
 def test_effective_kernel_float_sweep():
@@ -120,7 +121,7 @@ def test_effective_kernel_float_sweep():
         n = int(rng.integers(2, 7))
         T = random_chain(rng, n)
         kernel = effective_kernel(RerouteTables.from_chain(T))
-        dev = max(abs(kernel[j][i] - T[j][i])
+        dev = max(abs(kernel[j][i] - T.array[j, i])
                   for j in range(n) for i in range(n))
         assert dev < 1e-12
 
@@ -138,18 +139,18 @@ def test_float_row_at_pi_needs_no_saves():
     which must not become save fractions and reroute tables."""
     chain = TransitionMatrix([[0.6, 0.4], [0.6, 0.4]])
     t = RerouteTables.from_chain(chain)
-    assert t.f == (0.0, 0.0)
-    assert t.rminus == t.rplus == ((0.0, 0.0), (0.0, 0.0))
+    assert t.f.tolist() == [0.0, 0.0]
+    assert t.rminus.tolist() == t.rplus.tolist() == [[0.0, 0.0], [0.0, 0.0]]
     sampler = GeneralQISampler(chain, 1000, seed=1)
     assert sampler.expected_saved == 0.0
     sampler.step()
     assert sampler.saved_counts == [0, 0]
     # the whole row must be within DELTA_ROW_TOL, and exact rows are exact
     tiny, past = samplers.DELTA_ROW_TOL, 2 * samplers.DELTA_ROW_TOL
-    assert save_fractions((0.5, 0.5), ((tiny, -tiny), (past, -past))) == (
-        0.0, 2 * past)
-    assert save_fractions((F(1, 2), F(1, 2)), ((F(tiny), -F(tiny)),)) == (
-        2 * F(tiny),)
+    assert save_fractions((0.5, 0.5), ((tiny, -tiny), (past, -past))
+                          ).tolist() == [0.0, 2 * past]
+    assert save_fractions((F(1, 2), F(1, 2)), ((F(tiny), -F(tiny)),)
+                          ).tolist() == [2 * F(tiny)]
 
 
 def test_exact_row_near_pi_keeps_exact_saves():
@@ -162,7 +163,8 @@ def test_exact_row_near_pi_keeps_exact_saves():
     assert all(abs(d) <= samplers.DELTA_ROW_TOL for row in t.delta for d in row)
     assert all(0 < f < samplers.DELTA_ROW_TOL for f in t.f)
     kernel = effective_kernel(t)
-    assert all(kernel[j][i] == chain[j][i] for j in range(2) for i in range(2))
+    assert all(kernel[j][i] == chain.array[j, i]
+               for j in range(2) for i in range(2))
 
 
 def test_coin_tables_specialize_to_flip_rule():
@@ -203,7 +205,7 @@ def test_general_sampler_threads_identical():
 
 
 def test_general_sampler_reproduces_chain():
-    chain = TransitionMatrix([[float(v) for v in row] for row in DEMO.rows])
+    chain = TransitionMatrix([[float(v) for v in row] for row in DEMO.array])
     sampler = GeneralQISampler(chain, 20000, seed=12)
     counts = np.zeros((3, 3), dtype=np.int64)
     prev = sampler.values
@@ -316,7 +318,7 @@ RPLUS_OVERSHOOT = TransitionMatrix([[F(k, 112) for k in (37, 46, 29, 0)],
 
 def test_overshoot_chains_pass_one_early():
     tables = RerouteTables.from_chain(PI_OVERSHOOT)
-    assert tables.pi == _PI
+    assert tuple(tables.pi.tolist()) == _PI
     assert np.cumsum([float(v) for v in tables.pi])[-2] > 1
     tables = RerouteTables.from_chain(RPLUS_OVERSHOOT)
     assert tables.f[0] == 1 and tables.rminus[0][3] == 1
@@ -359,6 +361,64 @@ def test_general_sampler_matches_float_reference(chain, seed):
         for (v, f), (rv, rf) in zip(got, expected):
             assert np.array_equal(v, rv) and np.array_equal(f, rf)
         assert sampler.saved_counts == reference.saved_counts
+
+
+def _tables(chain) -> list:
+    """The entries of each reroute table of ``chain``, in row order."""
+    t = RerouteTables.from_chain(chain)
+    return [x.ravel().tolist()
+            for x in (t.pi, t.delta, t.f, t.rminus, t.rplus)]
+
+
+def _reference_tables(chain) -> list:
+    return [np.array(x, dtype=object).ravel().tolist()
+            for x in reference_reroute_tables(chain)]
+
+
+@st.composite
+def float_chains(draw):
+    """Dense and sparse float chains of 1 to 300 states, with rows longer
+    than numpy's 128-entry pairwise-sum block.  Every state steps to the
+    next one, so the chain is irreducible."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.dirichlet(np.full(n, draw(st.sampled_from([0.1, 1.0, 10.0]))),
+                         size=n)
+    rows[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    rows[np.arange(n), (np.arange(n) + 1) % n] += 0.5
+    rows /= rows.sum(axis=1, keepdims=True)
+    return TransitionMatrix(rows.tolist())
+
+
+@st.composite
+def rational_chains(draw):
+    """Positive rational chains of 1 to 20 states: the exact stationary
+    solve of a few hundred states takes minutes."""
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_rational_chain(rng, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(chain=float_chains())
+@example(chain=TransitionMatrix([[0.6, 0.4], [0.6, 0.4]]))
+def test_float_tables_match_reference_bits(chain):
+    """The array tables are the per-element ones, bit for bit: every sum
+    that reaches a table is taken left to right."""
+    for got, ref in zip(_tables(chain), _reference_tables(chain)):
+        assert [v.hex() for v in got] == [float(v).hex() for v in ref]
+
+
+@settings(max_examples=15, deadline=None)
+@given(chain=rational_chains())
+@example(chain=PI_OVERSHOOT)
+@example(chain=RPLUS_OVERSHOOT)
+def test_exact_tables_match_reference(chain):
+    """Rational chains get the per-element tables as Fractions, zeros
+    included."""
+    for got, ref in zip(_tables(chain), _reference_tables(chain)):
+        assert all(type(v) is F for v in got)
+        assert got == ref
 
 
 def test_coin_ensemble_fair_coin_never_saves():

@@ -230,7 +230,7 @@ def test_trajectory_samplers_calibrate_at_five_sigma():
     symbols, next-symbol counts per 2-symbol context at 5 sigma."""
     p, q = F(1, 9), F(2, 3)
     machine = post_processed_coin(p, q)
-    cdf = as_cdf(stationary(induced_chain(machine)))
+    cdf = as_cdf(np.array(stationary(induced_chain(machine)), dtype=float))
     law = context_law(machine, 2)
     tables = {"baseline": machine.edges,
               "quantum": circuit_step_table("postproc", p, q),
