@@ -14,9 +14,8 @@ from .markov import (ConvergenceError, EpsilonMachine, ReducibleChainError,
                      machine_from_chain, perturbed_coin, post_processed_coin,
                      sample_edges, stationary, statistical_memory,
                      topological_memory)
-from .quantum import (coin_quantum_memory, quantum_causal_states,
-                      quantum_statistical_memory, quantum_topological_memory,
-                      stationary_density)
+from .quantum import (coin_quantum_memory, memory_spectrum,
+                      quantum_statistical_memory, quantum_topological_memory)
 from .samplers import (CoinEnsemble, DegenerateSupportError, GeneralQISampler,
                        RerouteTables, decompose, effective_kernel,
                        expected_memory, reroute_ratios, save_fractions,

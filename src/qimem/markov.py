@@ -303,8 +303,8 @@ def entropy_bits(weights) -> float:
     total = 0.0
     for w in weights:
         w = float(w)
-        if w < 0:
-            raise ValueError(f"negative weight {w!r}")
+        if not w >= 0:  # also refuses NaN, which compares False
+            raise ValueError(f"weight {w!r} is negative or NaN")
         if w > 0:
             total -= w * math.log2(w)
     return total

@@ -7,7 +7,8 @@ and qubit 1 is the most significant tensor factor, so basis index
 
 Besides the circuit steps themselves, the module computes the spectral
 memory measures of a machine: the rank and von Neumann entropy of the
-stationary mixture of amplitude-encoded causal states.
+stationary mixture of amplitude-encoded causal states, read from the
+spectrum of an n x n Gram matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from .markov import (EpsilonMachine, _check_unit_interval, binary_entropy,
-                     induced_chain, stationary)
+                     entropy_bits, induced_chain, stationary)
 
 UNIT_TOL = 1e-12
 ORTHO_TOL = 1e-12
@@ -73,21 +74,16 @@ def check_orthogonal(gate: np.ndarray) -> np.ndarray:
     return gate
 
 
-def u_x(x, completion: str = "rotation") -> np.ndarray:
-    """Orthogonal 2x2 gate sending |0> to (sqrt(1-x), sqrt(x)).
+def u_x(x) -> np.ndarray:
+    """The rotation sending |0> to (sqrt(1-x), sqrt(x)).
 
-    Only the first column is fixed by the protocols; the second is an
-    arbitrary completion.  ``rotation`` uses (-sqrt(x), sqrt(1-x)) and
-    ``reflection`` uses (sqrt(x), -sqrt(1-x)); every consumer must be
-    insensitive to the choice.
+    Only the first column is fixed by the protocols; the second,
+    (-sqrt(x), sqrt(1-x)), is never read: the BP factors zero it
+    (``bp.prep_factor``), so a circuit that read it would fail bp-verify.
     """
     _check_unit_interval(x, "x")
     c, s = math.sqrt(1 - x), math.sqrt(x)
-    if completion == "rotation":
-        return np.array([[c, -s], [s, c]])
-    if completion == "reflection":
-        return np.array([[c, s], [s, -c]])
-    raise ValueError(f"unknown completion {completion!r}")
+    return np.array([[c, -s], [s, c]])
 
 
 def controlled_u(n: int, control: int, target: int, u: np.ndarray,
@@ -139,91 +135,77 @@ def measure(state: np.ndarray, qubits: tuple[int, ...]) -> list:
     return results
 
 
-def quantum_causal_states(machine: EpsilonMachine) -> list[np.ndarray]:
-    """Amplitude-encoded causal states on the (state x output) product space.
+def memory_spectrum(machine: EpsilonMachine, weights=None) -> np.ndarray:
+    """Eigenvalues of the stationary memory state, descending, with tiny
+    negatives (roundoff above the -1e-10 floor) clipped to 0.
 
-    State i maps to the unit vector with amplitude sqrt(P(x, j | i)) at the
-    flat index j * n_symbols + x.  Pairwise overlaps are the sums of
-    square-root transition products, which is what makes the encoding
-    compressible below the classical state count.
+    State i is encoded as the unit vector of amplitudes sqrt(P(x|i)) over
+    its (symbol, successor) pairs, so two states overlap only where they
+    share a pair.  The memory state sum_i w_i |sigma_i><sigma_i| has the
+    nonzero spectrum of the n x n Gram matrix B B^T, where row i of B is
+    sqrt(w_i) times state i's amplitudes over the distinct pairs of the
+    edge table.  ``weights`` defaults to the stationary distribution of the
+    induced chain; passing explicit weights supports limits where the chain
+    itself is reducible.
     """
-    a = machine.n_symbols
-    out = []
-    for edges in machine.edges:
-        vec = np.zeros(machine.n * a)
-        for x, pr, nxt in edges:
-            vec[nxt * a + x] = math.sqrt(float(pr))
-        out.append(check_unit(vec))
-    return out
-
-
-def stationary_density(machine: EpsilonMachine,
-                       weights=None) -> np.ndarray:
-    """Stationary mixture of the amplitude-encoded causal states.
-
-    ``weights`` defaults to the stationary distribution of the induced
-    chain; passing explicit weights supports limits where the chain itself
-    is reducible.
-    """
-    states = quantum_causal_states(machine)
     if weights is None:
         weights = stationary(induced_chain(machine))
-    weights = [float(w) for w in weights]
-    if len(weights) != machine.n:
+    w = np.array([float(v) for v in weights])
+    if len(w) != machine.n:
         raise ValueError("one weight per hidden state required")
-    rho = sum(w * np.outer(s, s) for w, s in zip(weights, states))
-    return check_density(rho)
-
-
-def check_density(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
-    if np.max(np.abs(rho - rho.T)) > UNIT_TOL:
-        raise ValueError("density matrix is not symmetric")
-    if abs(np.trace(rho) - 1.0) > UNIT_TOL:
-        raise ValueError(f"density trace {np.trace(rho)!r} is not 1")
-    if np.min(np.linalg.eigvalsh(rho)) < EIG_FLOOR:
-        raise ValueError("density matrix has a significantly negative eigenvalue")
-    return rho
-
-
-def density_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a density matrix, descending, with tiny negatives
-    (roundoff above the -1e-10 floor) clipped to 0."""
-    vals = np.linalg.eigvalsh(check_density(rho))
+    if not (w >= 0).all():
+        raise ValueError(f"weights {w.tolist()!r} are not all >= 0")
+    if abs(w.sum() - 1.0) > UNIT_TOL:
+        raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+    pairs: dict = {}
+    rows, cols, amps = [], [], []
+    for i, edges in enumerate(machine.edges):
+        for x, pr, nxt in edges:
+            rows.append(i)
+            cols.append(pairs.setdefault((x, nxt), len(pairs)))
+            amps.append(math.sqrt(float(pr)))
+    B = np.zeros((machine.n, len(pairs)))
+    B[rows, cols] = amps
+    for state in B:
+        check_unit(state)
+    B *= np.sqrt(w)[:, None]
+    vals = np.linalg.eigvalsh(B @ B.T)
+    if vals[0] < EIG_FLOOR:
+        raise ValueError("memory state has a significantly negative eigenvalue")
     return np.clip(vals[::-1], 0.0, None)
 
 
-def quantum_topological_memory(rho: np.ndarray) -> float:
+def quantum_topological_memory(machine: EpsilonMachine, weights=None) -> float:
     """log2 of the rank of the stationary memory state."""
-    rank = int(np.sum(density_spectrum(rho) > RANK_TOL))
+    rank = int(np.sum(memory_spectrum(machine, weights) > RANK_TOL))
     if rank < 1:
         raise ValueError("no eigenvalue of the memory state exceeds "
                          f"{RANK_TOL!r}")
     return math.log2(rank)
 
 
-def quantum_statistical_memory(rho: np.ndarray) -> float:
+def quantum_statistical_memory(machine: EpsilonMachine, weights=None) -> float:
     """Von Neumann entropy of the stationary memory state, in bits."""
-    vals = density_spectrum(rho)
-    return float(-(vals[vals > 0] * np.log2(vals[vals > 0])).sum())
+    return entropy_bits(memory_spectrum(machine, weights))
 
 
 def coin_quantum_memory(p) -> float:
     """Closed-form memory entropy of the perturbed coin.
 
     The stationary memory state has eigenvalues 1/2 +- sqrt(p(1-p)), so the
-    entropy is the binary entropy of the larger one.  Must agree with the
-    eigensolver route through ``stationary_density`` to 1e-10.
+    entropy is the binary entropy of the larger one.  The oracle for the
+    Gram route: ``quantum_statistical_memory(perturbed_coin(p))`` must agree
+    with it to 1e-10.
     """
     _check_unit_interval(p, "p")
     return binary_entropy(0.5 + math.sqrt(float(p) * (1.0 - float(p))))
 
 
-def coin_memory_qubits(p, completion: str = "rotation") -> list[np.ndarray]:
+def coin_memory_qubits(p) -> list[np.ndarray]:
     """Single-qubit causal states of the perturbed coin: state j is
     prepared by u_x(x_j) from |0>, with x_0 = p and x_1 = 1 - p."""
     e0 = np.array([1.0, 0.0])
-    return [u_x(p, completion) @ e0, u_x(1 - float(p), completion) @ e0]
+    return [u_x(p) @ e0, u_x(1 - float(p)) @ e0]
 
 
 def postproc_memory_qubits(q) -> list[np.ndarray]:
@@ -240,9 +222,9 @@ def postproc_memory_qubits(q) -> list[np.ndarray]:
             np.array([0.0, 1.0])]
 
 
-def _memory_qubits(model: str, p, q, completion: str) -> list[np.ndarray]:
+def _memory_qubits(model: str, p, q) -> list[np.ndarray]:
     if model == "coin":
-        return coin_memory_qubits(p, completion)
+        return coin_memory_qubits(p)
     if model == "postproc":
         if q is None:
             raise ValueError("postproc model needs q")
@@ -250,8 +232,8 @@ def _memory_qubits(model: str, p, q, completion: str) -> list[np.ndarray]:
     raise ValueError(f"unknown circuit model {model!r}")
 
 
-def protocol_states(model: str, p, j: int, q=None, steps: int = 1,
-                    completion: str = "rotation") -> list[np.ndarray]:
+def protocol_states(model: str, p, j: int, q=None,
+                    steps: int = 1) -> list[np.ndarray]:
     """Every register state of one protocol run from causal state j.
 
     The only place the protocols' gates are applied.  Entry 0 is the
@@ -264,7 +246,7 @@ def protocol_states(model: str, p, j: int, q=None, steps: int = 1,
     the negated-control U_p on qubit 3, the controlled U_{1-q} on qubit 2
     and CNOT(3 -> 2).
     """
-    xi = _memory_qubits(model, p, q, completion)
+    xi = _memory_qubits(model, p, q)
     if j not in range(len(xi)):
         raise ValueError(f"{model} causal state must be below {len(xi)}, "
                          f"got {j}")
@@ -279,15 +261,14 @@ def protocol_states(model: str, p, j: int, q=None, steps: int = 1,
             up.append(kron(np.eye(2 ** (m - 1)), cnot(2, 1, 2)) @ up[-1])
         return up
     up = [kron(e0, e0, e0), kron(xi[j], e0, e0)]
-    for gate in (controlled_u(3, 1, 3, u_x(p, completion), control_value=0),
-                 controlled_u(3, 1, 2, u_x(1 - float(q), completion)),
+    for gate in (controlled_u(3, 1, 3, u_x(p), control_value=0),
+                 controlled_u(3, 1, 2, u_x(1 - float(q))),
                  cnot(3, 3, 2)):
         up.append(gate @ up[-1])
     return up
 
 
-def protocol_step(model: str, j: int, p, q=None,
-                  completion: str = "rotation") -> list:
+def protocol_step(model: str, j: int, p, q=None) -> list:
     """One measured protocol step from causal state j.
 
     Returns ``(x, probability, post_memory_state)`` triples sorted by the
@@ -297,7 +278,7 @@ def protocol_step(model: str, j: int, p, q=None,
     (y1, y3) = (1, 1) is never populated, which is what keeps the symbol
     map injective.
     """
-    psi = protocol_states(model, p, j, q, completion=completion)[-1]
+    psi = protocol_states(model, p, j, q)[-1]
     out = []
     for y, pr, post in measure(psi, (1,) if model == "coin" else (1, 3)):
         if y == (1, 1):
@@ -317,7 +298,7 @@ def circuit_step_table(model: str, p, q=None) -> list:
     circuit, not from the transition matrix, so walking this table with
     ``markov.sample_edges`` exercises the quantum route end to end.
     """
-    refs = _memory_qubits(model, p, q, "rotation")
+    refs = _memory_qubits(model, p, q)
     table = []
     for j in range(len(refs)):
         row = []

@@ -72,6 +72,26 @@ def reference_stationary(T: TransitionMatrix) -> np.ndarray:
     raise markov.ConvergenceError("reference power iteration did not converge")
 
 
+def reference_density_spectrum(machine: EpsilonMachine,
+                               weights=None) -> np.ndarray:
+    """The memory spectrum by the dense route that ``quantum.memory_spectrum``
+    replaces: each state as a unit vector with amplitude sqrt(P(x|i)) at
+    flat index nxt * n_symbols + x of the state x output space, their
+    weighted mixture as an (n * a) x (n * a) matrix, and all of its
+    eigenvalues, descending and clipped at 0.  Its cost grows as (n * a)^2,
+    so keep it to small machines."""
+    if weights is None:
+        weights = stationary(induced_chain(machine))
+    a = machine.n_symbols
+    rho = np.zeros((machine.n * a, machine.n * a))
+    for w, edges in zip(weights, machine.edges):
+        vec = np.zeros(machine.n * a)
+        for x, pr, nxt in edges:
+            vec[nxt * a + x] = math.sqrt(float(pr))
+        rho += float(w) * np.outer(vec, vec)
+    return np.clip(np.linalg.eigvalsh(rho)[::-1], 0.0, None)
+
+
 def reference_reroute_tables(chain: TransitionMatrix) -> tuple:
     """The save/reroute tables that ``RerouteTables.from_chain`` must
     reproduce, (pi, Delta, f, r_minus, r_plus) as tuples, each entry

@@ -18,8 +18,8 @@ import pytest
 from qimem import cli
 from qimem.markov import (binary_entropy, perturbed_coin, post_processed_coin,
                           statistical_memory)
-from qimem.quantum import (density_spectrum, quantum_statistical_memory,
-                           quantum_topological_memory, stationary_density)
+from qimem.quantum import (memory_spectrum, quantum_statistical_memory,
+                           quantum_topological_memory)
 from qimem.samplers import RerouteTables, effective_kernel, three_state_demo_chain
 
 from helpers import random_chain, random_machine
@@ -70,8 +70,8 @@ def test_criterion_1_memory_curve(tmp_path, capsys):
             assert abs(bound - (1 - binary_entropy(p))) < 1e-12
             # independent route: spectrum of the encoded stationary mixture
             weights = (0.5, 0.5) if p in (0.0, 1.0) else None
-            rho = stationary_density(perturbed_coin(p), weights=weights)
-            assert abs(quantum - quantum_statistical_memory(rho)) < 1e-10
+            assert abs(quantum - quantum_statistical_memory(
+                perturbed_coin(p), weights)) < 1e-10
             assert bound <= quantum + 1e-12
             assert quantum <= 1.0 + 1e-12
         assert elapsed < 1.0, f"memory-curve took {elapsed:.3f}s"
@@ -177,16 +177,15 @@ def test_criterion_6_memory_compression(capsys):
     with verdict(capsys, 6, "encoded memory never exceeds classical"):
         t0 = time.perf_counter()
         machine = post_processed_coin(F(1, 9), F(2, 3))
-        rho = stationary_density(machine)
-        lams = density_spectrum(rho)
+        lams = memory_spectrum(machine)
         assert (lams > 1e-10).sum() == 2
-        assert quantum_topological_memory(rho) == 1.0
-        assert quantum_statistical_memory(rho) < statistical_memory(machine)
+        assert quantum_topological_memory(machine) == 1.0
+        assert quantum_statistical_memory(machine) < statistical_memory(machine)
         rng = np.random.default_rng(4242)
         for _ in range(200):
             m = random_machine(rng, int(rng.integers(2, 6)),
                                int(rng.integers(2, 5)))
-            assert quantum_statistical_memory(stationary_density(m)) \
+            assert quantum_statistical_memory(m) \
                 <= statistical_memory(m) + 1e-9
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0

@@ -374,6 +374,15 @@ def test_entropy_units():
     assert binary_entropy(0.3) == pytest.approx(binary_entropy(0.7), abs=1e-15)
 
 
+def test_entropy_refuses_nan_and_negative_weights():
+    # NaN compares False both ways, so it must be refused explicitly
+    for bad in (float("nan"), -0.1):
+        with pytest.raises(ValueError):
+            entropy_bits((bad, 1.0))
+        with pytest.raises(ValueError):
+            binary_entropy(bad)
+
+
 def test_memory_measures_demo():
     m = machine_from_chain(DEMO)
     assert topological_memory(m) == pytest.approx(math.log2(3), abs=0)

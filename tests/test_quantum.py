@@ -1,11 +1,13 @@
-"""State-vector circuits, encoded memory states and density spectra.
+"""State-vector circuits, encoded memory states and memory spectra.
 
 The circuit outputs are always compared against the machine route, and
-spectra against an independently assembled Gram matrix, so every check
-here crosses two computation paths.
+spectra against an independently assembled Gram matrix or the dense
+density matrix of the state x output space, so every check here crosses
+two computation paths.
 """
 
 import math
+import time
 from fractions import Fraction as F
 from functools import reduce
 
@@ -15,22 +17,20 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qimem.bp import expected_messages
-from qimem.markov import (binary_entropy, context_law,
-                          exact_kgram_distribution, induced_chain, perturbed_coin, post_processed_coin,
-                          sample_edges, statistical_memory,
-                          topological_memory)
-from qimem.quantum import (check_density, check_orthogonal, check_unit,
-                           circuit_step_table, cnot, coin_memory_qubits,
-                           coin_quantum_memory, controlled_u,
-                           density_spectrum, kron, measure, n_qubits,
-                           postproc_memory_qubits, protocol_states,
-                           protocol_step, quantum_causal_states,
-                           quantum_statistical_memory,
-                           quantum_topological_memory, stationary_density,
-                           u_x)
+from qimem.markov import (EpsilonMachine, binary_entropy, context_law,
+                          exact_kgram_distribution, induced_chain,
+                          machine_from_chain, perturbed_coin,
+                          post_processed_coin, sample_edges, stationary,
+                          statistical_memory, topological_memory)
+from qimem.quantum import (check_orthogonal, check_unit, circuit_step_table,
+                           cnot, coin_memory_qubits, coin_quantum_memory,
+                           controlled_u, kron, measure, memory_spectrum,
+                           n_qubits, postproc_memory_qubits, protocol_states,
+                           protocol_step, quantum_statistical_memory,
+                           quantum_topological_memory, u_x)
 from qimem.stats import compare_transitions, context_counts
 
-from helpers import random_machine
+from helpers import random_chain, random_machine, reference_density_spectrum
 
 P_GRID = [i / 10 for i in range(11)]
 
@@ -69,16 +69,12 @@ def test_u_x_columns():
         u = u_x(x)
         assert np.allclose(u[:, 0], [math.sqrt(1 - x), math.sqrt(x)], atol=0)
         check_orthogonal(u)
-        check_orthogonal(u_x(x, completion="reflection"))
-    assert np.allclose(u_x(0.36, "reflection")[:, 1], [0.6, -0.8], atol=1e-15)
     stretched = u_x(0.3)
     stretched[:, 1] *= 1 + 1e-9
     with pytest.raises(ValueError):
         check_orthogonal(stretched)
     with pytest.raises(ValueError):
         u_x(-0.1)
-    with pytest.raises(ValueError):
-        u_x(0.5, completion="bogus")
 
 
 def test_nan_probabilities_rejected():
@@ -181,19 +177,21 @@ def test_coin_memory_qubits():
 
 
 def test_encoded_states_match_single_qubit_overlaps():
-    # the full state-output encoding and the one-qubit representation
-    # must agree on every pairwise overlap
+    # the edge-table encoding and the one-qubit representation must give
+    # one memory state: its spectrum is that of sum_i pi_i |xi_i><xi_i|
     q = F(2, 3)
     machine = post_processed_coin(F(1, 9), q)
-    enc = quantum_causal_states(machine)
-    assert all(v.shape == (9,) for v in enc)
+    pi = stationary(induced_chain(machine))
     xi = postproc_memory_qubits(q)
-    for i in range(3):
-        check_unit(enc[i])
-        for k in range(3):
-            assert enc[i] @ enc[k] == pytest.approx(xi[i] @ xi[k], abs=1e-14)
-    assert enc[0] @ enc[1] == pytest.approx(math.sqrt(float(q)), abs=1e-14)
-    assert enc[0] @ enc[2] == 0.0
+    rho = sum(float(w) * np.outer(v, v) for w, v in zip(pi, xi))
+    lams = memory_spectrum(machine)
+    assert lams.shape == (3,)
+    assert np.allclose(lams[:2], np.linalg.eigvalsh(rho)[::-1], rtol=0,
+                       atol=1e-14)
+    assert lams[2] == pytest.approx(0.0, abs=1e-14)
+    G = gram_from_machine(machine)
+    assert G[0, 1] == pytest.approx(math.sqrt(float(q)), abs=1e-14)
+    assert G[0, 2] == 0.0
 
 
 def test_coin_step_matches_machine():
@@ -210,17 +208,6 @@ def test_coin_step_matches_machine():
                     assert np.allclose(post, refs[x], atol=1e-13)
 
 
-def test_coin_step_completion_invariance():
-    for p in (0.1, 0.5, 0.9):
-        for j in range(2):
-            a = protocol_step("coin", j, p, completion="rotation")
-            b = protocol_step("coin", j, p, completion="reflection")
-            for (xa, pa, va), (xb, pb, vb) in zip(a, b):
-                assert xa == xb and pa == pb
-                if va is not None:
-                    assert np.array_equal(va, vb)
-
-
 def test_postproc_step_matches_machine():
     grid = [(F(1, 9), F(2, 3)), (0.3, 0.6), (0.0, 0.5), (1.0, 0.5),
             (0.3, 0.0), (0.3, 1.0)]
@@ -235,9 +222,6 @@ def test_postproc_step_matches_machine():
                 assert pr == pytest.approx(float(emit.get(x, 0)), abs=1e-13)
                 if pr > 0:
                     assert np.allclose(post, refs[x], atol=1e-13)
-            b = protocol_step("postproc", j, p, q,
-                              completion="reflection")
-            assert [(x, pr) for x, pr, _ in b] == [(x, pr) for x, pr, _ in outcomes]
 
 
 def assert_states_equal(got, want):
@@ -246,9 +230,9 @@ def assert_states_equal(got, want):
         assert np.array_equal(g, w)
 
 
-def raw_coin_states(p, j, steps, completion):
+def raw_coin_states(p, j, steps):
     e0 = np.array([1.0, 0.0])
-    xi = [u_x(p, completion)[:, 0], u_x(1 - float(p), completion)[:, 0]]
+    xi = [u_x(p)[:, 0], u_x(1 - float(p))[:, 0]]
     states = [kron(e0, e0), kron(xi[j], xi[0])]
     states.append(cnot(2, 1, 2) @ states[-1])
     for m in range(2, steps + 1):
@@ -257,12 +241,12 @@ def raw_coin_states(p, j, steps, completion):
     return states
 
 
-def raw_postproc_states(p, q, j, completion):
+def raw_postproc_states(p, q, j):
     e0, e1 = np.eye(2)
     xi = [e0, np.array([math.sqrt(float(q)), math.sqrt(1 - float(q))]), e1]
     states = [kron(e0, e0, e0), kron(xi[j], e0, e0)]
-    for gate in (controlled_u(3, 1, 3, u_x(p, completion), control_value=0),
-                 controlled_u(3, 1, 2, u_x(1 - float(q), completion)),
+    for gate in (controlled_u(3, 1, 3, u_x(p), control_value=0),
+                 controlled_u(3, 1, 2, u_x(1 - float(q))),
                  cnot(3, 3, 2)):
         states.append(gate @ states[-1])
     return states
@@ -274,31 +258,26 @@ def test_postproc_conflicting_branch_is_structurally_dead():
     for p in (0.0, 0.2, 0.7, 1.0):
         for q in (0.0, 0.4, 1.0):
             for j in range(3):
-                psi = raw_postproc_states(p, q, j, "rotation")[-1]
+                psi = raw_postproc_states(p, q, j)[-1]
                 probs = dict((o, pr) for o, pr, _ in measure(psi, (1, 3)))
                 assert probs[(1, 1)] == 0.0
 
 
-@pytest.mark.parametrize("completion", ["rotation", "reflection"])
 @pytest.mark.parametrize("p", [F(1, 9), F(1, 2), 0.3, 0.0, 1.0])
-def test_protocol_states_match_raw_gates(p, completion):
-    # each protocol rebuilt gate by gate; the BP messages are the rotation
-    # states followed by their mirror image, bit for bit
+def test_protocol_states_match_raw_gates(p):
+    # each protocol rebuilt gate by gate; the BP messages are those states
+    # followed by their mirror image, bit for bit
     for j in (0, 1):
         for steps in (1, 2, 3):
-            assert_states_equal(
-                protocol_states("coin", p, j, steps=steps,
-                                completion=completion),
-                raw_coin_states(p, j, steps, completion))
-            want = raw_coin_states(p, j, steps, "rotation")
+            want = raw_coin_states(p, j, steps)
+            assert_states_equal(protocol_states("coin", p, j, steps=steps),
+                                want)
             assert_states_equal(expected_messages("coin", p, j, steps=steps),
                                 want + want[-2::-1])
     for q in (F(2, 3), 0.25, 0.0, 1.0):
         for j in (0, 1, 2):
-            assert_states_equal(
-                protocol_states("postproc", p, j, q, completion=completion),
-                raw_postproc_states(p, q, j, completion))
-            want = raw_postproc_states(p, q, j, "rotation")
+            want = raw_postproc_states(p, q, j)
+            assert_states_equal(protocol_states("postproc", p, j, q), want)
             assert_states_equal(expected_messages("postproc", p, j, q=q),
                                 want + want[-2::-1])
 
@@ -315,33 +294,25 @@ def test_protocol_validation():
         protocol_states("postproc", 0.3, 0)
     with pytest.raises(ValueError):
         protocol_states("bogus", 0.3, 0)
-    with pytest.raises(ValueError):
-        protocol_states("postproc", 0.3, 0, q=0.5, completion="bogus")
-    with pytest.raises(ValueError):
-        protocol_step("coin", 0, 0.3, completion="bogus")
 
 
 def test_coin_density_spectrum():
     for p in P_GRID[1:-1]:
-        rho = stationary_density(perturbed_coin(p))
-        check_density(rho)
-        lams = density_spectrum(rho)
+        lams = memory_spectrum(perturbed_coin(p))
         root = math.sqrt(p * (1 - p))
         assert lams[0] == pytest.approx(0.5 + root, abs=1e-13)
         assert lams[1] == pytest.approx(0.5 - root, abs=1e-13)
 
 
 def test_coin_quantum_memory_closed_form():
-    # eigen route against the closed form, including the endpoint chains
+    # Gram route against the closed form, including the endpoint chains
     # whose stationary state must be supplied by hand
     for p in P_GRID[1:-1]:
-        rho = stationary_density(perturbed_coin(p))
-        assert quantum_statistical_memory(rho) == pytest.approx(
+        assert quantum_statistical_memory(perturbed_coin(p)) == pytest.approx(
             coin_quantum_memory(p), abs=1e-12)
     for p in (0, 1):
-        rho = stationary_density(perturbed_coin(p), weights=(0.5, 0.5))
-        assert quantum_statistical_memory(rho) == pytest.approx(
-            coin_quantum_memory(p), abs=1e-12)
+        assert quantum_statistical_memory(perturbed_coin(p), (0.5, 0.5)) \
+            == pytest.approx(coin_quantum_memory(p), abs=1e-12)
     assert coin_quantum_memory(0.25) == pytest.approx(0.35457890266527003,
                                                       abs=1e-15)
     assert coin_quantum_memory(0.5) == 0.0
@@ -359,18 +330,15 @@ def test_memory_hierarchy_on_coin():
 def test_postproc_density_rank_deficient():
     p, q = F(1, 9), F(2, 3)
     machine = post_processed_coin(p, q)
-    rho = stationary_density(machine)
-    check_density(rho)
-    assert quantum_topological_memory(rho) == 1.0
+    assert quantum_topological_memory(machine) == 1.0
     assert topological_memory(machine) == pytest.approx(math.log2(3), abs=0)
-    sq = quantum_statistical_memory(rho)
+    sq = quantum_statistical_memory(machine)
     assert sq == pytest.approx(0.5751673966589481, abs=1e-12)
     assert sq < statistical_memory(machine)
     # independent spectrum from the Gram matrix of the encoded states
-    from qimem.markov import stationary
     pi = stationary(induced_chain(machine))
     lams = spectrum_from_gram(machine, pi)
-    assert np.allclose(density_spectrum(rho)[:3], lams, atol=1e-12)
+    assert np.allclose(memory_spectrum(machine), lams, atol=1e-12)
     assert abs(lams[2]) < 1e-14
 
 
@@ -379,24 +347,52 @@ def test_random_machines_never_beat_classical_memory():
     for _ in range(200):
         machine = random_machine(rng, int(rng.integers(2, 6)),
                                  int(rng.integers(2, 5)))
-        rho = stationary_density(machine)
-        sq = quantum_statistical_memory(rho)
+        lams = memory_spectrum(machine)
+        sq = quantum_statistical_memory(machine)
         hc = statistical_memory(machine)
         assert sq <= hc + 1e-9
-        assert quantum_topological_memory(rho) <= topological_memory(machine) + 1e-9
-        from qimem.markov import stationary
-        pi = stationary(induced_chain(machine))
-        ref = spectrum_from_gram(machine, pi)
-        assert np.allclose(density_spectrum(rho)[:machine.n], ref, atol=1e-10)
+        assert quantum_topological_memory(machine) \
+            <= topological_memory(machine) + 1e-9
+        # the per-pair Gram loop and the dense state x output density
+        assert np.allclose(lams, spectrum_from_gram(
+            machine, stationary(induced_chain(machine))), rtol=0, atol=1e-12)
+        dense = reference_density_spectrum(machine)
+        assert np.allclose(lams, dense[:machine.n], rtol=0, atol=1e-12)
+        assert np.all(dense[machine.n:] <= 1e-12)
 
 
 def test_density_validation():
-    with pytest.raises(ValueError):
-        check_density(np.array([[0.5, 0.1], [0.2, 0.5]]))   # not symmetric
-    with pytest.raises(ValueError):
-        check_density(np.array([[0.7, 0.0], [0.0, 0.7]]))   # trace off
-    with pytest.raises(ValueError):
-        check_density(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative weight
+    # the weights of the memory state: one per state, each >= 0, summing
+    # to 1; and every encoded state of unit norm
+    coin = perturbed_coin(0.3)
+    memory_spectrum(coin, (0.5, 0.5))
+    for weights in ((1.0,), (0.5, 0.25, 0.25), (1.1, -0.1),
+                    (float("nan"), 1.0), (0.45, 0.45)):
+        with pytest.raises(ValueError):
+            memory_spectrum(coin, weights)
+        with pytest.raises(ValueError):
+            quantum_statistical_memory(coin, weights)
+    # a table that skipped the machine's own checks: P(0|0) = 0.5 alone
+    short = object.__new__(EpsilonMachine)
+    object.__setattr__(short, "edges", (((0, 0.5, 0),),))
+    object.__setattr__(short, "n_symbols", 1)
+    with pytest.raises(ValueError, match="norm"):
+        memory_spectrum(short, (1.0,))
+
+
+def test_large_chain_memory_without_the_dense_route():
+    # 300 states and 300 symbols: the dense state x output density would
+    # be 90000 x 90000, the Gram matrix is 300 x 300
+    t0 = time.perf_counter()
+    machine = machine_from_chain(random_chain(np.random.default_rng(300), 300))
+    lams = memory_spectrum(machine)
+    sq = quantum_statistical_memory(machine)
+    assert sq <= statistical_memory(machine) + 1e-9
+    assert np.sum(lams > 1e-10) <= machine.n
+    assert quantum_topological_memory(machine) \
+        <= topological_memory(machine) + 1e-9
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"300-state memory took {elapsed:.3f}s"
 
 
 def test_circuit_step_table_successors():
