@@ -266,7 +266,18 @@ def _load_matrix(path) -> TransitionMatrix:
         raise UsageError("matrix file must be a JSON array of rows")
     if not raw or any(len(row) != len(raw) for row in raw):
         raise UsageError("matrix must be square and non-empty")
-    exact = any(isinstance(v, str) for row in raw for v in row)
+    kinds = {type(v) for row in raw for v in row}
+    exact = str in kinds
+    if kinds <= {int, float}:
+        # plain numbers go through one array; the per-entry path below only
+        # runs to name a bad entry
+        try:
+            array = np.array(raw, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            if not ((array < 0) | (array > 1)).any():  # NaN passes, as below
+                return TransitionMatrix(array)
 
     def number(v):
         if isinstance(v, bool):

@@ -11,9 +11,12 @@ walks like any other trajectory sampler.
 
 Randomness is counter-based: every step of an ensemble consumes Philox
 streams keyed by (seed, step, substream), and sample number ell always
-reads element ell of those streams.  The update of one sample depends only
+reads element ell of those streams.  A step runs in blocks of at most
+``BLOCK`` samples, and each block draws only its own span of every stream,
+starting at the Philox counter of its first sample, so no full-length
+stream is ever formed.  The update of one sample depends only
 on its own previous state, its own stream elements and the shared constant
-tables, so any partition of the ensemble across threads reproduces the
+tables, so any split of the blocks across threads reproduces the
 single-threaded result bit for bit.  Both ensembles read the raw 64-bit
 words, whose uniforms in [0, 1) are ``(word >> 11) * 2**-53``, and compare
 them against the integer thresholds ``ceil(x * 2**53)`` of their
@@ -23,6 +26,7 @@ a float.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +39,9 @@ from .markov import (TransitionMatrix, _check_unit_interval, _row_sums,
                      as_cdf, stationary)
 
 DELTA_ROW_TOL = 1e-12
+# samples per block of an ensemble step: the unit of work of one thread,
+# small enough that a block's words and temporaries stay a few MB
+BLOCK = 1 << 16
 # a word's top 53 bits are its uniform's numerator over 2**53
 _SHIFT = np.uint64(11)
 
@@ -44,11 +51,16 @@ class DegenerateSupportError(ValueError):
     ratios are undefined."""
 
 
-def _words(seed: int, step: int, substream: int, count: int) -> np.ndarray:
-    """Raw Philox words; element ell is a pure function of (seed, step,
-    substream, ell)."""
+def _words(seed: int, step: int, substream: int, count: int,
+           start: int = 0) -> np.ndarray:
+    """Elements start..start+count-1 of a stream of raw Philox words;
+    element ell is a pure function of (seed, step, substream, ell).  One
+    counter value gives four words, so the stream is advanced to the counter
+    of element ``start`` and the words before it in that counter dropped."""
     key = np.array([seed, (step << 3) | substream], dtype=np.uint64)
-    return np.random.Philox(key=key).random_raw(count)
+    bitgen = np.random.Philox(key=key)
+    bitgen.advance(start // 4)
+    return bitgen.random_raw(count + start % 4)[start % 4:]
 
 
 def _threshold(x):
@@ -197,16 +209,18 @@ class _Ensemble:
     def step(self, threads: int = 1) -> np.ndarray:
         """Advance every sample once; returns the new value array."""
         t = self.step_index + 1
-        words = [self._draw(t, s) for s in range(self.streams)]
-        new_vals = np.empty_like(self.values)
-        new_flags = np.empty(self.n_samples, dtype=bool)
 
-        def update(lo: int, hi: int) -> None:
-            new_vals[lo:hi], new_flags[lo:hi] = self._update(
-                lo, hi, *(w[lo:hi] for w in words))
+        def update(lo: int, hi: int):
+            return self._update(lo, hi, *(_words(self.seed, t, s, hi - lo, lo)
+                                          for s in range(self.streams)))
 
-        _run_chunked(update, self.n_samples, threads)
-        self._record(t, new_vals, new_flags)
+        values, flags = zip(*_run_blocks(update, self.n_samples, threads))
+        # Blocks are joined once all have run, and one block's results are
+        # the new state as they are.  Output arrays allocated before the
+        # blocks would sit below each block's words, whose freeing leaves a
+        # heap top that the allocator trims and the next block faults back.
+        self._record(t, *(np.concatenate(x) if len(x) > 1 else x[0]
+                          for x in (values, flags)))
         return self.values
 
 
@@ -281,19 +295,45 @@ class CoinEnsemble(_Ensemble):
                 _below(save, self.expected_saved))
 
 
-def _run_chunked(update, total: int, threads: int) -> None:
-    if threads <= 1 or total < 2:
-        update(0, total)
-        return
-    # at most one chunk per sample and one worker per CPU, so a large
-    # --threads neither builds huge bounds nor starts that many OS threads
-    chunks = min(threads, total)
-    bounds = np.linspace(0, total, chunks + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
-        jobs = [pool.submit(update, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+def _usable_cpus() -> int:
+    """CPUs this process may run on, which can be fewer than the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The process's one worker pool, built on the first threaded step."""
+    return ThreadPoolExecutor(max_workers=_usable_cpus())
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads, and would wait on them
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run_blocks(update, total: int, threads: int) -> list:
+    """The results of ``update(lo, hi)`` over near-equal spans of at most
+    BLOCK samples, in span order.  The spans are dealt round-robin to at
+    most ``threads`` lanes and one per usable CPU: lane 0 runs on the
+    calling thread, the others on the process's pool."""
+    blocks = max(1, -(-total // BLOCK))
+    bounds = [k * total // blocks for k in range(blocks + 1)]
+    results = [None] * blocks
+    lanes = min(threads, blocks, _usable_cpus())
+
+    def lane(k: int) -> None:
+        for b in range(k, blocks, lanes):
+            results[b] = update(bounds[b], bounds[b + 1])
+
+    jobs = [_pool().submit(lane, k) for k in range(1, lanes)]
+    try:
+        lane(0)
+    finally:
         for job in jobs:
             job.result()
+    return results
 
 
 def three_state_demo_chain(p, q) -> TransitionMatrix:

@@ -7,6 +7,11 @@ decomposition and frozen.
 
 import math
 import os
+import signal
+import sys
+import time
+import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -251,54 +256,152 @@ def test_coin_ensemble_threads_identical():
     assert runs[0] == runs[1]
 
 
-def test_worker_threads_capped_at_cpu_count(monkeypatch):
-    """64 chunks share at most one worker per CPU and give the bytes of a
-    single thread."""
-    workers = []
+@pytest.fixture
+def executors(monkeypatch):
+    """Every ThreadPoolExecutor the samplers build, starting from an empty
+    pool cache; the pools are shut down afterwards."""
+    built = []
 
     class Recording(ThreadPoolExecutor):
         def __init__(self, max_workers):
-            workers.append(max_workers)
+            built.append(self)
             super().__init__(max_workers)
 
     monkeypatch.setattr(samplers, "ThreadPoolExecutor", Recording)
+    samplers._pool.cache_clear()
+    yield built
+    samplers._pool.cache_clear()
+    for pool in built:
+        pool.shutdown()
+
+
+def _usable(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def test_worker_threads_capped_at_cpu_count(monkeypatch, executors):
+    """50 threaded steps share one pool with at most one worker per usable
+    CPU, counted from the CPU affinity and not the host's CPUs, and give the
+    bytes of a single thread."""
+    monkeypatch.setattr(samplers, "BLOCK", 256)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    _usable(monkeypatch, 3)
     for make in (lambda: CoinEnsemble(0.3, 3000, seed=21),
                  lambda: GeneralQISampler(DEMO, 3000, seed=9)):
         runs = []
         for threads in (1, 64):
             sampler = make()
             history = [sampler.values.copy()]
-            for _ in range(3):
+            for _ in range(25):
                 history.append(sampler.step(threads=threads).copy())
             runs.append(np.concatenate(history).tobytes())
         assert runs[0] == runs[1]
-    assert workers == [min(64, os.cpu_count() or 1)] * 6
+    assert [pool._max_workers for pool in executors] == [3]
+    assert 1 <= len(executors[0]._threads) <= 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert samplers._usable_cpus() == 64
 
 
-def test_chunks_bounded_by_sample_count(monkeypatch):
-    """A --threads far above the sample count splits the ensemble into one
-    chunk per sample, not into --threads bounds, with the bytes of one
-    thread."""
-    chunks = []
-
-    class Recording(ThreadPoolExecutor):
-        def submit(self, fn, *args):
-            chunks.append(args)
-            return super().submit(fn, *args)
-
-    monkeypatch.setattr(samplers, "ThreadPoolExecutor", Recording)
+def test_chunks_bounded_by_sample_count(executors):
+    """A --threads far above the sample count starts at most one worker and
+    builds nothing of its size, with the bytes of one thread."""
     for make in (lambda: CoinEnsemble(0.3, 10, seed=21),
                  lambda: GeneralQISampler(DEMO, 10, seed=9)):
         runs = []
         for threads in (1, 10**7):
             sampler = make()
             history = [sampler.values.copy()]
+            tracemalloc.start()
             for _ in range(5):
                 history.append(sampler.step(threads=threads).copy())
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 10**6
             runs.append((np.concatenate(history).tobytes(),
                          tuple(sampler.saved_counts)))
         assert runs[0] == runs[1]
-    assert chunks == [(lo, lo + 1) for lo in range(10)] * 10
+    assert sum(len(pool._threads) for pool in executors) <= 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_builds_its_own_pool(monkeypatch, executors):
+    """A child forked after a threaded step has none of the pool's threads,
+    so it steps on a pool of its own instead of waiting on them."""
+    monkeypatch.setattr(samplers, "BLOCK", 8)
+    _usable(monkeypatch, 2)
+    sampler = CoinEnsemble(0.3, 64, seed=21)
+    sampler.step(threads=2)
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a threaded process may deadlock
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: exit 0 only when the step completes
+        code = 1
+        try:
+            sampler.step(threads=2)
+            code = 0
+        finally:
+            os._exit(code)
+    for _ in range(300):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done and os.waitstatus_to_exitcode(status) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), step=st.integers(0, 2 ** 40),
+       substream=st.integers(0, 7), count=st.integers(0, 40),
+       start=st.integers(0, 1000))
+@example(seed=0, step=0, substream=0, count=5, start=7)
+def test_words_from_an_offset_are_the_stream_tail(seed, step, substream,
+                                                   count, start):
+    """A block's words are elements start.. of the stream drawn from its
+    head, also where start is not a multiple of the four words per
+    counter."""
+    block = samplers._words(seed, step, substream, count, start)
+    whole = samplers._words(seed, step, substream, start + count)
+    assert block.tobytes() == whole[start:].tobytes()
+
+
+def test_blocks_give_the_bytes_of_one_block(monkeypatch, executors):
+    """With blocks of 8 samples, both ensembles give the values, flags and
+    saved counts of one unsplit block at any thread count, for sample counts
+    around the block size."""
+    def run(make, n, threads):
+        sampler = make(n)
+        history = [(sampler.values.copy(), sampler.flags.copy())]
+        for _ in range(6):
+            sampler.step(threads=threads)
+            history.append((sampler.values.copy(), sampler.flags.copy()))
+        return ([(v.tobytes(), f.tobytes()) for v, f in history],
+                sampler.saved_counts)
+
+    makers = (lambda n: CoinEnsemble(0.3, n, seed=21),
+              lambda n: GeneralQISampler(DEMO, n, seed=9))
+    block = 8
+    sizes = (block - 1, block, block + 1, 3 * block + 5)
+    whole = {(k, n): run(make, n, 1) for k, make in enumerate(makers)
+             for n in sizes}
+    monkeypatch.setattr(samplers, "BLOCK", block)
+    _usable(monkeypatch, 64)
+    # more lanes than cores, switching often: a block lost, run twice or
+    # joined out of order changes the bytes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k, make in enumerate(makers):
+            for n in sizes:
+                for threads in (1, 2, 3, 64):
+                    assert run(make, n, threads) == whole[k, n], (k, n,
+                                                                  threads)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # exact chains whose float CDFs pass 1 before their pinned last entry: in
