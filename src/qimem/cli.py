@@ -388,7 +388,7 @@ def _simulate_trajectory(machine: EpsilonMachine, chain, model, algo, p, q,
             seq = np.concatenate([tail, symbols])
             counts += stats.context_counts(seq, h, m)
             tail = seq[seq.size - h:]
-    return _verdict(counts, context_law(machine, h), sigma, h)
+    return _verdict(counts, context_law(chain, h), sigma, h)
 
 
 def _simulate_ensemble(chain, algo, p, seed, samples, steps, sigma, threads,
@@ -414,7 +414,7 @@ def _simulate_ensemble(chain, algo, p, seed, samples, steps, sigma, threads,
             prev = values
             if fh:
                 write_lines(values, str(t))
-    return _verdict(counts, chain.to_numpy(), sigma, 1, sampler)
+    return _verdict(counts, context_law(chain, 1), sigma, 1, sampler)
 
 
 def _line_writer(fh, n_symbols: int, prefixes=("",)):

@@ -425,21 +425,17 @@ def exact_kgram_distribution(machine: EpsilonMachine, k: int,
     return {word: w for word, w in sorted(out.items()) if w != 0}
 
 
-def context_law(machine: EpsilonMachine, h: int) -> np.ndarray:
-    """Stationary law of the next symbol after each h-symbol context.
-
-    Row c, column y is P(c y) / P(c) from the (h + 1)-word law, rounded
-    after the division; row c codes its context as ``stats.context_counts``
-    does.  Contexts the process never emits get a row of zeros.
-    """
-    m = machine.n_symbols
-    rows: dict = {}
-    for word, w in exact_kgram_distribution(machine, h + 1).items():
-        c = int(np.ravel_multi_index(word[:-1], (m,) * h))
-        rows.setdefault(c, {})[word[-1]] = w
-    law = np.zeros((m ** h, m))
-    for c, row in rows.items():
-        total = sum(row.values())
-        for y, w in row.items():
-            law[c, y] = float(w / total)
+def context_law(chain: TransitionMatrix, h: int) -> np.ndarray:
+    """Law of the next symbol after each h-symbol context of a walk of
+    ``chain``, row c coding its context as ``stats.context_counts`` does:
+    the row of the context's last state, zeros if the context takes a step
+    the chain forbids, and for h = 0 the stationary law."""
+    if h == 0:
+        return np.array([stationary(chain)], dtype=float)
+    n, positive = chain.n, chain.array > 0
+    emitted = np.ones(n, dtype=bool)
+    for _ in range(h - 1):
+        emitted = (emitted.reshape(-1, n, 1) & positive).ravel()
+    law = np.tile(chain.to_numpy(), (n ** (h - 1), 1))
+    law *= emitted[:, None]
     return law

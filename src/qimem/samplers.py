@@ -251,15 +251,17 @@ class GeneralQISampler(_Ensemble):
         self._record(0, values, (self._draw(0, 3) >> _SHIFT) < self._f[values])
 
     def _update(self, lo, hi, draw, accept, pick, save):
+        for words in (draw, accept, pick, save):
+            words >>= _SHIFT  # in place, as each block owns its words
         # searchsorted and argmax see only whether u < cdf[i], which the
         # thresholds keep even where a partial sum passes 1 before the end
-        i = np.searchsorted(self._pi, draw >> _SHIFT, side="right")
+        i = np.searchsorted(self._pi, draw, side="right")
         j = self.values[lo:hi]
-        reroute = self.flags[lo:hi] & ((accept >> _SHIFT) < self._rminus[j, i])
+        reroute = self.flags[lo:hi] & (accept < self._rminus[j, i])
         if reroute.any():
             rows = self._rplus[j[reroute]]
-            i[reroute] = ((pick[reroute] >> _SHIFT)[:, None] < rows).argmax(axis=1)
-        return i, (save >> _SHIFT) < self._f[i]
+            i[reroute] = (pick[reroute][:, None] < rows).argmax(axis=1)
+        return i, save < self._f[i]
 
 
 class CoinEnsemble(_Ensemble):

@@ -12,6 +12,7 @@ fails the comparison outright, whatever the z threshold.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,7 @@ class TransitionReport:
     tv: dict[str, float]
     hard_failures: list[str]
 
-    @property
+    @functools.cached_property
     def row_max_abs_z(self) -> dict[str, float]:
         return {c: float(np.max(np.abs(z))) for c, z in self.z.items()}
 

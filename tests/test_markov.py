@@ -5,6 +5,7 @@ stationary vectors by exact elimination done by hand, entropies from
 their closed-form arguments.
 """
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -580,16 +581,21 @@ def test_kgram_words_of_many_symbols():
     d3 = exact_kgram_distribution(m, 3)
     assert len(d3) == 1331
     assert d3[10, 1, 0] == d3[1, 0, 10] == F(1, 1331)
-    law = context_law(m, 2)
+    law = context_law(induced_chain(m), 2)
     assert law.shape == (121, 11)
     assert np.all(law == 1 / 11)
 
 
 def test_context_law_of_postproc():
+    """Row c of the law is P(c y) / P(c) from the word law, to the last bit
+    on exact chains, and zero exactly where P(c) = 0; on a float chain the
+    rounded word probabilities meet it to a few ulp, and the stationary
+    law of h = 0 to the solver's residual."""
     m = post_processed_coin(F(1, 9), F(2, 3))
-    # row c of the law is P(c y) / P(c); the context 2,1 hands control to
-    # the middle state, the never-emitted context 2,0 keeps a zero row
-    law = context_law(m, 2)
+    chain = induced_chain(m)
+    # the context 2,1 hands control to the middle state, the never-emitted
+    # context 2,0 keeps a zero row
+    law = context_law(chain, 2)
     d3 = exact_kgram_distribution(m, 3)
     d2 = exact_kgram_distribution(m, 2)
     for y in range(3):
@@ -597,7 +603,36 @@ def test_context_law_of_postproc():
     assert law[6].tolist() == [0.0, 0.0, 0.0]
     assert law[2].tolist() == [0.0, 1.0, 0.0]
     d1 = exact_kgram_distribution(m, 1)
-    assert context_law(m, 0).tolist() == [[float(d1[x, ]) for x in range(3)]]
+    assert context_law(chain, 0).tolist() == [[float(d1[x, ])
+                                               for x in range(3)]]
+    for exact in (chain, random_rational_chain(np.random.default_rng(4), 4),
+                  random_rational_chain(np.random.default_rng(5), 5)):
+        for h in (0, 1, 2):
+            rows = _word_law_rows(exact, h)
+            assert context_law(exact, h).tolist() == [
+                [0.0] * exact.n if row is None else [float(w) for w in row]
+                for row in rows]
+    floats = random_chain(np.random.default_rng(12), 12)
+    for h in (1, 2):
+        law, rows = context_law(floats, h), _word_law_rows(floats, h)
+        assert law.shape == (12 ** h, 12) and None not in rows
+        assert np.allclose(law, rows, rtol=1e-15, atol=0)
+    assert np.allclose(context_law(floats, 0), _word_law_rows(floats, 0),
+                       rtol=0, atol=markov.STATIONARY_TOL)
+
+
+def _word_law_rows(chain: TransitionMatrix, h: int) -> list:
+    """Row c of P(c y) / P(c) from the exact (h + 1)-word law of the walk
+    of ``chain``, contexts coded as ``context_counts`` codes them; None
+    for a context of probability 0."""
+    n = chain.n
+    words = exact_kgram_distribution(machine_from_chain(chain), h + 1)
+    rows = []
+    for context in itertools.product(range(n), repeat=h):
+        row = [words.get(context + (y,), 0) for y in range(n)]
+        total = sum(row)
+        rows.append([w / total for w in row] if total else None)
+    return rows
 
 
 def test_kgram_range_errors():

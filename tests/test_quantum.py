@@ -417,7 +417,8 @@ def test_circuit_trajectory_statistics():
     rng = np.random.default_rng(90)
     traj, _ = sample_edges(table, 0, 20000, rng)
     report = compare_transitions(context_counts(traj, 2, 3),
-                                 context_law(machine, 2), context=2)
+                                 context_law(induced_chain(machine), 2),
+                                 context=2)
     assert report.passed, report
     assert not report.hard_failures
     a, _ = sample_edges(table, 1, 50, np.random.default_rng(3))

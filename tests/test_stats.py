@@ -70,6 +70,17 @@ def test_compare_forbidden_gram_is_always_fatal():
         == ["21>2"]
 
 
+def test_forbidden_first_pair_is_fatal():
+    """A run may open on a pair its process never emits: 2,0 on the
+    post-processed coin.  Its context row is zero, not the row of state 0,
+    so the symbol after it is a hard failure."""
+    law = context_law(induced_chain(post_processed_coin(F(1, 9), F(2, 3))), 2)
+    report = compare_transitions(context_counts([2, 0, 0], 2, 3), law,
+                                 context=2)
+    assert report.hard_failures == ["20>0"]
+    assert not report.passed
+
+
 def test_compare_sure_gram():
     assert compare_transitions([[100, 0]], [[1.0, 0.0]], context=0).passed
     # a sure symbol that comes up short is fatal, as is what came instead
@@ -231,7 +242,7 @@ def test_trajectory_samplers_calibrate_at_five_sigma():
     p, q = F(1, 9), F(2, 3)
     machine = post_processed_coin(p, q)
     cdf = as_cdf(np.array(stationary(induced_chain(machine)), dtype=float))
-    law = context_law(machine, 2)
+    law = context_law(induced_chain(machine), 2)
     tables = {"baseline": machine.edges,
               "quantum": circuit_step_table("postproc", p, q),
               "single-bit": single_bit_table(p, q)}
@@ -251,7 +262,7 @@ def test_trajectory_samplers_calibrate_at_five_sigma():
 
 
 def test_exact_sampler_word_law_at_fixed_seed():
-    law = context_law(perturbed_coin(0.3), 2)
+    law = context_law(induced_chain(perturbed_coin(0.3)), 2)
     traj = exact_coin_trajectory(0.3, 20000, np.random.default_rng(424))
     report = compare_transitions(context_counts(traj, 2, 2), law, context=2)
     assert report.passed, report
