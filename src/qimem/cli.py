@@ -404,8 +404,7 @@ def _simulate_ensemble(chain, algo, p, seed, samples, steps, sigma, threads,
     prev = sampler.values
     with open(out, "wb") if out else nullcontext() as fh:
         if fh:
-            write_lines = _line_writer(
-                fh, n, [f",{i}," for i in range(samples)])
+            write_lines = _line_writer(fh, n, _sample_prefixes(samples))
             fh.write(b"step,sample,value\n")
             write_lines(prev, "0")
         for t in range(1, steps + 1):
@@ -417,17 +416,30 @@ def _simulate_ensemble(chain, algo, p, seed, samples, steps, sigma, threads,
     return _verdict(counts, context_law(chain, 1), sigma, 1, sampler)
 
 
-def _line_writer(fh, n_symbols: int, prefixes=("",)):
+def _sample_prefixes(samples: int) -> np.ndarray:
+    """The line prefixes ``,{k},`` of samples k < ``samples``, as records of
+    NUL-padded bytes fields that numpy's integer-to-bytes cast fills, with
+    no Python object per sample."""
+    width = len(str(samples))
+    prefixes = np.empty(samples, [("open", "S1"), ("k", f"S{width}"),
+                                  ("close", "S1")])
+    prefixes["open"] = prefixes["close"] = b","
+    prefixes["k"] = np.arange(samples)
+    return prefixes
+
+
+def _line_writer(fh, n_symbols: int, prefixes=(b"",)):
     """Writer of data-file lines to the binary file ``fh``.
 
     ``write(values, tag="")`` writes line k as ``tag + prefixes[k] +
-    f"{values[k]}\\n"`` for values in ``range(n_symbols)``; a single prefix
-    serves every line.  Each call builds its lines as one byte buffer: each
-    part of a line is a NUL-padded field of a numpy record, and dropping the
-    NUL bytes, which decimal text never holds, closes the gaps.
+    f"{values[k]}\\n"`` for values in ``range(n_symbols)``, with each prefix
+    bytes or a record of NUL-padded bytes fields; a single prefix serves
+    every line.  Each call builds its lines as one byte buffer: each part of
+    a line is a NUL-padded field of a numpy record, and dropping the NUL
+    bytes, which decimal text never holds, closes the gaps.
     """
     symbols = np.array([f"{v}\n".encode() for v in range(n_symbols)])
-    prefixes = np.array([p.encode() for p in prefixes])
+    prefixes = np.asarray(prefixes)
 
     def write(values, tag=""):
         tag = tag.encode()

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,9 @@ DELTA_ROW_TOL = 1e-12
 BLOCK = 1 << 16
 # a word's top 53 bits are its uniform's numerator over 2**53
 _SHIFT = np.uint64(11)
+# a guide table reads at most this many top bits of a 53-bit draw: 2**15
+# eight-byte entries stay in a core's L2 cache
+GUIDE_BITS = 15
 
 
 class DegenerateSupportError(ValueError):
@@ -51,16 +55,30 @@ class DegenerateSupportError(ValueError):
     ratios are undefined."""
 
 
+# one Philox bit generator per thread, with the state it is reset to
+_philox = threading.local()
+
+
 def _words(seed: int, step: int, substream: int, count: int,
            start: int = 0) -> np.ndarray:
     """Elements start..start+count-1 of a stream of raw Philox words;
     element ell is a pure function of (seed, step, substream, ell).  One
-    counter value gives four words, so the stream is advanced to the counter
-    of element ``start`` and the words before it in that counter dropped."""
-    key = np.array([seed, (step << 3) | substream], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    bitgen.advance(start // 4)
-    return bitgen.random_raw(count + start % 4)[start % 4:]
+    counter value gives four words, so the stream is set to the counter of
+    element ``start`` and the words before it in that counter dropped.
+
+    Each thread re-keys one generator through its state: building one with
+    ``Philox(key=...)`` would first draw OS entropy that the key overrides.
+    The state's buffer is empty, so its first word steps the counter, as a
+    fresh generator's first word steps it from 0 to 1."""
+    if not hasattr(_philox, "bitgen"):
+        _philox.bitgen = np.random.Philox(key=0)
+        _philox.state = _philox.bitgen.state
+        _philox.state["buffer_pos"] = 4
+    state = _philox.state["state"]
+    state["counter"][0] = start // 4
+    state["key"][:] = seed, (step << 3) | substream
+    _philox.bitgen.state = _philox.state
+    return _philox.bitgen.random_raw(count + start % 4)[start % 4:]
 
 
 def _threshold(x):
@@ -82,6 +100,63 @@ def _below(words: np.ndarray, x: float) -> np.ndarray:
     if top >= 2 ** 53:
         return np.ones(words.shape, dtype=bool)
     return words < np.uint64(top << 11)
+
+
+def _cdf_thresholds(weights) -> np.ndarray:
+    """Thresholds of the CDF of each row of ``weights``, clamped at 2**53.
+    A float partial sum that rounds past 1 before the pinned last entry
+    would give a threshold above 2**53 and an unsorted row; no draw is
+    2**53 or more, so the clamp changes no comparison and sorts the row."""
+    return np.minimum(_threshold(as_cdf(weights)), np.uint64(2 ** 53))
+
+
+class _GuideTable:
+    """``np.searchsorted(cdf, u, side="right")`` for draws u in [0, 2**53)
+    and sorted thresholds ``cdf``, mostly by one table read: the guide table
+    ("index table") of Chen and Asau, AIIE Transactions 6(2), 1974.
+
+    The draws are split into buckets by their top bits, about a thousand
+    buckets per threshold and at most 2**GUIDE_BITS.  A bucket that no
+    threshold splits holds the one index of all its draws; a split bucket
+    holds -1, and only its draws are searched."""
+
+    def __init__(self, cdf: np.ndarray):
+        self.cdf = cdf
+        bits = min(GUIDE_BITS, len(cdf).bit_length() + 10)
+        self.shift = 53 - bits
+        first = np.arange(1 << bits, dtype=np.uint64) << np.uint64(self.shift)
+        lo, hi = (np.searchsorted(cdf, u, side="right")
+                  for u in (first, first + np.uint64((1 << self.shift) - 1)))
+        self.table = np.where(lo == hi, lo, -1)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        i = self.table[u.view(np.int64) >> self.shift]
+        split = np.flatnonzero(i < 0)
+        if split.size:
+            i[split] = np.searchsorted(self.cdf, u[split], side="right")
+        return i
+
+
+class _RowSearch:
+    """``np.searchsorted(rows[j], pick, side="right")`` for many pairs of a
+    row j and a draw pick in [0, 2**53), over the sorted threshold rows of
+    ``rows``, as one search of one flat key array.  Threshold k of row j is
+    the key ``j + 1j * rows[j][k]``: numpy orders complex numbers by real
+    part, then imaginary part, and every row number, every threshold up to
+    2**53 and every draw below it is exact in float64, so the keys stay
+    exact and sorted for any number of rows."""
+
+    def __init__(self, rows: np.ndarray):
+        n_rows, self.width = rows.shape
+        self.keys = np.empty(rows.size, dtype=np.complex128)
+        self.keys.real = np.repeat(np.arange(n_rows), self.width)
+        self.keys.imag = rows.ravel()
+
+    def __call__(self, j: np.ndarray, pick: np.ndarray) -> np.ndarray:
+        query = np.empty(j.shape, dtype=np.complex128)
+        query.real = j
+        query.imag = pick
+        return np.searchsorted(self.keys, query, side="right") - j * self.width
 
 
 def decompose(chain: TransitionMatrix, pi=None):
@@ -233,6 +308,11 @@ class GeneralQISampler(_Ensemble):
     probability r_minus[j][i], choosing the destination from r_plus[j];
     finally save the new value v with probability f_v.  The effective
     kernel of this update is exactly the target chain.
+
+    Every probability is an integer threshold of the 53-bit draws.  A draw
+    from pi is read off a guide table of pi's CDF, a reroute destination
+    from one search of all r_plus CDFs at once, and r_minus through the flat
+    index j * n + i, so a step allocates no k x n array for k reroutes.
     """
 
     streams = 4  # draw, accept, pick, save
@@ -241,26 +321,25 @@ class GeneralQISampler(_Ensemble):
         super().__init__(n_samples, seed)
         t = RerouteTables.from_chain(chain)
         self.expected_saved = float(expected_memory(t)[0])
-        self._pi = _threshold(as_cdf(t.pi))
+        self._pi = _GuideTable(_cdf_thresholds(t.pi))
         self._f = _threshold(t.f)
-        self._rminus = _threshold(t.rminus)
+        self._rminus = _threshold(t.rminus).ravel()
         # the r_plus rows of states that never save are never read
-        self._rplus = _threshold(as_cdf(t.rplus))
-        values = np.searchsorted(self._pi, self._draw(0, 0) >> _SHIFT,
-                                 side="right").astype(np.int64)
+        self._rplus = _RowSearch(_cdf_thresholds(t.rplus))
+        values = self._pi(self._draw(0, 0) >> _SHIFT)
         self._record(0, values, (self._draw(0, 3) >> _SHIFT) < self._f[values])
 
     def _update(self, lo, hi, draw, accept, pick, save):
         for words in (draw, accept, pick, save):
             words >>= _SHIFT  # in place, as each block owns its words
-        # searchsorted and argmax see only whether u < cdf[i], which the
-        # thresholds keep even where a partial sum passes 1 before the end
-        i = np.searchsorted(self._pi, draw, side="right")
+        # r_minus is read at its flat index j * n + i, and the k rerouted
+        # samples search the r_plus keys, so nothing of size k x n is formed
+        i = self._pi(draw)
         j = self.values[lo:hi]
-        reroute = self.flags[lo:hi] & (accept < self._rminus[j, i])
-        if reroute.any():
-            rows = self._rplus[j[reroute]]
-            i[reroute] = (pick[reroute][:, None] < rows).argmax(axis=1)
+        rminus = self._rminus[j * self._rplus.width + i]
+        reroute = np.flatnonzero(self.flags[lo:hi] & (accept < rminus))
+        if reroute.size:
+            i[reroute] = self._rplus(j[reroute], pick[reroute])
         return i, save < self._f[i]
 
 

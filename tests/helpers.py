@@ -238,6 +238,14 @@ def reference_uniforms(seed: int, step: int, substream: int,
     return np.random.Generator(np.random.Philox(key=key)).random(count)
 
 
+def reference_row_search(rows: np.ndarray, j: np.ndarray,
+                         pick: np.ndarray) -> np.ndarray:
+    """The reroute destination that ``samplers._RowSearch`` must give: for
+    each pair, the first index k with ``pick < rows[j][k]``, by comparing
+    the pick with the whole of its row, a k x n array for k pairs."""
+    return (pick[:, None] < rows[j]).argmax(axis=1)
+
+
 class ReferenceQISampler:
     """The save/reroute ensemble on float uniforms and float CDFs, which
     ``samplers.GeneralQISampler`` must reproduce on integer thresholds:

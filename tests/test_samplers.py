@@ -9,6 +9,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qimem import samplers
-from qimem.markov import (TransitionMatrix, induced_chain, perturbed_coin,
-                          post_processed_coin, sample_edges)
+from qimem.markov import (TransitionMatrix, as_cdf, induced_chain,
+                          perturbed_coin, post_processed_coin, sample_edges)
 from qimem.samplers import (CoinEnsemble, DegenerateSupportError,
                             GeneralQISampler, RerouteTables, decompose,
                             effective_kernel, expected_memory, save_fractions,
@@ -32,7 +33,8 @@ from qimem.stats import (compare_transitions, context_counts,
 from qimem.markov import context_law
 
 from helpers import (ReferenceQISampler, random_chain, random_rational_chain,
-                     reference_reroute_tables, reference_uniforms)
+                     reference_reroute_tables, reference_row_search,
+                     reference_uniforms)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_TABLES = RerouteTables.from_chain(DEMO)
@@ -369,6 +371,37 @@ def test_words_from_an_offset_are_the_stream_tail(seed, step, substream,
     assert block.tobytes() == whole[start:].tobytes()
 
 
+def test_words_rekey_one_generator_per_thread(monkeypatch):
+    """Spans drawn on two threads give the words of a fresh generator per
+    key, advanced to the span's counter, and each thread builds one
+    generator, not one per span."""
+    def fresh(seed, step, substream, count, start):
+        key = np.array([seed, (step << 3) | substream], dtype=np.uint64)
+        bitgen = np.random.Philox(key=key)
+        bitgen.advance(start // 4)
+        return bitgen.random_raw(count + start % 4)[start % 4:].tobytes()
+
+    spans = [(seed, step, sub, 9, start) for seed in (0, 2**64 - 1)
+             for step in (0, 5) for sub in (0, 3) for start in (0, 6, 4001)]
+    expected = [fresh(*span) for span in spans]
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(threading.get_ident())
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(samplers, "_philox", threading.local())
+    monkeypatch.setattr(np.random, "Philox", counting)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(lambda: [samplers._words(*span).tobytes()
+                                      for span in spans])
+        assert [samplers._words(*span).tobytes() for span in spans] \
+            == expected
+        assert worker.result(timeout=60) == expected
+    assert len(built) == len(set(built)) == 2
+
+
 def test_blocks_give_the_bytes_of_one_block(monkeypatch, executors):
     """With blocks of 8 samples, both ensembles give the values, flags and
     saved counts of one unsplit block at any thread count, for sample counts
@@ -464,6 +497,132 @@ def test_general_sampler_matches_float_reference(chain, seed):
         for (v, f), (rv, rf) in zip(got, expected):
             assert np.array_equal(v, rv) and np.array_equal(f, rf)
         assert sampler.saved_counts == reference.saved_counts
+
+
+TOP = 2 ** 53  # the threshold of probability 1; every draw is below it
+
+
+@st.composite
+def guided_cdfs(draw):
+    """Sorted thresholds in [0, 2**53] for a guide table of at most
+    2**cap buckets, many of them on a bucket's first draw or one off it,
+    and draws on and around every threshold and bucket edge."""
+    cap = draw(st.sampled_from([1, 2, 3, samplers.GUIDE_BITS]))
+    n = draw(st.integers(1, 40))
+    shift = 53 - min(cap, n.bit_length() + 10)
+    edge = st.builds(lambda k, d: (k << shift) + d,
+                     st.integers(0, 2 ** (53 - shift)),
+                     st.sampled_from([-1, 0, 1]))
+    cdf = draw(st.lists(st.one_of(st.integers(0, TOP), edge,
+                                  st.sampled_from([0, TOP])),
+                        min_size=n, max_size=n))
+    cdf = np.clip(np.sort(np.array(cdf, dtype=np.int64)), 0, TOP)
+    near = [int(c) + d for c in cdf for d in (-1, 0, 1)]
+    u = draw(st.lists(st.one_of(st.integers(0, TOP - 1), edge,
+                                st.sampled_from(near)), max_size=60))
+    u = np.clip(np.array(u + near + [0, TOP - 1], dtype=np.int64), 0, TOP - 1)
+    return cap, cdf.astype(np.uint64), u.astype(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=guided_cdfs())
+def test_guide_table_is_searchsorted(case):
+    """The guide table maps every draw to ``searchsorted(cdf, u, "right")``,
+    also with more thresholds than buckets and with thresholds on a
+    bucket's first draw, or one before or after it."""
+    cap, cdf, u = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samplers, "GUIDE_BITS", cap)
+        guide = samplers._GuideTable(cdf)
+    assert guide.table.size <= 2 ** cap
+    got = guide(u.copy())
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
+def test_guide_table_of_a_cdf_passing_one():
+    """A float CDF whose partial sum passes 1 before its last entry is
+    clamped into a sorted one, and draws land where the first threshold
+    above them is on the unclamped CDF."""
+    weights = np.array([9 / 28, 9 / 14, 1 / 28, 0.0])
+    raw = samplers._threshold(as_cdf(weights))
+    assert raw[2] > TOP
+    guide = samplers._GuideTable(samplers._cdf_thresholds(weights))
+    assert np.all(guide.cdf[:-1] <= guide.cdf[1:])
+    u = np.array([0, raw[0] - 1, raw[0], raw[1] - 1, raw[1], TOP - 1],
+                 dtype=np.uint64)
+    expected = reference_row_search(raw[None], np.zeros(u.size, int), u)
+    assert np.array_equal(guide(u.copy()), expected)
+    assert expected.tolist() == [0, 0, 1, 1, 2, 2]
+
+
+def _row_search_cases(rows, rng, k=400):
+    """Rows j and picks for every row of ``rows`` (integer thresholds):
+    uniform picks, and picks on, below and above a threshold of their row."""
+    j = rng.integers(0, len(rows), size=k)
+    thr = rows[j, rng.integers(0, rows.shape[1], size=k)].astype(np.int64)
+    near = np.clip(thr + rng.integers(-1, 2, size=k), 0, TOP - 1)
+    pick = np.where(rng.random(k) < 0.5, near, rng.integers(0, TOP, size=k))
+    return j, pick.astype(np.uint64)
+
+
+def _assert_row_search(weights, rng):
+    """``_RowSearch`` over the clamped CDF thresholds of ``weights`` gives
+    the first-exceeding index on the unclamped ones."""
+    raw = samplers._threshold(as_cdf(weights))
+    search = samplers._RowSearch(samplers._cdf_thresholds(weights))
+    assert np.array_equal(np.sort(search.keys), search.keys)
+    j, pick = _row_search_cases(raw, rng)
+    got = search(j, pick)
+    assert np.array_equal(got, reference_row_search(raw, j, pick))
+
+
+def test_row_search_is_argmax():
+    """Float rows with zeros, all-zero rows (states that never save), rows
+    whose float partial sums pass 1 before their last entry, and exact
+    rows, including Fractions whose thresholds the picks hit exactly."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 17, 130):
+        rows = rng.dirichlet(np.full(n, 0.3), size=n)
+        rows[rng.random((n, n)) < 0.3] = 0.0
+        rows[rng.random(n) < 0.3] = 0.0
+        _assert_row_search(rows, rng)
+    overshoot = np.array([[9 / 28, 9 / 14, 1 / 28, 0], [0.0] * 4,
+                          [0.25] * 4, [0, 0, 1, 0]])
+    assert np.cumsum(overshoot[0])[2] > 1
+    _assert_row_search(overshoot, rng)
+    exact = np.array([[F(2, 3), F(0), F(1, 3)], [F(0)] * 3,
+                      [F(1, 9), F(2, 3), F(2, 9)]], dtype=object)
+    _assert_row_search(exact, rng)
+    tables = RerouteTables.from_chain(random_rational_chain(rng, 6))
+    _assert_row_search(tables.rplus, rng)
+
+
+def test_row_search_past_2048_rows():
+    """3000 rows: a key of row j shifted left by 53 bits would overflow
+    64 bits from row 2048 on, and the search must still find every row."""
+    rng = np.random.default_rng(6)
+    rows = rng.dirichlet(np.ones(5), size=3000)
+    rows[rng.random(3000) < 0.2] = 0.0
+    _assert_row_search(rows, rng)
+
+
+@pytest.mark.parametrize("chain", [random_chain(np.random.default_rng(40), 40),
+                                   PI_OVERSHOOT, RPLUS_OVERSHOOT])
+def test_general_sampler_with_more_states_than_buckets(monkeypatch, chain):
+    """With a guide table of 2 buckets, both split by the CDF of a chain of
+    more states, draws go through the split buckets' search, and the
+    sampler still gives the float reference's values and flags."""
+    monkeypatch.setattr(samplers, "GUIDE_BITS", 1)
+    reference = ReferenceQISampler(chain, 500, 11)
+    expected = [(reference.values, reference.flags)]
+    expected += [(reference.step(), reference.flags) for _ in range(4)]
+    sampler = GeneralQISampler(chain, 500, 11)
+    assert sampler._pi.table.tolist() == [-1, -1] and chain.n > 2
+    got = [(sampler.values, sampler.flags)]
+    got += [(sampler.step(threads=2), sampler.flags) for _ in range(4)]
+    for (v, f), (rv, rf) in zip(got, expected):
+        assert np.array_equal(v, rv) and np.array_equal(f, rf)
 
 
 def _tables(chain) -> list:
@@ -603,10 +762,11 @@ def test_exact_thresholds_are_exact_ceilings():
 def test_exact_chain_cdfs_summed_in_fractions():
     sampler = GeneralQISampler(DEMO, 10, seed=0)
     pi_cdf = [F(2, 9), F(13, 18), F(1)]
-    assert sampler._pi.tolist() == [math.ceil(c * 2**53) for c in pi_cdf]
+    assert sampler._pi.cdf.tolist() == [math.ceil(c * 2**53) for c in pi_cdf]
     rplus_cdf = [F(2, 3), F(2, 3), F(1)]  # r_plus row 0 is (2/3, 0, 1/3)
-    assert sampler._rplus[0].tolist() == [math.ceil(c * 2**53)
-                                          for c in rplus_cdf]
+    # row 0's reroute keys are 0 + 1j * threshold, exact in float64
+    assert sampler._rplus.keys[:3].tolist() == [
+        complex(0, math.ceil(c * 2**53)) for c in rplus_cdf]
 
 
 def test_coin_ensemble_state_is_boolean():
