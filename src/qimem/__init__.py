@@ -10,10 +10,9 @@ samplers (``samplers``) and belief propagation on cycle factor graphs
 
 from .markov import (ConvergenceError, EpsilonMachine, ReducibleChainError,
                      TransitionMatrix, coin_mutual_info_bound, context_law,
-                     entropy_bits, exact_kgram_distribution, induced_chain,
-                     machine_from_chain, perturbed_coin, post_processed_coin,
-                     sample_edges, stationary, statistical_memory,
-                     topological_memory)
+                     entropy_bits, induced_chain, machine_from_chain,
+                     perturbed_coin, post_processed_coin, sample_edges,
+                     stationary, statistical_memory, topological_memory)
 from .quantum import (coin_quantum_memory, memory_spectrum,
                       quantum_statistical_memory, quantum_topological_memory)
 from .samplers import (CoinEnsemble, DegenerateSupportError, GeneralQISampler,

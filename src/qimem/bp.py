@@ -20,9 +20,10 @@ from .quantum import cnot, controlled_u, kron, protocol_states, P0
 MAX_ENUM_BITS = 24
 # Chained coin steps a bp-verify run takes: each step doubles the width of
 # the dense gates the graph and the circuit route build.  Step 10 takes
-# about 11 s and 186 MB (one in-process run at --p 0.3 on a 2-vCPU Xeon VM,
-# Python 3.11 and numpy 2.4; wall clock, peak RSS from resource.getrusage),
-# each further step about seven times as long.
+# about 5 s and 186 MB, step 9 about 0.75 s and 72 MB (in-process runs at
+# --p 0.3 on a 2-vCPU AMD EPYC VM, Python 3.11 and numpy 2.4; wall clock,
+# peak RSS from resource.getrusage), so each step takes about seven times
+# as long as the one before.
 MAX_COIN_STEPS = 10
 
 

@@ -417,37 +417,47 @@ def _simulate_ensemble(chain, algo, p, seed, samples, steps, sigma, threads,
 
 
 def _sample_prefixes(samples: int) -> np.ndarray:
-    """The line prefixes ``,{k},`` of samples k < ``samples``, as records of
-    NUL-padded bytes fields that numpy's integer-to-bytes cast fills, with
-    no Python object per sample."""
-    width = len(str(samples))
-    prefixes = np.empty(samples, [("open", "S1"), ("k", f"S{width}"),
-                                  ("close", "S1")])
-    prefixes["open"] = prefixes["close"] = b","
-    prefixes["k"] = np.arange(samples)
-    return prefixes
+    """The line prefixes ``,{k},`` of samples k < ``samples``, as bytes
+    fields whose leading zeros are NUL bytes.  The digits are filled one
+    column at a time by integer division, with no Python object per
+    sample."""
+    width = len(str(samples - 1))
+    k = np.arange(samples)
+    prefixes = np.zeros((samples, width + 2), dtype=np.uint8)
+    prefixes[:, 0] = prefixes[:, -1] = ord(",")
+    for c in range(width):
+        column = prefixes[:, width - c]
+        column[:] = k // 10 ** c % 10 + ord("0")
+        if c:
+            column[:10 ** c] = 0  # the leading zeros of k < 10**c
+    return prefixes.view(f"S{width + 2}")[:, 0]
 
 
 def _line_writer(fh, n_symbols: int, prefixes=(b"",)):
     """Writer of data-file lines to the binary file ``fh``.
 
     ``write(values, tag="")`` writes line k as ``tag + prefixes[k] +
-    f"{values[k]}\\n"`` for values in ``range(n_symbols)``, with each prefix
-    bytes or a record of NUL-padded bytes fields; a single prefix serves
-    every line.  Each call builds its lines as one byte buffer: each part of
-    a line is a NUL-padded field of a numpy record, and dropping the NUL
+    f"{values[k]}\\n"`` for values in ``range(n_symbols)``, with the NUL
+    bytes of each prefix dropped; a single prefix serves every line.  The
+    lines are built in one kept record array of NUL-padded bytes fields,
+    remade with its prefixes only when the line count or the tag width
+    changes, so a call assigns just its tags and symbols.  Dropping the NUL
     bytes, which decimal text never holds, closes the gaps.
     """
     symbols = np.array([f"{v}\n".encode() for v in range(n_symbols)])
     prefixes = np.asarray(prefixes)
+    lines = np.empty(0, np.uint8)
 
     def write(values, tag=""):
+        nonlocal lines
         tag = tag.encode()
-        lines = np.empty(values.shape, [("tag", f"S{max(1, len(tag))}"),
-                                        ("prefix", prefixes.dtype),
-                                        ("symbol", symbols.dtype)])
+        dtype = np.dtype([("tag", f"S{max(1, len(tag))}"),
+                          ("prefix", prefixes.dtype),
+                          ("symbol", symbols.dtype)])
+        if lines.shape != values.shape or lines.dtype != dtype:
+            lines = np.empty(values.shape, dtype)
+            lines["prefix"] = prefixes
         lines["tag"] = tag
-        lines["prefix"] = prefixes
         lines["symbol"] = symbols[values]
         text = lines.view(np.uint8)
         fh.write(text[text != 0])

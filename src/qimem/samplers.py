@@ -330,7 +330,7 @@ class GeneralQISampler(_Ensemble):
         self._record(0, values, (self._draw(0, 3) >> _SHIFT) < self._f[values])
 
     def _update(self, lo, hi, draw, accept, pick, save):
-        for words in (draw, accept, pick, save):
+        for words in (draw, accept, save):
             words >>= _SHIFT  # in place, as each block owns its words
         # r_minus is read at its flat index j * n + i, and the k rerouted
         # samples search the r_plus keys, so nothing of size k x n is formed
@@ -339,7 +339,8 @@ class GeneralQISampler(_Ensemble):
         rminus = self._rminus[j * self._rplus.width + i]
         reroute = np.flatnonzero(self.flags[lo:hi] & (accept < rminus))
         if reroute.size:
-            i[reroute] = self._rplus(j[reroute], pick[reroute])
+            # only the rerouted samples read pick, so only theirs shift
+            i[reroute] = self._rplus(j[reroute], pick[reroute] >> _SHIFT)
         return i, save < self._f[i]
 
 

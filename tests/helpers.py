@@ -144,6 +144,43 @@ def reference_strongly_connected(T: TransitionMatrix) -> bool:
     return len(reach(fwd)) == n and len(reach(bwd)) == n
 
 
+MAX_KGRAM = 8
+
+
+def exact_kgram_distribution(machine: EpsilonMachine, k: int,
+                             start: int | None = None) -> dict:
+    """Exact probability of every length-k output word.
+
+    With ``start=None`` the hidden state is drawn from the stationary
+    distribution; otherwise the word law is conditioned on starting in
+    ``start``.  Keys are tuples of the emitted symbols ((2, 0, 1) for the
+    word 2,0,1).  Words of probability zero are omitted.  Probabilities
+    are exact rationals when the machine is exact and its stationary state
+    is not needed in float form.
+    """
+    if not 1 <= k <= MAX_KGRAM:
+        raise ValueError(f"k must be in 1..{MAX_KGRAM}, got {k}")
+    if start is None:
+        weights = stationary(induced_chain(machine))
+        initial = list(enumerate(weights))
+    else:
+        if not 0 <= start < machine.n:
+            raise ValueError(f"start state {start} out of range")
+        initial = [(start, Fraction(1) if machine.exact else 1.0)]
+    out: dict = {}
+    frontier = {((), i): w for i, w in initial if w != 0}
+    for _ in range(k):
+        nxt: dict = {}
+        for (word, i), w in frontier.items():
+            for x, pr, after in machine.edges[i]:
+                key = (word + (x,), after)
+                nxt[key] = nxt.get(key, 0) + w * pr
+        frontier = nxt
+    for (word, _), w in frontier.items():
+        out[word] = out.get(word, 0) + w
+    return {word: w for word, w in sorted(out.items()) if w != 0}
+
+
 def exact_coin_trajectory(p: float, steps: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Direct coin sampler: flip the previous symbol with probability p.

@@ -13,8 +13,10 @@ from qimem.bp import (AnnihilatingFactorError, CycleFactorGraph, backward_pass,
                       brute_marginals, coin_graph, diagonal_distribution,
                       expected_messages, forward_pass, marginal,
                       postproc_graph, prep_factor, probability_matrix)
-from qimem.markov import exact_kgram_distribution, perturbed_coin
+from qimem.markov import perturbed_coin
 from qimem.quantum import protocol_states
+
+from helpers import exact_kgram_distribution
 
 P_SWEEP = [0.0, 0.3, 1 / 9, 1.0]
 

@@ -6,6 +6,7 @@ flaky expectations.
 """
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -413,6 +414,7 @@ def test_custom_outputs_pinned(tmp_path, capsys):
     (12, 300, 12, 1),   # two-digit values
     (12, 300, 12, 3),
     (3, 3, 101, 1),     # tags of one, two and three digits
+    (3, 101, 3, 1),     # samples of one, two and three digits
     (3, 1, 12, 1),
     (12, 12, 0, 1),
 ])
@@ -465,6 +467,29 @@ def test_trajectory_out_matches_reference(tmp_path, monkeypatch, capsys):
     symbols = np.concatenate(blocks)
     assert symbols.size == 100 and symbols.max() >= 10
     assert out.read_bytes() == reference_trajectory_text(symbols.tolist())
+
+
+def test_line_writer_remakes_its_buffer_on_a_new_shape():
+    """One writer keeps its line buffer across calls and remakes it when
+    the line count changes, as on a trajectory's last block, or the tag
+    width does, as at steps 10 and 100."""
+    rng = np.random.default_rng(5)
+    fh = io.BytesIO()
+    write = cli._line_writer(fh, 12)
+    expected = []
+    for size, tag in [(5, ""), (3, ""), (5, ""), (5, "9"), (5, "10"),
+                      (5, "100")]:
+        values = rng.integers(12, size=size)
+        write(values, tag)
+        expected += [f"{tag}{v}" for v in values.tolist()]
+    assert fh.getvalue() == reference_trajectory_text(expected)
+
+
+@pytest.mark.parametrize("samples", [1, 9, 10, 11, 99, 100, 101, 65537])
+def test_sample_prefixes_at_digit_boundaries(samples):
+    prefixes = cli._sample_prefixes(samples).view(np.uint8)
+    assert (prefixes[prefixes != 0].tobytes()
+            == "".join(f",{k}," for k in range(samples)).encode())
 
 
 def test_float_chain_at_pi_expects_no_saves(tmp_path, capsys):
@@ -529,14 +554,12 @@ def test_ensemble_memory_independent_of_steps(capsys):
     assert peak < 10 * 2**20
 
 
-def test_simulate_reads_no_word_law(tmp_path, monkeypatch, capsys):
-    """Every verdict reads its law off the chain's rows: with the word-law
-    oracle broken, every trajectory algorithm at contexts of two, one and
-    no symbols, and an ensemble, still run to their verdicts."""
-    def broken(*args, **kwargs):
-        raise AssertionError("a simulate run enumerated words")
-
-    monkeypatch.setattr(markov, "exact_kgram_distribution", broken)
+def test_simulate_reads_no_word_law(tmp_path, capsys):
+    """Every verdict reads its law off the chain's rows: the word-law
+    oracle lives only in the tests, and every trajectory algorithm at
+    contexts of two, one and no symbols, and an ensemble, run to their
+    verdicts without it."""
+    assert not hasattr(markov, "exact_kgram_distribution")
     matrix = str(_chain_file(tmp_path, 3))
     for steps in ("2000", "2", "1"):
         for algo in ("baseline", "quantum", "single-bit"):

@@ -18,16 +18,15 @@ from qimem import markov
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, binary_entropy,
                           coin_mutual_info_bound, context_law, entropy_bits,
-                          exact_kgram_distribution, induced_chain,
-                          machine_from_chain, perturbed_coin,
+                          induced_chain, machine_from_chain, perturbed_coin,
                           post_processed_coin, sample_edges, stationary,
                           statistical_memory, topological_memory)
 from qimem.quantum import circuit_step_table
 from qimem.samplers import single_bit_table, three_state_demo_chain
 
-from helpers import (random_chain, random_machine, random_rational_chain,
-                     reference_edge_walk, reference_stationary,
-                     reference_strongly_connected)
+from helpers import (exact_kgram_distribution, random_chain, random_machine,
+                     random_rational_chain, reference_edge_walk,
+                     reference_stationary, reference_strongly_connected)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_PI = (F(2, 9), F(1, 2), F(5, 18))

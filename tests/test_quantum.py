@@ -18,8 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from qimem.bp import expected_messages
 from qimem.markov import (EpsilonMachine, binary_entropy, context_law,
-                          exact_kgram_distribution, induced_chain,
-                          machine_from_chain, perturbed_coin,
+                          induced_chain, machine_from_chain, perturbed_coin,
                           post_processed_coin, sample_edges, stationary,
                           statistical_memory, topological_memory)
 from qimem.quantum import (check_orthogonal, check_unit, circuit_step_table,
@@ -30,7 +29,8 @@ from qimem.quantum import (check_orthogonal, check_unit, circuit_step_table,
                            quantum_topological_memory, u_x)
 from qimem.stats import compare_transitions, context_counts
 
-from helpers import random_chain, random_machine, reference_density_spectrum
+from helpers import (exact_kgram_distribution, random_chain, random_machine,
+                     reference_density_spectrum)
 
 P_GRID = [i / 10 for i in range(11)]
 
