@@ -9,10 +9,10 @@ samplers (``samplers``) and belief propagation on cycle factor graphs
 """
 
 from .markov import (ConvergenceError, EpsilonMachine, ReducibleChainError,
-                     TransitionMatrix, coin_mutual_info_bound, context_law,
-                     entropy_bits, induced_chain, machine_from_chain,
-                     perturbed_coin, post_processed_coin, sample_edges,
-                     stationary, statistical_memory, topological_memory)
+                     TransitionMatrix, coin_mutual_info_bound, entropy_bits,
+                     induced_chain, machine_from_chain, perturbed_coin,
+                     post_processed_coin, sample_edges, stationary,
+                     statistical_memory, topological_memory)
 from .quantum import (coin_quantum_memory, memory_spectrum,
                       quantum_statistical_memory, quantum_topological_memory)
 from .samplers import (CoinEnsemble, DegenerateSupportError, GeneralQISampler,
@@ -20,7 +20,7 @@ from .samplers import (CoinEnsemble, DegenerateSupportError, GeneralQISampler,
                        expected_memory, reroute_ratios, save_fractions,
                        single_bit_start, single_bit_table,
                        three_state_demo_chain)
-from .stats import (TransitionReport, compare_transitions, context_counts,
-                    transition_counts)
+from .stats import (TransitionReport, compare_transitions, transition_counts,
+                    word_counts)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -30,11 +30,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bp, markov, quantum, samplers, stats
+from . import bp, quantum, samplers, stats
 from .markov import (EpsilonMachine, TransitionMatrix, as_cdf,
-                     coin_mutual_info_bound, context_law, induced_chain,
-                     machine_from_chain, normalized_chain, perturbed_coin,
-                     post_processed_coin, sample_edges, stationary)
+                     coin_mutual_info_bound, induced_chain, machine_from_chain,
+                     normalized_chain, perturbed_coin, post_processed_coin,
+                     sample_edges, stationary)
 
 PASS, STAT_FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 BP_TOL = 1e-10
@@ -372,23 +372,26 @@ def _simulate_trajectory(machine: EpsilonMachine, chain, model, algo, p, q,
         state = samplers.single_bit_start(state, q, rng)
     # Walked in blocks, so neither the draws, the symbols nor the --out text
     # ever hold the whole run; the last h symbols carry each block's first
-    # contexts over from the one before.
+    # contexts over from the one before.  Only the distinct (h + 1)-symbol
+    # words seen are tallied, at most one per step.
     h = max(0, min(2, steps - 1))
     m = machine.n_symbols
-    counts = np.zeros((m ** h, m), dtype=np.int64)
-    tail = np.empty(0, dtype=np.int64)
-    block = markov.TRAJECTORY_BLOCK
+    words = tallies = tail = np.empty(0, dtype=np.int64)
     with open(out, "wb") if out else nullcontext() as fh:
         write_lines = _line_writer(fh, m) if fh else None
-        for lo in range(0, steps, block):
-            symbols, state = sample_edges(rows, state, min(block, steps - lo),
-                                          rng)
+        for symbols, _ in sample_edges(rows, state, steps, rng):
             if fh:
                 write_lines(symbols)
             seq = np.concatenate([tail, symbols])
-            counts += stats.context_counts(seq, h, m)
+            new, counts = stats.word_counts(seq, h + 1, m)
+            words, at = np.unique(np.concatenate([words, new]),
+                                  return_inverse=True)
+            # exact: float sums of counts below 2**53
+            tallies = np.bincount(at, np.concatenate([tallies, counts])
+                                  ).astype(np.int64)
             tail = seq[seq.size - h:]
-    return _verdict(counts, context_law(chain, h), sigma, h)
+    law = chain.to_numpy() if h else np.array([stationary(chain)], dtype=float)
+    return _verdict(words, tallies, law, sigma, h)
 
 
 def _simulate_ensemble(chain, algo, p, seed, samples, steps, sigma, threads,
@@ -413,7 +416,9 @@ def _simulate_ensemble(chain, algo, p, seed, samples, steps, sigma, threads,
             prev = values
             if fh:
                 write_lines(values, str(t))
-    return _verdict(counts, context_law(chain, 1), sigma, 1, sampler)
+    words = np.flatnonzero(counts)
+    return _verdict(words, counts.ravel()[words], chain.to_numpy(), sigma, 1,
+                    sampler)
 
 
 def _sample_prefixes(samples: int) -> np.ndarray:
@@ -465,10 +470,10 @@ def _line_writer(fh, n_symbols: int, prefixes=(b"",)):
     return write
 
 
-def _verdict(counts, law, sigma, context, ensemble=None):
+def _verdict(words, tallies, law, sigma, context, ensemble=None):
     """Report block of every simulate run: the next-symbol test and, for
     an ensemble, its saved fraction per step against the expected one."""
-    report = stats.compare_transitions(counts, law, sigma, context)
+    report = stats.compare_transitions(words, tallies, law, sigma, context)
     if not report.windows:
         return "windows=0\npassed=true\n", PASS
     passed = report.passed

@@ -334,10 +334,9 @@ def coin_mutual_info_bound(p) -> float:
     return 1.0 - binary_entropy(p)
 
 
-# Steps per ``sample_edges`` call of a trajectory simulate: bounds the draws,
-# symbols and --out text it holds at a few MB whatever the run length.  At
-# least 2, the longest context a simulate verdict reads.  ``sample_edges``
-# also converts its draws to Python floats in slices of this many.
+# Steps per block that ``sample_edges`` yields: bounds the draws, symbols
+# and --out text a trajectory simulate holds at a few MB whatever the run
+# length.
 TRAJECTORY_BLOCK = 1 << 16
 
 
@@ -351,18 +350,17 @@ def as_cdf(weights) -> np.ndarray:
     return cdf
 
 
-def sample_edges(rows, start: int, steps: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, int]:
+def sample_edges(rows, start: int, steps: int, rng: np.random.Generator):
     """Walk an edge table for ``steps`` steps from state ``start``.
 
     ``rows[s]`` lists the ``(symbol, probability, next_state)`` edges of
     state s; edges may share a symbol, so the table need not be unifilar.
     Step t takes the first edge of the current state whose cumulative
-    probability exceeds u[t], where u = ``rng.random(steps)`` is drawn once
-    up front.  Each step costs one bisection of the current state's CDF,
-    whatever the number of states.  Returns the emitted symbols and the
-    state after the last step; a caller that walks a long run in blocks
-    passes that state on to the next call.
+    probability exceeds its uniform draw.  Each step costs one bisection of
+    the current state's CDF, whatever the number of states.  A generator:
+    it checks the table and builds its CDFs on the first ``next``, then
+    yields the symbols of each block of at most ``TRAJECTORY_BLOCK`` steps,
+    whose uniforms it draws at once, and the state after them.
     """
     n = len(rows)
     if not 0 <= start < n:
@@ -374,31 +372,10 @@ def sample_edges(rows, start: int, steps: int,
         raise ValueError("every state needs edges into the state range")
     cdfs = [as_cdf([float(pr) for _, pr, _ in row]).tolist() for row in rows]
     edges = [[(x, nx) for x, _, nx in row] for row in rows]
-    draws = rng.random(steps)
-    emitted = np.empty(steps, dtype=np.int64)
     state = start
-    # the draws become Python floats one slice at a time: a list of them
-    # takes about 40 B a step
     for lo in range(0, steps, TRAJECTORY_BLOCK):
         walked = []
-        for v in draws[lo:lo + TRAJECTORY_BLOCK].tolist():
+        for v in rng.random(min(TRAJECTORY_BLOCK, steps - lo)).tolist():
             x, state = edges[state][bisect_right(cdfs[state], v)]
             walked.append(x)
-        emitted[lo:lo + len(walked)] = walked
-    return emitted, state
-
-
-def context_law(chain: TransitionMatrix, h: int) -> np.ndarray:
-    """Law of the next symbol after each h-symbol context of a walk of
-    ``chain``, row c coding its context as ``stats.context_counts`` does:
-    the row of the context's last state, zeros if the context takes a step
-    the chain forbids, and for h = 0 the stationary law."""
-    if h == 0:
-        return np.array([stationary(chain)], dtype=float)
-    n, positive = chain.n, chain.array > 0
-    emitted = np.ones(n, dtype=bool)
-    for _ in range(h - 1):
-        emitted = (emitted.reshape(-1, n, 1) & positive).ravel()
-    law = np.tile(chain.to_numpy(), (n ** (h - 1), 1))
-    law *= emitted[:, None]
-    return law
+        yield np.array(walked, dtype=np.int64), state

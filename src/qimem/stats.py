@@ -1,8 +1,9 @@
 """One frequency test for every sampler: next-symbol counts per context.
 
-A count matrix holds, per context (a source state, or the last symbols
-of a trajectory), how often each symbol came next, and each row is tested
-against an exact conditional law with a binomial z score per entry.  When
+Each word a run emitted, a context (a source state, or the last symbols
+of a trajectory) and the symbol after it, is tallied, and the symbols
+seen after each context are tested against an exact conditional law with
+a binomial z score per entry; only contexts that occur get a row.  When
 the context fixes the process's state this is the per-state
 transition-count test of Billingsley ("Statistical methods in Markov
 chains", Ann. Math. Stat. 1961), and the z scores are calibrated.
@@ -12,26 +13,25 @@ fails the comparison outright, whatever the z threshold.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def context_counts(seq, h: int, m: int) -> np.ndarray:
-    """``transition_counts`` of the symbol after each h-symbol context of
-    a sequence over 0..m-1: an m ** h x m matrix whose row c codes its
-    context in base m, most significant symbol first."""
+def word_counts(seq, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct k-symbol words of a sequence over 0..m-1, coded in base
+    m with the most significant symbol first, in increasing order, and how
+    often each occurs.  A sequence of fewer than k symbols has no words."""
     seq = np.asarray(seq, dtype=np.int64)
-    if h < 0 or seq.ndim != 1 or seq.shape[0] < h:
-        raise ValueError("need a 1-d sequence of at least h symbols")
+    if k < 1 or seq.ndim != 1:
+        raise ValueError("need a 1-d sequence and words of at least 1 symbol")
     if seq.size and not (0 <= seq.min() and seq.max() < m):
         raise ValueError(f"symbols must lie in 0..{m - 1}")
-    size = seq.shape[0] - h
+    size = max(0, seq.shape[0] - k + 1)
     codes = np.zeros(size, dtype=np.int64)
-    for r in range(h):
+    for r in range(k):
         codes = codes * m + seq[r:r + size]
-    return transition_counts(codes, seq[h:], m ** h, m)
+    return np.unique(codes, return_counts=True)
 
 
 def transition_counts(prev, nxt, n: int, m: int | None = None) -> np.ndarray:
@@ -62,18 +62,14 @@ def transition_counts(prev, nxt, n: int, m: int | None = None) -> np.ndarray:
 
 @dataclass
 class TransitionReport:
-    """z scores and total variation distance of every row with data, keyed
-    by context label; ``windows`` counts all observations."""
+    """Largest |z| and total variation distance of every row with data,
+    keyed by context label; ``windows`` counts all observations."""
 
     windows: int
     sigma: float
-    z: dict[str, np.ndarray]
+    row_max_abs_z: dict[str, float]
     tv: dict[str, float]
     hard_failures: list[str]
-
-    @functools.cached_property
-    def row_max_abs_z(self) -> dict[str, float]:
-        return {c: float(np.max(np.abs(z))) for c, z in self.z.items()}
 
     @property
     def max_abs_z(self) -> float:
@@ -88,30 +84,44 @@ class TransitionReport:
         return not self.hard_failures and self.max_abs_z <= self.sigma
 
 
-def compare_transitions(counts, law, sigma: float = 5.0,
+def compare_transitions(words, tallies, law, sigma: float = 5.0,
                         context: int = 1) -> TransitionReport:
-    """Row-by-row binomial z test of a count matrix against a law.
+    """Binomial z test, per context seen, of word tallies against a law.
 
-    Row c of ``counts`` holds the symbols seen after the context coded c,
-    of ``context`` symbols over the m columns (m ** context rows), and
-    ``law[c, y]`` is the probability of y after it.  For a row of n > 0
-    observations z = (c - n p) / sqrt(n p (1 - p)) per entry.  Entries with
-    p = 0 and a nonzero count, or p = 1 and a count below n, are hard
-    failures (named ``<context>><symbol>``) and score z = 0.  Rows with no
-    data are skipped.  A label joins the symbols of a context, with dots
-    past ten symbols.
+    ``words`` holds increasing codes of ``context`` + 1 symbols over the m
+    columns of ``law``, as ``word_counts`` gives them, and ``tallies`` how
+    often each occurred, at least once.  ``law[x, y]`` is the probability
+    of y after x (for ``context`` = 0, one row): a context ending in x is
+    judged on row x, zeroed if the context takes a step of probability 0.
+    For a context of n observations z = (c - n p) / sqrt(n p (1 - p)) per
+    entry.  Entries with p = 0 and a nonzero count, or p = 1 and a count
+    below n, are hard failures (named ``<context>><symbol>``) and score
+    z = 0.  A label joins the symbols of a context, with dots past ten
+    symbols.
     """
-    counts = np.asarray(counts)
+    words = np.asarray(words)
+    tallies = np.asarray(tallies)
     law = np.asarray(law, dtype=float)
-    m = counts.shape[-1]
-    if counts.shape != law.shape or counts.shape != (m ** context, m):
-        raise ValueError(f"counts {counts.shape} and law {law.shape} do not "
-                         f"cover the contexts of {context} symbols")
+    m = law.shape[-1]
+    if law.shape != ((m, m) if context else (1, m)):
+        raise ValueError(f"law {law.shape} is not the next-symbol law of "
+                         f"contexts of {context} symbols")
+    if (words.ndim != 1 or words.shape != tallies.shape
+            or not np.all((words >= 0) & (words < m ** (context + 1)))
+            or np.any(np.diff(words) <= 0) or np.any(tallies < 1)):
+        raise ValueError("need one positive tally per code of "
+                         f"{context + 1} symbols, in increasing order")
     if not np.all((law >= 0) & (law <= 1)):
         raise ValueError("law entries must lie in [0, 1]")
-    seen = np.flatnonzero(counts.sum(axis=1))
-    c = counts[seen]
-    p = law[seen]
+    contexts = words // m  # increasing, as the words are
+    seen = contexts[np.diff(contexts, prepend=-1) != 0]
+    c = np.zeros((seen.size, m), dtype=np.int64)
+    c[np.searchsorted(seen, contexts), words % m] = tallies
+    p = law[seen % m]
+    rest = seen
+    for _ in range(context - 1):
+        last, rest = rest % m, rest // m
+        p[law[rest % m, last] == 0] = 0.0
     n = c.sum(axis=1, keepdims=True)
     inner = (p > 0) & (p < 1)
     sd = np.sqrt(np.where(inner, n * p * (1.0 - p), 1.0))
@@ -125,7 +135,8 @@ def compare_transitions(counts, law, sigma: float = 5.0,
               for j in seen.tolist()]
     return TransitionReport(
         windows=int(n.sum()), sigma=float(sigma),
-        z=dict(zip(labels, z)), tv=dict(zip(labels, tv.tolist())),
+        row_max_abs_z=dict(zip(labels, np.abs(z).max(axis=1).tolist())),
+        tv=dict(zip(labels, tv.tolist())),
         hard_failures=[f"{labels[r]}>{y}" for r, y in zip(*np.nonzero(hard))])
 
 

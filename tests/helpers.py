@@ -181,6 +181,34 @@ def exact_kgram_distribution(machine: EpsilonMachine, k: int,
     return {word: w for word, w in sorted(out.items()) if w != 0}
 
 
+def context_law(chain, h: int) -> np.ndarray:
+    """Dense law of the next symbol after every h-symbol context of a walk
+    of ``chain``, the oracle of ``stats.compare_transitions``: row c codes
+    its context in base n, most significant symbol first, and is the chain
+    row of the context's last state, or zeros if the context takes a step
+    of probability 0; for h = 0 it is the stationary law.  For h > 0,
+    ``chain`` may also be a square array of entries in [0, 1].  The n ** h
+    rows are all built, so keep n ** h small."""
+    if h == 0:
+        return np.array([stationary(chain)], dtype=float)
+    rows = (chain.to_numpy() if isinstance(chain, TransitionMatrix)
+            else np.asarray(chain, dtype=float))
+    n, positive = len(rows), rows > 0
+    emitted = np.ones(n, dtype=bool)
+    for _ in range(h - 1):
+        emitted = (emitted.reshape(-1, n, 1) & positive).ravel()
+    return np.tile(rows, (n ** (h - 1), 1)) * emitted[:, None]
+
+
+def matrix_words(counts) -> tuple:
+    """The words and tallies of a count matrix as ``simulate`` passes an
+    ensemble's counts to ``stats.compare_transitions``: the flat indices
+    of the nonzero cells and their counts."""
+    counts = np.asarray(counts).ravel()
+    words = np.flatnonzero(counts)
+    return words, counts[words]
+
+
 def exact_coin_trajectory(p: float, steps: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Direct coin sampler: flip the previous symbol with probability p.
@@ -191,6 +219,15 @@ def exact_coin_trajectory(p: float, steps: int,
     flips = rng.random(steps) < p
     first = rng.random() < 0.5
     return ((first + np.cumsum(flips)) % 2).astype(np.int64)
+
+
+def walk(rows, start: int, steps: int, rng: np.random.Generator):
+    """The symbols of a whole ``markov.sample_edges`` walk, its blocks laid
+    end to end, and the state after the last step."""
+    blocks, state = [np.empty(0, dtype=np.int64)], start
+    for symbols, state in markov.sample_edges(rows, start, steps, rng):
+        blocks.append(symbols)
+    return np.concatenate(blocks), state
 
 
 def reference_edge_walk(rows, start: int, steps: int,
@@ -236,12 +273,13 @@ def reference_trajectory_text(symbols) -> bytes:
 
 def reference_compare_transitions(prev, nxt, law, h: int):
     """The mask-per-context comparison that ``stats.compare_transitions``
-    on a ``transition_counts`` matrix must reproduce.
+    must reproduce on the words ``prev * m + nxt``.
 
     Context c of ``h`` symbols over the m columns of ``law`` is the c-th
-    tuple of ``itertools.product`` and is labelled by its symbols.  Bins
-    the next values of every context that occurs and scores each entry
-    with scalar arithmetic.  Returns ({label: (max |z|, tv)} over the
+    tuple of ``itertools.product``, is labelled by its symbols and is
+    judged on row c of ``law``, which holds one row per context, as
+    ``context_law`` builds them.  Bins the next values of every context
+    that occurs and scores each entry with scalar arithmetic.  Returns ({label: (max |z|, tv)} over the
     contexts that occur, hard failures).
     """
     prev = np.asarray(prev).ravel()

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qimem import bp, cli, markov, samplers
+from qimem import bp, cli, markov, samplers, stats
 from qimem.markov import binary_entropy
 from qimem.quantum import coin_quantum_memory
 
@@ -454,9 +454,9 @@ def test_trajectory_out_matches_reference(tmp_path, monkeypatch, capsys):
     blocks = []
 
     def recording(*args):
-        symbols, state = markov.sample_edges(*args)
-        blocks.append(symbols.copy())
-        return symbols, state
+        for symbols, state in markov.sample_edges(*args):
+            blocks.append(symbols.copy())
+            yield symbols, state
 
     monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 7)
     monkeypatch.setattr(cli, "sample_edges", recording)
@@ -467,6 +467,22 @@ def test_trajectory_out_matches_reference(tmp_path, monkeypatch, capsys):
     symbols = np.concatenate(blocks)
     assert symbols.size == 100 and symbols.max() >= 10
     assert out.read_bytes() == reference_trajectory_text(symbols.tolist())
+
+
+def test_trajectory_builds_its_cdfs_once(monkeypatch, capsys):
+    """A run walked in 8 blocks builds each state's CDF once, not once a
+    block."""
+    built, as_cdf = [], markov.as_cdf
+
+    def counting(weights):
+        built.append(weights)
+        return as_cdf(weights)
+
+    monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 7)
+    monkeypatch.setattr(markov, "as_cdf", counting)
+    assert run("simulate", "--model", "postproc", "--algo", "baseline",
+               "--p", "1/9", "--q", "2/3", "--steps", "50", "--seed", "5") == 0
+    assert len(built) == 3
 
 
 def test_line_writer_remakes_its_buffer_on_a_new_shape():
@@ -556,10 +572,12 @@ def test_ensemble_memory_independent_of_steps(capsys):
 
 def test_simulate_reads_no_word_law(tmp_path, capsys):
     """Every verdict reads its law off the chain's rows: the word-law
-    oracle lives only in the tests, and every trajectory algorithm at
-    contexts of two, one and no symbols, and an ensemble, run to their
-    verdicts without it."""
-    assert not hasattr(markov, "exact_kgram_distribution")
+    oracle and the dense law of every context live only in the tests, and
+    every trajectory algorithm at contexts of two, one and no symbols, and
+    an ensemble, run to their verdicts without them."""
+    for module, name in ((markov, "exact_kgram_distribution"),
+                         (markov, "context_law"), (stats, "context_counts")):
+        assert not hasattr(module, name), name
     matrix = str(_chain_file(tmp_path, 3))
     for steps in ("2000", "2", "1"):
         for algo in ("baseline", "quantum", "single-bit"):
@@ -576,8 +594,8 @@ def test_simulate_reads_no_word_law(tmp_path, capsys):
 
 
 def test_custom_trajectory_memory_bounded_by_chain(tmp_path, capsys):
-    """A 60-state trajectory verdict holds its 3600 x 60 law and counts,
-    a few MB; the law of every 3-symbol word peaked at 89 MB traced."""
+    """A 60-state trajectory verdict holds a row for each context seen, a
+    few MB; the law of every 3-symbol word peaked at 89 MB traced."""
     matrix = str(_chain_file(tmp_path, 60))
     tracemalloc.start()
     try:
@@ -588,6 +606,22 @@ def test_custom_trajectory_memory_bounded_by_chain(tmp_path, capsys):
         tracemalloc.stop()
     assert code in (0, 1)
     assert peak < 20 * 2**20, peak
+
+
+def test_custom_trajectory_memory_bounded_by_data(tmp_path, capsys):
+    """A 200-state trajectory verdict holds a row for each of the at most
+    5000 contexts it saw, not for all 40000 that could occur: the dense
+    40000 x 200 law and counts peaked at 169 MB traced."""
+    matrix = str(_chain_file(tmp_path, 200))
+    tracemalloc.start()
+    try:
+        code = run("simulate", "--model", "custom", "--algo", "baseline",
+                   "--matrix", matrix, "--steps", "5000", "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1)
+    assert peak < 80 * 2**20, peak
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,16 +17,17 @@ from hypothesis import example, given, settings, strategies as st
 from qimem import markov
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, binary_entropy,
-                          coin_mutual_info_bound, context_law, entropy_bits,
+                          coin_mutual_info_bound, entropy_bits,
                           induced_chain, machine_from_chain, perturbed_coin,
                           post_processed_coin, sample_edges, stationary,
                           statistical_memory, topological_memory)
 from qimem.quantum import circuit_step_table
 from qimem.samplers import single_bit_table, three_state_demo_chain
 
-from helpers import (exact_kgram_distribution, random_chain, random_machine,
-                     random_rational_chain, reference_edge_walk,
-                     reference_stationary, reference_strongly_connected)
+from helpers import (context_law, exact_kgram_distribution, random_chain,
+                     random_machine, random_rational_chain,
+                     reference_edge_walk, reference_stationary,
+                     reference_strongly_connected, walk)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_PI = (F(2, 9), F(1, 2), F(5, 18))
@@ -403,15 +404,15 @@ def test_mutual_info_bound():
 def test_machine_table_walk_basics():
     rows = perturbed_coin(0.3).edges
     assert rows == (((0, 0.7, 0), (1, 0.3, 1)), ((0, 0.3, 0), (1, 0.7, 1)))
-    a, _ = sample_edges(rows, 0, 500, np.random.default_rng(42))
-    b, _ = sample_edges(rows, 0, 500, np.random.default_rng(42))
+    a, _ = walk(rows, 0, 500, np.random.default_rng(42))
+    b, _ = walk(rows, 0, 500, np.random.default_rng(42))
     assert np.array_equal(a, b)
     assert len(a) == 500 and set(np.unique(a)) <= {0, 1}
-    frozen, _ = sample_edges(perturbed_coin(0.0).edges, 0, 100,
-                             np.random.default_rng(1))
+    frozen, _ = walk(perturbed_coin(0.0).edges, 0, 100,
+                     np.random.default_rng(1))
     assert not frozen.any()
     with pytest.raises(ValueError):
-        sample_edges(rows, 2, 10, np.random.default_rng(0))
+        walk(rows, 2, 10, np.random.default_rng(0))
 
 
 def edge_tables():
@@ -430,7 +431,7 @@ def edge_tables():
 
 def assert_walks_agree(rows, start, steps, seed):
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    out, final = sample_edges(rows, start, steps, rng_a)
+    out, final = walk(rows, start, steps, rng_a)
     ref, ref_final = reference_edge_walk(rows, start, steps, rng_b)
     assert out.dtype == np.int64
     assert np.array_equal(out, ref) and final == ref_final
@@ -446,40 +447,51 @@ def test_sample_edges_matches_reference():
 
 
 def test_sample_edges_across_a_full_block():
-    """A trajectory simulate walks a long run one TRAJECTORY_BLOCK per call,
-    passing the final state on: that equals one walk of the whole run.  So
-    does one call of the whole run, whose draws cross a slice boundary."""
+    """A run one step longer than TRAJECTORY_BLOCK comes as a full block
+    and a block of one step, which laid end to end are one walk of the
+    whole run."""
     block = markov.TRAJECTORY_BLOCK
     for rows in (circuit_step_table("postproc", F(1, 9), F(2, 3)),
                  single_bit_table(0.37, 0.25)):
         for start in range(len(rows)):
             rng_a = np.random.default_rng(1584306215)
             rng_b = np.random.default_rng(1584306215)
-            rng_c = np.random.default_rng(1584306215)
-            head, state = sample_edges(rows, start, block, rng_a)
-            tail, final = sample_edges(rows, state, 1, rng_a)
-            whole, whole_final = sample_edges(rows, start, block + 1, rng_c)
+            blocks = list(sample_edges(rows, start, block + 1, rng_a))
             ref, ref_final = reference_edge_walk(rows, start, block + 1, rng_b)
-            assert np.array_equal(np.concatenate([head, tail]), ref)
-            assert np.array_equal(whole, ref)
-            assert final == whole_final == ref_final
-            assert rng_a.random() == rng_b.random() == rng_c.random()
+            assert [symbols.size for symbols, _ in blocks] == [block, 1]
+            assert np.array_equal(
+                np.concatenate([symbols for symbols, _ in blocks]), ref)
+            assert blocks[-1][1] == ref_final
+            assert rng_a.random() == rng_b.random()
+
+
+def test_sample_edges_yields_the_state_after_each_block(monkeypatch):
+    """Each block comes with the state the walk has reached after it."""
+    monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 7)
+    for seed, rows in enumerate(edge_tables()):
+        blocks = list(sample_edges(rows, 0, 50, np.random.default_rng(seed)))
+        assert [symbols.size for symbols, _ in blocks] == [7] * 7 + [1]
+        for k, (_, state) in enumerate(blocks):
+            assert state == reference_edge_walk(
+                rows, 0, min(7 * k + 7, 50), np.random.default_rng(seed))[1]
 
 
 def test_sample_edges_memory_bounded_by_slices():
-    """A direct call holds its draws as Python floats one TRAJECTORY_BLOCK
-    at a time.  At 1e6 steps the whole run as one list peaked at 40.5 MB,
-    the sliced walk at about 18.7 MB: the draws and symbols as arrays."""
+    """A walk holds one TRAJECTORY_BLOCK of draws, as Python floats, and of
+    symbols at a time.  At 1e6 steps the whole run as one list peaked at
+    40.5 MB, the draws and symbols of the run as arrays at about 18.7 MB,
+    and a walk whose blocks are dropped as they come at about 3.2 MB."""
     rows = circuit_step_table("postproc", F(1, 9), F(2, 3))
-    sample_edges(rows, 0, 10, np.random.default_rng(0))  # one-time allocations
+    walk(rows, 0, 10, np.random.default_rng(0))  # one-time allocations
     tracemalloc.start()
     try:
-        symbols, _ = sample_edges(rows, 0, 10**6, np.random.default_rng(5))
+        steps = sum(symbols.size for symbols, _ in
+                    sample_edges(rows, 0, 10**6, np.random.default_rng(5)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert symbols.size == 10**6
-    assert peak < 25_000_000, peak
+    assert steps == 10**6
+    assert peak < 5_000_000, peak
 
 
 @st.composite
@@ -511,7 +523,7 @@ def random_rows(draw):
 def test_sample_edges_property(rows, steps, seed, data):
     start = data.draw(st.integers(0, len(rows) - 1))
     assert_walks_agree(rows, start, steps, seed)
-    out, final = sample_edges(rows, start, steps, np.random.default_rng(seed))
+    out, final = walk(rows, start, steps, np.random.default_rng(seed))
     edges = {x: (state, pr, nxt) for state, row in enumerate(rows)
              for x, pr, nxt in row}
     state = start
@@ -523,15 +535,18 @@ def test_sample_edges_property(rows, steps, seed, data):
 
 
 def test_sample_edges_validation():
+    """A walk checks its table on the first ``next``, even of no steps."""
     rows = circuit_step_table("coin", 0.3)
     rng = np.random.default_rng(0)
-    for start, steps in ((2, 5), (-1, 5), (0, -1)):
+    for start, steps in ((2, 5), (-1, 5), (0, -1), (2, 0)):
         with pytest.raises(ValueError):
-            sample_edges(rows, start, steps, rng)
-    with pytest.raises(ValueError):
-        sample_edges([[(0, 1.0, 1)]], 0, 5, rng)
-    with pytest.raises(ValueError):
-        sample_edges([[(0, 1.0, 0)], []], 0, 5, rng)
+            list(sample_edges(rows, start, steps, rng))
+    for bad in ([[(0, 1.0, 1)]], [[(0, 1.0, 0)], []]):
+        with pytest.raises(ValueError):
+            list(sample_edges(bad, 0, 5, rng))
+        with pytest.raises(ValueError):
+            list(sample_edges(bad, 0, 0, rng))
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_kgram_coin_values():
@@ -586,7 +601,8 @@ def test_kgram_words_of_many_symbols():
 
 
 def test_context_law_of_postproc():
-    """Row c of the law is P(c y) / P(c) from the word law, to the last bit
+    """Row c of the dense oracle law, which the verdict's per-context rows
+    are tested against, is P(c y) / P(c) from the word law, to the last bit
     on exact chains, and zero exactly where P(c) = 0; on a float chain the
     rounded word probabilities meet it to a few ulp, and the stationary
     law of h = 0 to the solver's residual."""
@@ -622,7 +638,7 @@ def test_context_law_of_postproc():
 
 def _word_law_rows(chain: TransitionMatrix, h: int) -> list:
     """Row c of P(c y) / P(c) from the exact (h + 1)-word law of the walk
-    of ``chain``, contexts coded as ``context_counts`` codes them; None
+    of ``chain``, contexts coded as ``word_counts`` codes them; None
     for a context of probability 0."""
     n = chain.n
     words = exact_kgram_distribution(machine_from_chain(chain), h + 1)

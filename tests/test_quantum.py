@@ -17,9 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qimem.bp import expected_messages
-from qimem.markov import (EpsilonMachine, binary_entropy, context_law,
-                          induced_chain, machine_from_chain, perturbed_coin,
-                          post_processed_coin, sample_edges, stationary,
+from qimem.markov import (EpsilonMachine, binary_entropy, induced_chain,
+                          machine_from_chain, perturbed_coin,
+                          post_processed_coin, stationary,
                           statistical_memory, topological_memory)
 from qimem.quantum import (check_orthogonal, check_unit, circuit_step_table,
                            cnot, coin_memory_qubits, coin_quantum_memory,
@@ -27,10 +27,10 @@ from qimem.quantum import (check_orthogonal, check_unit, circuit_step_table,
                            n_qubits, postproc_memory_qubits, protocol_states,
                            protocol_step, quantum_statistical_memory,
                            quantum_topological_memory, u_x)
-from qimem.stats import compare_transitions, context_counts
+from qimem.stats import compare_transitions, word_counts
 
 from helpers import (exact_kgram_distribution, random_chain, random_machine,
-                     reference_density_spectrum)
+                     reference_density_spectrum, walk)
 
 P_GRID = [i / 10 for i in range(11)]
 
@@ -415,17 +415,16 @@ def test_circuit_trajectory_statistics():
     table = circuit_step_table("postproc", F(1, 9), F(2, 3))
     machine = post_processed_coin(F(1, 9), F(2, 3))
     rng = np.random.default_rng(90)
-    traj, _ = sample_edges(table, 0, 20000, rng)
-    report = compare_transitions(context_counts(traj, 2, 3),
-                                 context_law(induced_chain(machine), 2),
-                                 context=2)
+    traj, _ = walk(table, 0, 20000, rng)
+    report = compare_transitions(*word_counts(traj, 3, 3),
+                                 induced_chain(machine).to_numpy(), context=2)
     assert report.passed, report
     assert not report.hard_failures
-    a, _ = sample_edges(table, 1, 50, np.random.default_rng(3))
-    b, _ = sample_edges(table, 1, 50, np.random.default_rng(3))
+    a, _ = walk(table, 1, 50, np.random.default_rng(3))
+    b, _ = walk(table, 1, 50, np.random.default_rng(3))
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        sample_edges(table, 9, 5, rng)
+        walk(table, 9, 5, rng)
 
 
 def test_two_step_state_matches_word_law():

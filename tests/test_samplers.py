@@ -22,19 +22,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from qimem import samplers
 from qimem.markov import (TransitionMatrix, as_cdf, induced_chain,
-                          perturbed_coin, post_processed_coin, sample_edges)
+                          perturbed_coin, post_processed_coin)
 from qimem.samplers import (CoinEnsemble, DegenerateSupportError,
                             GeneralQISampler, RerouteTables, decompose,
                             effective_kernel, expected_memory, save_fractions,
                             single_bit_start, single_bit_table,
                             three_state_demo_chain)
-from qimem.stats import (compare_transitions, context_counts,
-                         transition_counts)
-from qimem.markov import context_law
+from qimem.stats import compare_transitions, transition_counts, word_counts
 
-from helpers import (ReferenceQISampler, random_chain, random_rational_chain,
-                     reference_reroute_tables, reference_row_search,
-                     reference_uniforms)
+from helpers import (ReferenceQISampler, matrix_words, random_chain,
+                     random_rational_chain, reference_reroute_tables,
+                     reference_row_search, reference_uniforms, walk)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_TABLES = RerouteTables.from_chain(DEMO)
@@ -220,8 +218,9 @@ def test_general_sampler_reproduces_chain():
         nxt = sampler.step()
         counts += transition_counts(prev, nxt, 3)
         prev = nxt
-    report = compare_transitions(counts, chain.to_numpy(), sigma=5.0)
-    assert list(report.z) == ["0", "1", "2"]
+    report = compare_transitions(*matrix_words(counts), chain.to_numpy(),
+                                 sigma=5.0)
+    assert list(report.row_max_abs_z) == ["0", "1", "2"]
     assert report.passed, report
     assert report.max_tv < 0.02
     saved = np.mean(sampler.saved_counts) / sampler.n_samples
@@ -239,7 +238,8 @@ def test_coin_ensemble_reproduces_coin():
             nxt = ensemble.step()
             counts += transition_counts(prev, nxt, 2)
             prev = nxt
-        report = compare_transitions(counts, chain.to_numpy(), sigma=5.0)
+        report = compare_transitions(*matrix_words(counts), chain.to_numpy(),
+                                     sigma=5.0)
         assert report.passed, f"p={p}: {report}"
         saved = np.mean(ensemble.saved_counts) / ensemble.n_samples
         expect = abs(2 * p - 1)
@@ -780,7 +780,7 @@ def test_coin_ensemble_state_is_boolean():
 def bit_machine_run(p, q, start, steps, rng):
     """Symbols of the single-bit sampler started from machine state start."""
     bit = single_bit_start(start, q, rng)
-    return sample_edges(single_bit_table(p, q), bit, steps, rng)[0]
+    return walk(single_bit_table(p, q), bit, steps, rng)[0]
 
 
 def test_bit_machine_initial_law():
@@ -809,21 +809,21 @@ def test_bit_machine_statistics():
     machine = post_processed_coin(F(1, 9), F(2, 3))
     traj = bit_machine_run(1 / 9, 2 / 3, 0, 200_000, np.random.default_rng(5))
     # the symbol after each 2-symbol context follows the conditional law
-    report = compare_transitions(context_counts(traj, 2, 3),
-                                 context_law(induced_chain(machine), 2),
-                                 context=2)
+    report = compare_transitions(*word_counts(traj, 3, 3),
+                                 induced_chain(machine).to_numpy(), context=2)
     assert report.passed, report
     assert not report.hard_failures
     assert report.max_tv < 0.01
-    counts = context_counts(traj, 1, 3)
+    counts = transition_counts(traj[:-1], traj[1:], 3)
     assert counts[0, 1] == counts[2, 0] == counts[2, 2] == 0
 
 
 def test_bit_machine_matches_chain_rows():
     chain = induced_chain(post_processed_coin(1 / 9, 2 / 3))
     traj = bit_machine_run(1 / 9, 2 / 3, 0, 100_000, np.random.default_rng(17))
-    report = compare_transitions(transition_counts(traj[:-1], traj[1:], 3),
-                                 chain.to_numpy(), sigma=5.0)
+    report = compare_transitions(
+        *matrix_words(transition_counts(traj[:-1], traj[1:], 3)),
+        chain.to_numpy(), sigma=5.0)
     assert report.passed, report
-    assert list(report.z) == ["0", "1", "2"]
+    assert list(report.row_max_abs_z) == ["0", "1", "2"]
     assert report.max_tv < 0.02
