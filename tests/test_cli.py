@@ -366,18 +366,35 @@ def _chain_file(tmp_path, n):
     return path
 
 
+def _sparse_chain_file(tmp_path):
+    """A JSON file of a 12-state float chain with exact 0.0 entries: about
+    half of each row is cut to 0, the even rows end in a 0, and the cycle
+    j -> j + 1 keeps the chain irreducible."""
+    rng = np.random.default_rng(12)
+    rows = rng.dirichlet(np.ones(12), 12)
+    rows[rng.random((12, 12)) < 0.5] = 0.0
+    rows[::2, -1] = 0.0
+    rows[np.arange(12), (np.arange(12) + 1) % 12] += 0.1
+    rows /= rows.sum(axis=1, keepdims=True)
+    path = tmp_path / "sparse12.json"
+    path.write_text(json.dumps(rows.tolist()))
+    return path
+
+
 # sha256 of stdout, the --out file and the report of the custom-chain runs,
-# with their exit codes: the rational demo chain and float chains of 12, 50
-# and 200 states.  A trajectory walks the machine of the entries as parsed;
-# its stationary start and verdict, and an ensemble, read the chain of those
-# rows each divided by its left-to-right sum.  The rows of the 200-state
-# chain are longer than the 128 entries of a numpy pairwise-sum block.  Two
-# runs exit 1 on a correct sampler, on cells the binomial normal
-# approximation misjudges at small expected counts: the 12-state baseline's
-# row 7.5 scores z = 5.10, and the 200-state qi-general's row 27 scores
-# z = 17.3.  The 12-state baseline was re-recorded when its verdict law
-# became the chain rows: same symbols and exit code, and 64 of its 153
-# report lines moved in their last digits.
+# with their exit codes: the rational demo chain, float chains of 12, 50
+# and 200 states, and a sparse 12-state float chain whose rows hold exact
+# zeros, some of them last and after a row sum of 1 - 1 ulp.  A trajectory
+# walks the machine of the entries as parsed; its stationary start and
+# verdict, and an ensemble, read the chain of those rows each divided by
+# its left-to-right sum.  The rows of the 200-state chain are longer than
+# the 128 entries of a numpy pairwise-sum block.  Three runs exit 1 on a
+# correct sampler, on cells the binomial normal approximation misjudges at
+# small expected counts: the 12-state baseline's row 7.5 scores z = 5.10,
+# the 200-state qi-general's row 27 scores z = 17.3, and the 200-state
+# baseline scores up to z = 175.6.  The 12-state baseline was re-recorded
+# when its verdict law became the chain rows: same symbols and exit code,
+# and 64 of its 153 report lines moved in their last digits.
 CUSTOM_DIGESTS = {
     "baseline-3":
         (0, "ffb3ec83e8b36ef540ae7372d89870705a74fc6d2e1de2a411fbe3ed8968090f"),
@@ -387,6 +404,10 @@ CUSTOM_DIGESTS = {
         (0, "f51cc09f6579849787cc65145d87de34fce8a99e35e390b7c5f81613a7cc4233"),
     "qi-general-200":
         (1, "6a86fdf10ed80d329593e0371166fea87223b44720c1614f1c601a54f1705fbd"),
+    "baseline-200":
+        (1, "2126a6809a2f8d55c9e19bbcc759bf188f90b48bc9e8a2fc48676da02a4784f7"),
+    "baseline-sparse-12":
+        (0, "7ac273f637a64be180819b752c1bce4988a5e7cfc5b01a1eb6104396292fb9ec"),
 }
 
 
@@ -398,12 +419,16 @@ def test_custom_outputs_pinned(tmp_path, capsys):
                           "--steps", "10", "--seed", "5"),
         "qi-general-200": (200, "qi-general", "--samples", "2000",
                            "--steps", "10", "--seed", "5"),
+        "baseline-200": (200, "baseline", "--steps", "20000", "--seed", "5"),
+        "baseline-sparse-12": ("sparse", "baseline", "--steps", "20000",
+                               "--seed", "5"),
     }
     for name, (states, algo, *flags) in commands.items():
         out = tmp_path / f"{name}.txt"
+        matrix = (_sparse_chain_file(tmp_path) if states == "sparse"
+                  else _chain_file(tmp_path, states))
         code = run("simulate", "--model", "custom", "--algo", algo,
-                   "--matrix", str(_chain_file(tmp_path, states)), *flags,
-                   "--out", str(out))
+                   "--matrix", str(matrix), *flags, "--out", str(out))
         blob = (capsys.readouterr().out.encode() + out.read_bytes()
                 + Path(f"{out}.report.txt").read_bytes())
         assert (code, hashlib.sha256(blob).hexdigest()) \
