@@ -363,23 +363,22 @@ def _simulate_trajectory(machine: EpsilonMachine, chain, model, algo, p, q,
                          seed, steps, sigma, out):
     rng = np.random.default_rng(seed)
     state = _stationary_start(chain, rng)
-    if algo == "baseline":
-        rows = machine.edges
-    elif algo == "quantum":
-        rows = quantum.circuit_step_table(model, p, q)
-    else:
-        rows = samplers.single_bit_table(p, q)
+    if algo == "quantum":
+        machine = quantum.circuit_step_table(model, p, q)
+    m = machine.n_symbols
+    table = np.arange(m), machine.probs, machine.succ
+    if algo == "single-bit":
+        table = samplers.single_bit_table(p, q)
         state = samplers.single_bit_start(state, q, rng)
     # Walked in blocks, so neither the draws, the symbols nor the --out text
     # ever hold the whole run; the last h symbols carry each block's first
     # contexts over from the one before.  Only the distinct (h + 1)-symbol
     # words seen are tallied, at most one per step.
     h = max(0, min(2, steps - 1))
-    m = machine.n_symbols
     words = tallies = tail = np.empty(0, dtype=np.int64)
     with open(out, "wb") if out else nullcontext() as fh:
         write_lines = _line_writer(fh, m) if fh else None
-        for symbols, _ in sample_edges(rows, state, steps, rng):
+        for symbols, _ in sample_edges(*table, state, steps, rng):
             if fh:
                 write_lines(symbols)
             seq = np.concatenate([tail, symbols])

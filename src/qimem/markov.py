@@ -30,38 +30,22 @@ class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, Rational) and not isinstance(value, float)
-
-
 class TransitionMatrix:
     """Square row-stochastic matrix over a finite state space.
 
     Parameters
     ----------
     rows : sequence of sequences, or a 2-D array
-        ``rows[j][i]`` is the probability of the transition j -> i.  Every
-        entry must lie in [0, 1].  ``array`` holds the entries as Fractions
-        (an ``object`` array) when all of them are rationals, and as float64
-        otherwise; a Fraction row must sum to 1 exactly, a float row within
-        1e-12.
+        ``rows[j][i]`` is the probability of the transition j -> i, read
+        and checked by ``_stochastic_array`` into ``array``.
     """
 
     def __init__(self, rows):
-        self.array = array = _chain_array(rows)
+        self.array = array = _stochastic_array(rows)
+        if array.shape[0] != array.shape[1]:
+            raise ValueError("transition matrix must be square and non-empty")
         self.n = len(array)
         self.exact = array.dtype == object
-        outside = np.argwhere(~((array >= 0) & (array <= 1)))
-        if outside.size:
-            j, i = outside[0]
-            raise ValueError(f"entry in row {j} = {array[j].tolist()[i]!r} "
-                             "outside [0, 1]")
-        sums = _row_sums(array)
-        tol = 0 if self.exact else ROW_SUM_TOL  # Fractions do not round
-        off = np.flatnonzero(~(abs(sums - 1) <= tol))
-        if off.size:
-            raise ValueError(f"row {off[0]} sums to {sums.tolist()[off[0]]}, "
-                             "not 1")
 
     def __eq__(self, other):
         return (isinstance(other, TransitionMatrix)
@@ -75,14 +59,40 @@ class TransitionMatrix:
 
 
 def _chain_array(rows) -> np.ndarray:
-    """``rows`` as one square array: Fractions when every entry is rational,
-    else float64."""
-    array = np.array(rows, dtype=object)
-    if array.ndim != 2 or array.shape[0] != array.shape[1] or not array.size:
-        raise ValueError("transition matrix must be square and non-empty")
-    if all(map(_is_exact, array.flat)):
-        return np.frompyfunc(Fraction, 1, 1)(array)
-    return array.astype(np.float64)
+    """``rows`` as one non-empty 2-D array: Fractions (an ``object`` array)
+    when every entry is rational, else float64; an array already in one of
+    these forms is kept, not copied."""
+    array = (rows if isinstance(rows, np.ndarray)
+             and rows.dtype in (np.float64, object)
+             else np.array(rows, dtype=object))
+    if array.ndim != 2 or not array.size:
+        raise ValueError("a probability table must be 2-D and non-empty")
+    if array.dtype == object and not all(type(v) is Fraction
+                                         for v in array.flat):
+        exact = all(isinstance(v, Rational) and not isinstance(v, float)
+                    for v in array.flat)
+        return (np.frompyfunc(Fraction, 1, 1)(array) if exact
+                else array.astype(float))
+    return array
+
+
+def _stochastic_array(rows) -> np.ndarray:
+    """``rows`` as ``_chain_array`` reads them, checked to be distributions:
+    every entry in [0, 1], and each row summing to 1, exactly in Fractions
+    and within ROW_SUM_TOL in floats."""
+    array = _chain_array(rows)
+    outside = np.argwhere(~((array >= 0) & (array <= 1)))
+    if outside.size:
+        j, i = outside[0]
+        raise ValueError(f"entry in row {j} = {array[j].tolist()[i]!r} "
+                         "outside [0, 1]")
+    sums = _row_sums(array)
+    tol = 0 if array.dtype == object else ROW_SUM_TOL  # Fractions do not round
+    off = np.flatnonzero(~(abs(sums - 1) <= tol))
+    if off.size:
+        raise ValueError(f"row {off[0]} sums to {sums.tolist()[off[0]]}, "
+                         "not 1")
+    return array
 
 
 def _row_sums(array: np.ndarray) -> np.ndarray:
@@ -98,56 +108,40 @@ def normalized_chain(rows) -> TransitionMatrix:
     return TransitionMatrix(array / _row_sums(array)[:, None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpsilonMachine:
-    """Unifilar hidden-state machine, given as its edge table.
+    """Unifilar hidden-state machine as two (states x symbols) arrays.
 
-    ``edges[i]`` lists the ``(symbol, probability, next_state)`` edges of
-    state i in strictly increasing symbol order, over the symbols
-    0..n_symbols-1.  Since no state has two edges with one symbol, the
-    successor is a function of (state, symbol): the machine is unifilar,
-    and the table is what ``sample_edges`` walks.
+    ``probs[i, x]`` is P(x | i), read and checked as a chain's rows are.
+    ``succ[i, x]``, broadcast to that shape, is the state after i emits x,
+    read only on the edges, where ``probs > 0``.  One successor per (state,
+    symbol) makes the machine unifilar, and ``sample_edges(np.arange(
+    n_symbols), probs, succ, ...)`` walks it.
     """
 
-    edges: tuple[tuple[tuple, ...], ...]
-    n_symbols: int
+    probs: np.ndarray
+    succ: np.ndarray
 
     def __post_init__(self):
-        n = len(self.edges)
-        if n == 0:
-            raise ValueError("a machine needs at least one state")
-        # rational rows sum to 1 exactly, float rows up to rounding
-        tol = 0 if self.exact else ROW_SUM_TOL
-        for i, row in enumerate(self.edges):
-            if not row:
-                raise ValueError(f"state {i} has no outputs")
-            if not abs(sum(pr for _, pr, _ in row) - 1) <= tol:
-                raise ValueError(f"output distribution of state {i} does not sum to 1")
-            last = -1
-            for x, pr, nxt in row:
-                _check_unit_interval(pr, f"P({x}|{i})")
-                if not last < x < self.n_symbols:
-                    raise ValueError(f"state {i} has symbol {x} out of order or "
-                                     f"outside 0..{self.n_symbols - 1}")
-                if not 0 <= nxt < n:
-                    raise ValueError(f"successor {nxt} out of range")
-                last = x
+        probs = _stochastic_array(self.probs)
+        succ = np.broadcast_to(self.succ, probs.shape)
+        if succ.dtype.kind not in "iu" or np.any(
+                (probs > 0) & ((succ < 0) | (succ >= len(probs)))):
+            raise ValueError("every edge needs a successor in the state range")
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "succ", succ)
 
     @property
     def n(self) -> int:
-        return len(self.edges)
+        return self.probs.shape[0]
+
+    @property
+    def n_symbols(self) -> int:
+        return self.probs.shape[1]
 
     @property
     def exact(self) -> bool:
-        return all(_is_exact(pr) for row in self.edges for _, pr, _ in row)
-
-
-def _announcing(dists, n_symbols: int) -> EpsilonMachine:
-    """The machine whose next state is the symbol it emits, with
-    ``dists[i][x]`` = P(x | i); zero entries get no edge."""
-    return EpsilonMachine(
-        tuple(tuple((x, pr, x) for x, pr in enumerate(d) if pr != 0)
-              for d in dists), n_symbols)
+        return self.probs.dtype == object
 
 
 def perturbed_coin(p) -> EpsilonMachine:
@@ -158,7 +152,7 @@ def perturbed_coin(p) -> EpsilonMachine:
     state always equals the emitted symbol.
     """
     _check_unit_interval(p, "p")
-    return _announcing(((1 - p, p), (p, 1 - p)), 2)
+    return EpsilonMachine(((1 - p, p), (p, 1 - p)), np.arange(2))
 
 
 def post_processed_coin(p, q) -> EpsilonMachine:
@@ -170,13 +164,9 @@ def post_processed_coin(p, q) -> EpsilonMachine:
     """
     _check_unit_interval(p, "p")
     _check_unit_interval(q, "q")
-    return _announcing(((1 - p, 0, p),
-                        (q * (1 - p), 1 - q, q * p),
-                        (0, _one_like(q), 0)), 3)
-
-
-def _one_like(v):
-    return Fraction(1) if _is_exact(v) else 1.0
+    return EpsilonMachine(((1 - p, 0, p),
+                           (q * (1 - p), 1 - q, q * p),
+                           (0, 1, 0)), np.arange(3))
 
 
 def _check_unit_interval(v, name: str) -> None:
@@ -186,18 +176,18 @@ def _check_unit_interval(v, name: str) -> None:
 
 
 def machine_from_chain(T: TransitionMatrix) -> EpsilonMachine:
-    """View a chain as the unifilar machine that announces its next state."""
-    return _announcing(T.array.tolist(), T.n)
+    """View a chain as the unifilar machine that announces its next state:
+    its probabilities are ``T.array`` itself."""
+    return EpsilonMachine(T.array, np.arange(T.n))
 
 
 def induced_chain(machine: EpsilonMachine) -> TransitionMatrix:
     """Marginalize the outputs away, leaving the chain on hidden states;
     the rows are normalized, as aggregated floats can pass 1 by an ulp."""
-    n = machine.n
-    rows = [[0] * n for _ in range(n)]
-    for row, edges in zip(rows, machine.edges):
-        for _, pr, nxt in edges:
-            row[nxt] += pr
+    probs = machine.probs
+    i, x = np.nonzero(probs > 0)
+    rows = np.zeros((machine.n, machine.n), dtype=probs.dtype)
+    np.add.at(rows, (i, machine.succ[i, x]), probs[i, x])
     return normalized_chain(rows)
 
 
@@ -350,32 +340,44 @@ def as_cdf(weights) -> np.ndarray:
     return cdf
 
 
-def sample_edges(rows, start: int, steps: int, rng: np.random.Generator):
+def sample_edges(symbols, probs, succ, start: int, steps: int,
+                 rng: np.random.Generator):
     """Walk an edge table for ``steps`` steps from state ``start``.
 
-    ``rows[s]`` lists the ``(symbol, probability, next_state)`` edges of
-    state s; edges may share a symbol, so the table need not be unifilar.
-    Step t takes the first edge of the current state whose cumulative
-    probability exceeds its uniform draw.  Each step costs one bisection of
-    the current state's CDF, whatever the number of states.  A generator:
-    it checks the table and builds its CDFs on the first ``next``, then
-    yields the symbols of each block of at most ``TRAJECTORY_BLOCK`` steps,
-    whose uniforms it draws at once, and the state after them.
+    Edge k of state s emits ``symbols[s, k]`` with probability
+    ``probs[s, k]`` and leads to ``succ[s, k]``, the three arrays broadcast
+    to one (states x edges) shape; probability 0 means no edge.  Edges may
+    share a symbol, so the table need not be unifilar.  Step t takes the
+    first edge whose cumulative probability exceeds its uniform draw.  Each
+    row's float CDF is pinned to 1 from its last edge on, so no draw takes
+    an entry of probability 0.  Each step costs one bisection of the
+    current state's CDF, whatever the number of states.  A generator: it
+    checks the table and builds its CDFs on the first ``next``, then yields
+    the symbols of each block of at most ``TRAJECTORY_BLOCK`` steps, whose
+    uniforms it draws at once, and the state after them.
     """
-    n = len(rows)
+    symbols, probs, succ = np.broadcast_arrays(
+        np.asarray(symbols, dtype=np.int64), probs, succ)
+    n, k = probs.shape
     if not 0 <= start < n:
         raise ValueError(f"start state {start} out of range")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if any(not row or any(not 0 <= nx < n for _, _, nx in row)
-           for row in rows):
+    edge = probs > 0
+    if not edge.any(axis=1).all() or np.any(edge & ((succ < 0) | (succ >= n))):
         raise ValueError("every state needs edges into the state range")
-    cdfs = [as_cdf([float(pr) for _, pr, _ in row]).tolist() for row in rows]
-    edges = [[(x, nx) for x, _, nx in row] for row in rows]
+    cdf = as_cdf(np.asarray(probs, dtype=np.float64))
+    last = k - 1 - edge[:, ::-1].argmax(axis=1)  # each row's last edge
+    cdf[np.arange(k) >= last[:, None]] = 1
+    # flat index s * k + j is edge j of state s, in the CDF and successors
+    cdf = memoryview(cdf.reshape(-1))
+    succ = memoryview(np.ascontiguousarray(succ, dtype=np.int64).reshape(-1))
     state = start
-    for lo in range(0, steps, TRAJECTORY_BLOCK):
-        walked = []
-        for v in rng.random(min(TRAJECTORY_BLOCK, steps - lo)).tolist():
-            x, state = edges[state][bisect_right(cdfs[state], v)]
-            walked.append(x)
-        yield np.array(walked, dtype=np.int64), state
+    for done in range(0, steps, TRAJECTORY_BLOCK):
+        picks = []
+        for v in rng.random(min(TRAJECTORY_BLOCK, steps - done)).tolist():
+            row = state * k
+            j = bisect_right(cdf, v, row, row + k)
+            picks.append(j)
+            state = succ[j]
+        yield symbols[np.divmod(picks, k)], state

@@ -144,9 +144,9 @@ def memory_spectrum(machine: EpsilonMachine, weights=None) -> np.ndarray:
     share a pair.  The memory state sum_i w_i |sigma_i><sigma_i| has the
     nonzero spectrum of the n x n Gram matrix B B^T, where row i of B is
     sqrt(w_i) times state i's amplitudes over the distinct pairs of the
-    edge table.  ``weights`` defaults to the stationary distribution of the
-    induced chain; passing explicit weights supports limits where the chain
-    itself is reducible.
+    machine's edges.  ``weights`` defaults to the stationary distribution of
+    the induced chain; passing explicit weights supports limits where the
+    chain itself is reducible.
     """
     if weights is None:
         weights = stationary(induced_chain(machine))
@@ -157,15 +157,11 @@ def memory_spectrum(machine: EpsilonMachine, weights=None) -> np.ndarray:
         raise ValueError(f"weights {w.tolist()!r} are not all >= 0")
     if abs(w.sum() - 1.0) > UNIT_TOL:
         raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-    pairs: dict = {}
-    rows, cols, amps = [], [], []
-    for i, edges in enumerate(machine.edges):
-        for x, pr, nxt in edges:
-            rows.append(i)
-            cols.append(pairs.setdefault((x, nxt), len(pairs)))
-            amps.append(math.sqrt(float(pr)))
-    B = np.zeros((machine.n, len(pairs)))
-    B[rows, cols] = amps
+    i, x = np.nonzero(machine.probs > 0)
+    pairs, cols = np.unique(x * machine.n + machine.succ[i, x],
+                            return_inverse=True)
+    B = np.zeros((machine.n, pairs.size))
+    B[i, cols] = np.sqrt(machine.probs[i, x].astype(np.float64))
     for state in B:
         check_unit(state)
     B *= np.sqrt(w)[:, None]
@@ -289,26 +285,27 @@ def protocol_step(model: str, j: int, p, q=None) -> list:
     return sorted(out)
 
 
-def circuit_step_table(model: str, p, q=None) -> list:
-    """Per-state outcome table realized by a circuit, for trajectory use.
+def circuit_step_table(model: str, p, q=None) -> EpsilonMachine:
+    """The machine a circuit realizes, for trajectory use.
 
-    Each entry lists ``(symbol, probability, next_state)`` with the next
-    state identified by matching the post-measurement memory qubit against
-    the causal-state vectors.  The emitted distributions come from the
-    circuit, not from the transition matrix, so walking this table with
-    ``markov.sample_edges`` exercises the quantum route end to end.
+    ``probs[j, x]`` is the probability of measuring symbol x from causal
+    state j, and ``succ[j, x]`` the causal state whose vector the
+    post-measurement memory qubit matches.  The emitted distributions come
+    from the circuit, not from the transition matrix, so walking this
+    machine with ``markov.sample_edges`` exercises the quantum route end to
+    end.
     """
     refs = _memory_qubits(model, p, q)
-    table = []
+    # both protocols emit one symbol per causal state
+    probs = np.zeros((len(refs), len(refs)))
+    succ = np.zeros(probs.shape, dtype=np.int64)
     for j in range(len(refs)):
-        row = []
         for x, pr, post in protocol_step(model, j, p, q):
             if pr == 0:
                 continue
             dists = [np.linalg.norm(post - r) for r in refs]
-            nxt = int(np.argmin(dists))
-            if dists[nxt] > 1e-10:
+            succ[j, x] = np.argmin(dists)
+            if dists[succ[j, x]] > 1e-10:
                 raise ValueError("post-measurement state is not a causal state")
-            row.append((x, pr, nxt))
-        table.append(row)
-    return table
+            probs[j, x] = pr
+    return EpsilonMachine(probs, succ)

@@ -433,9 +433,10 @@ def three_state_demo_chain(p, q) -> TransitionMatrix:
     return TransitionMatrix([uniform, [p, q, 1 - p - q], list(uniform)])
 
 
-def single_bit_table(p, q) -> list:
+def single_bit_table(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge table of the three-symbol sampler whose entire memory is one
-    stochastic bit, for ``markov.sample_edges`` with the bit as the state.
+    stochastic bit: the 2 x 2 arrays (symbols, probs, succ) that
+    ``markov.sample_edges`` walks with the bit as the state.
 
     The bit plays the role of a causal state drawn from the mixture that
     represents the middle state: bit 0 behaves like the quiet state, bit 1
@@ -447,7 +448,8 @@ def single_bit_table(p, q) -> list:
     p, q = float(p), float(q)
     _check_unit_interval(p, "p")
     _check_unit_interval(q, "q")
-    return [[(2, p, 1), (0, 1 - p, 0)], [(1, q, 0), (1, 1 - q, 1)]]
+    return (np.array([[2, 0], [1, 1]]), np.array([[p, 1 - p], [q, 1 - q]]),
+            np.array([[1, 0], [0, 1]]))
 
 
 def single_bit_start(start: int, q, rng: np.random.Generator) -> int:

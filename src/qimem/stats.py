@@ -34,30 +34,28 @@ def word_counts(seq, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(codes, return_counts=True)
 
 
-def transition_counts(prev, nxt, n: int, m: int | None = None) -> np.ndarray:
-    """n x m (default n x n) int64 matrix whose entry [j, i] counts the
-    steps from value j to value i, for aligned arrays of values in 0..n-1
-    and 0..m-1.
+def transition_counts(prev, nxt, n: int) -> np.ndarray:
+    """n x n int64 matrix whose entry [j, i] counts the steps from value j
+    to value i, for aligned arrays of values in 0..n-1.
 
     Two states need no code array: the ones in each array and the 1 -> 1
     steps fix all four entries."""
-    m = n if m is None else m
     prev = np.asarray(prev).ravel()
     nxt = np.asarray(nxt).ravel()
     if prev.shape != nxt.shape:
         raise ValueError("prev and nxt must align")
     if prev.size and not (0 <= min(prev.min(), nxt.min())
-                          and prev.max() < n and nxt.max() < m):
-        raise ValueError(f"values must lie in 0..{n - 1} and 0..{m - 1}")
-    if n == m == 2:
+                          and prev.max() < n and nxt.max() < n):
+        raise ValueError(f"values must lie in 0..{n - 1}")
+    if n == 2:
         ones_prev = np.count_nonzero(prev)
         ones_next = np.count_nonzero(nxt)
         stay = np.count_nonzero(prev & nxt)
         return np.array([[prev.size - ones_prev - ones_next + stay,
                           ones_next - stay],
                          [ones_prev - stay, stay]], dtype=np.int64)
-    codes = prev.astype(np.int64, copy=False) * m + nxt
-    return np.bincount(codes, minlength=n * m).reshape(n, m)
+    codes = prev.astype(np.int64, copy=False) * n + nxt
+    return np.bincount(codes, minlength=n * n).reshape(n, n)
 
 
 @dataclass

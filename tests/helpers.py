@@ -38,22 +38,36 @@ def random_machine(rng: np.random.Generator, n_states: int,
                    n_symbols: int) -> EpsilonMachine:
     """Random unifilar machine whose state chain is irreducible."""
     while True:
-        edges = []
-        for _ in range(n_states):
+        probs = np.zeros((n_states, n_symbols))
+        succ = np.zeros((n_states, n_symbols), dtype=np.int64)
+        for i in range(n_states):
             k = int(rng.integers(1, n_symbols + 1))
             syms = rng.choice(n_symbols, size=k, replace=False)
-            probs = np.maximum(rng.dirichlet(np.ones(k)), 1e-6)
-            probs /= probs.sum()
-            nexts = [int(rng.integers(0, n_states)) for _ in syms]
-            edges.append(tuple(sorted(
-                (int(x), float(w), nx)
-                for x, w, nx in zip(syms, probs, nexts))))
-        machine = EpsilonMachine(tuple(edges), n_symbols)
+            w = np.maximum(rng.dirichlet(np.ones(k)), 1e-6)
+            probs[i, syms] = w / w.sum()
+            succ[i, syms] = [int(rng.integers(0, n_states)) for _ in syms]
+        machine = EpsilonMachine(probs, succ)
         try:
             stationary(induced_chain(machine))
         except ReducibleChainError:
             continue
         return machine
+
+
+def machine_table(machine: EpsilonMachine) -> tuple:
+    """The arrays (symbols, probs, succ) that ``markov.sample_edges`` walks
+    for ``machine``: symbol x is column x."""
+    return np.arange(machine.n_symbols), machine.probs, machine.succ
+
+
+def edge_rows(symbols, probs, succ) -> list:
+    """An array edge table as tuple rows, the form the reference walk and
+    the oracles read: row s lists ``(symbol, probability, next_state)`` for
+    each entry of state s with probability above 0, in column order."""
+    symbols, probs, succ = np.broadcast_arrays(np.asarray(symbols), probs,
+                                               succ)
+    return [[(x, pr, nx) for x, pr, nx in zip(*(a.tolist() for a in row))
+             if pr > 0] for row in zip(symbols, probs, succ)]
 
 
 def reference_stationary(T: TransitionMatrix) -> np.ndarray:
@@ -84,7 +98,7 @@ def reference_density_spectrum(machine: EpsilonMachine,
         weights = stationary(induced_chain(machine))
     a = machine.n_symbols
     rho = np.zeros((machine.n * a, machine.n * a))
-    for w, edges in zip(weights, machine.edges):
+    for w, edges in zip(weights, edge_rows(*machine_table(machine))):
         vec = np.zeros(machine.n * a)
         for x, pr, nxt in edges:
             vec[nxt * a + x] = math.sqrt(float(pr))
@@ -168,11 +182,12 @@ def exact_kgram_distribution(machine: EpsilonMachine, k: int,
             raise ValueError(f"start state {start} out of range")
         initial = [(start, Fraction(1) if machine.exact else 1.0)]
     out: dict = {}
+    rows = edge_rows(*machine_table(machine))
     frontier = {((), i): w for i, w in initial if w != 0}
     for _ in range(k):
         nxt: dict = {}
         for (word, i), w in frontier.items():
-            for x, pr, after in machine.edges[i]:
+            for x, pr, after in rows[i]:
                 key = (word + (x,), after)
                 nxt[key] = nxt.get(key, 0) + w * pr
         frontier = nxt
@@ -221,18 +236,20 @@ def exact_coin_trajectory(p: float, steps: int,
     return ((first + np.cumsum(flips)) % 2).astype(np.int64)
 
 
-def walk(rows, start: int, steps: int, rng: np.random.Generator):
-    """The symbols of a whole ``markov.sample_edges`` walk, its blocks laid
-    end to end, and the state after the last step."""
+def walk(table, start: int, steps: int, rng: np.random.Generator):
+    """The symbols of a whole ``markov.sample_edges`` walk of the arrays
+    ``table`` = (symbols, probs, succ), its blocks laid end to end, and the
+    state after the last step."""
     blocks, state = [np.empty(0, dtype=np.int64)], start
-    for symbols, state in markov.sample_edges(rows, start, steps, rng):
+    for symbols, state in markov.sample_edges(*table, start, steps, rng):
         blocks.append(symbols)
     return np.concatenate(blocks), state
 
 
 def reference_edge_walk(rows, start: int, steps: int,
                         rng: np.random.Generator):
-    """The per-step walk that ``markov.sample_edges`` must reproduce.
+    """The per-step walk that ``markov.sample_edges`` must reproduce, on
+    tuple rows as ``edge_rows`` gives them.
 
     One ``searchsorted`` per step on the current state's CDF: the plainest
     form of the walk, slow but easy to trust.  Returns the symbols and the

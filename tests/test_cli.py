@@ -495,8 +495,8 @@ def test_trajectory_out_matches_reference(tmp_path, monkeypatch, capsys):
 
 
 def test_trajectory_builds_its_cdfs_once(monkeypatch, capsys):
-    """A run walked in 8 blocks builds each state's CDF once, not once a
-    block."""
+    """A run walked in 8 blocks builds the CDFs of all its states once, as
+    one 3 x 3 array, not once a block."""
     built, as_cdf = [], markov.as_cdf
 
     def counting(weights):
@@ -507,7 +507,7 @@ def test_trajectory_builds_its_cdfs_once(monkeypatch, capsys):
     monkeypatch.setattr(markov, "as_cdf", counting)
     assert run("simulate", "--model", "postproc", "--algo", "baseline",
                "--p", "1/9", "--q", "2/3", "--steps", "50", "--seed", "5") == 0
-    assert len(built) == 3
+    assert [np.shape(weights) for weights in built] == [(3, 3)]
 
 
 def test_line_writer_remakes_its_buffer_on_a_new_shape():

@@ -24,10 +24,11 @@ from qimem.markov import (EpsilonMachine, ReducibleChainError,
 from qimem.quantum import circuit_step_table
 from qimem.samplers import single_bit_table, three_state_demo_chain
 
-from helpers import (context_law, exact_kgram_distribution, random_chain,
-                     random_machine, random_rational_chain,
-                     reference_edge_walk, reference_stationary,
-                     reference_strongly_connected, walk)
+from helpers import (context_law, edge_rows, exact_kgram_distribution,
+                     machine_table, random_chain, random_machine,
+                     random_rational_chain, reference_edge_walk,
+                     reference_stationary, reference_strongly_connected,
+                     walk)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_PI = (F(2, 9), F(1, 2), F(5, 18))
@@ -79,18 +80,18 @@ def test_matrix_numpy_is_each_entry_as_float(rows):
 def test_coin_machine():
     m = perturbed_coin(F(1, 4))
     assert m.exact and m.n == 2 and m.n_symbols == 2
-    assert m.edges == (((0, F(3, 4), 0), (1, F(1, 4), 1)),
-                       ((0, F(1, 4), 0), (1, F(3, 4), 1)))
+    assert m.probs.tolist() == [[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]]
+    assert m.succ.tolist() == [[0, 1], [0, 1]]
     chain = induced_chain(m)
     assert chain.array[0, 1] == F(1, 4) and chain.array[1, 1] == F(3, 4)
 
 
 def test_coin_degenerate_ends():
-    # zero-probability emissions are dropped from the support
+    # zero-probability emissions are no edges
     frozen = perturbed_coin(0)
-    assert frozen.edges == (((0, 1, 0),), ((1, 1, 1),))
+    assert edge_rows(*machine_table(frozen)) == [[(0, 1, 0)], [(1, 1, 1)]]
     hot = perturbed_coin(1)
-    assert hot.edges == (((1, 1, 1),), ((0, 1, 0),))
+    assert edge_rows(*machine_table(hot)) == [[(1, 1, 1)], [(0, 1, 0)]]
     with pytest.raises(ValueError):
         perturbed_coin(1.2)
 
@@ -99,10 +100,10 @@ def test_postproc_machine():
     m = post_processed_coin(F(1, 9), F(2, 3))
     assert m.exact and m.n == 3 and m.n_symbols == 3
     # emitted symbol names the successor state
-    assert m.edges == (((0, F(8, 9), 0), (2, F(1, 9), 2)),
-                       ((0, F(16, 27), 0), (1, F(1, 3), 1),
-                        (2, F(2, 27), 2)),
-                       ((1, 1, 1),))
+    assert edge_rows(*machine_table(m)) == [
+        [(0, F(8, 9), 0), (2, F(1, 9), 2)],
+        [(0, F(16, 27), 0), (1, F(1, 3), 1), (2, F(2, 27), 2)],
+        [(1, 1, 1)]]
 
 
 def test_exact_rows_sum_to_exactly_one():
@@ -111,28 +112,32 @@ def test_exact_rows_sum_to_exactly_one():
     off = F(1, 10**15)
     with pytest.raises(ValueError, match="row 1 sums to 1000000000000001/"):
         TransitionMatrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2) + off]])
-    with pytest.raises(ValueError, match="state 0 does not sum to 1"):
-        EpsilonMachine((((0, F(1, 2), 0), (1, F(1, 2) - off, 0)),), 2)
+    with pytest.raises(ValueError, match="row 0 sums to 999999999999999/"):
+        EpsilonMachine(((F(1, 2), F(1, 2) - off),), ((0, 0),))
     assert not TransitionMatrix([[0.5, 0.5], [0.5, 0.5 + 1e-15]]).exact
-    EpsilonMachine((((0, 0.5, 0), (1, 0.5 - 1e-15, 0)),), 2)
+    EpsilonMachine(((0.5, 0.5 - 1e-15),), ((0, 0),))
 
 
 def test_machine_validation():
+    """A machine is checked by the chain's row validator, and its
+    successors on its edges; one column per symbol makes it unifilar, so
+    no order or repeated-symbol check is left to fail."""
     nan = float("nan")
-    for edges, n_symbols, reason in [
-        ((((0, 1.0, 5),),), 1, "successor"),           # past the states
-        ((((0, 1.0, -1),),), 1, "successor"),          # negative
-        ((((0, 0.5, 0),),), 1, "sum"),
-        ((((3, 1.0, 0),),), 2, "symbol 3"),            # past n_symbols
-        ((((1, 0.5, 0), (0, 0.5, 0)),), 2, "symbol 0"),  # decreasing
-        # one symbol twice: not unifilar
-        ((((0, 0.5, 0), (0, 0.5, 1)), ((0, 1.0, 0),)), 2, "symbol 0"),
-        ((((0, nan, 0), (1, 1.0, 0)),), 2, "sum"),
-        ((((0, 1.0, 0),), ()), 1, "state 1 has no outputs"),
-        ((), 1, "at least one state"),
+    for probs, succ, reason in [
+        ([[1.0]], [[5]], "successor"),               # past the states
+        ([[1.0]], [[-1]], "successor"),              # negative
+        ([[1.0]], [[0.0]], "successor"),             # not an integer
+        ([[0.5]], [[0]], "row 0 sums to 0.5"),
+        ([[nan, 1.0]], [[0, 0]], "outside"),
+        ([[1.0], [0.0]], [[0], [0]], "row 1 sums to 0.0"),  # no edge
+        ([[0.5, 0.5]], [0, 0, 0], "broadcast"),      # shapes disagree
+        ([], [], "non-empty"),
+        ([1.0], [0], "2-D"),
     ]:
         with pytest.raises(ValueError, match=reason):
-            EpsilonMachine(edges, n_symbols)
+            EpsilonMachine(probs, succ)
+    # a successor off the edges is never read
+    assert EpsilonMachine([[1.0, 0.0]], [[0, 7]]).succ.tolist() == [[0, 7]]
 
 
 def test_nan_and_inf_rejected():
@@ -143,7 +148,7 @@ def test_nan_and_inf_rejected():
         with pytest.raises(ValueError):
             TransitionMatrix([[1.0, 0.0], [bad, 1.0]])
         with pytest.raises(ValueError):
-            EpsilonMachine((((0, bad, 0), (1, 0.5, 0)),), 2)
+            EpsilonMachine(((bad, 0.5), (0.5, 0.5)), np.arange(2))
         with pytest.raises(ValueError):
             perturbed_coin(bad)
         with pytest.raises(ValueError):
@@ -157,12 +162,16 @@ def test_nan_and_inf_rejected():
 
 
 def test_machine_chain_roundtrip():
+    """A chain's machine holds the chain's own array, and gives the chain
+    back."""
     rng = np.random.default_rng(7)
     for n in (2, 3, 5):
         T = random_chain(rng, n)
+        assert machine_from_chain(T).probs is T.array
         back = induced_chain(machine_from_chain(T))
         assert np.max(np.abs(back.to_numpy() - T.to_numpy())) == 0.0
     Tq = random_rational_chain(rng, 4)
+    assert machine_from_chain(Tq).probs is Tq.array
     assert induced_chain(machine_from_chain(Tq)) == Tq
 
 
@@ -402,37 +411,40 @@ def test_mutual_info_bound():
 
 
 def test_machine_table_walk_basics():
-    rows = perturbed_coin(0.3).edges
-    assert rows == (((0, 0.7, 0), (1, 0.3, 1)), ((0, 0.3, 0), (1, 0.7, 1)))
-    a, _ = walk(rows, 0, 500, np.random.default_rng(42))
-    b, _ = walk(rows, 0, 500, np.random.default_rng(42))
+    table = machine_table(perturbed_coin(0.3))
+    assert edge_rows(*table) == [[(0, 0.7, 0), (1, 0.3, 1)],
+                                 [(0, 0.3, 0), (1, 0.7, 1)]]
+    a, _ = walk(table, 0, 500, np.random.default_rng(42))
+    b, _ = walk(table, 0, 500, np.random.default_rng(42))
     assert np.array_equal(a, b)
     assert len(a) == 500 and set(np.unique(a)) <= {0, 1}
-    frozen, _ = walk(perturbed_coin(0.0).edges, 0, 100,
+    frozen, _ = walk(machine_table(perturbed_coin(0.0)), 0, 100,
                      np.random.default_rng(1))
     assert not frozen.any()
     with pytest.raises(ValueError):
-        walk(rows, 2, 10, np.random.default_rng(0))
+        walk(table, 2, 10, np.random.default_rng(0))
 
 
 def edge_tables():
     """Machine, circuit and single-bit tables: the kernel's three callers."""
     rng = np.random.default_rng(11)
-    tables = [random_machine(rng, n, a).edges
+    tables = [machine_table(random_machine(rng, n, a))
               for n, a in ((1, 2), (2, 2), (3, 3), (4, 3), (5, 4))]
-    tables += [circuit_step_table("coin", 0.3),
-               circuit_step_table("postproc", F(1, 9), F(2, 3)),
-               circuit_step_table("postproc", 0.37, 0.25)]
+    tables += [machine_table(circuit_step_table("coin", 0.3)),
+               machine_table(circuit_step_table("postproc", F(1, 9), F(2, 3))),
+               machine_table(circuit_step_table("postproc", 0.37, 0.25))]
     tables += [single_bit_table(p, q)
                for p, q in ((1 / 9, 2 / 3), (0.37, 0.25), (0.0, 1.0),
                             (1.0, 0.0))]
     return tables
 
 
-def assert_walks_agree(rows, start, steps, seed):
+def assert_walks_agree(table, start, steps, seed):
+    """The walk of the arrays is the reference walk of their tuple rows."""
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    out, final = walk(rows, start, steps, rng_a)
-    ref, ref_final = reference_edge_walk(rows, start, steps, rng_b)
+    out, final = walk(table, start, steps, rng_a)
+    ref, ref_final = reference_edge_walk(edge_rows(*table), start, steps,
+                                         rng_b)
     assert out.dtype == np.int64
     assert np.array_equal(out, ref) and final == ref_final
     # both consumed exactly ``steps`` uniforms
@@ -440,10 +452,10 @@ def assert_walks_agree(rows, start, steps, seed):
 
 
 def test_sample_edges_matches_reference():
-    for seed, rows in enumerate(edge_tables()):
-        for start in range(len(rows)):
+    for seed, table in enumerate(edge_tables()):
+        for start in range(len(table[1])):
             for steps in (0, 1, 6, 7, 8, 50):
-                assert_walks_agree(rows, start, steps, seed)
+                assert_walks_agree(table, start, steps, seed)
 
 
 def test_sample_edges_across_a_full_block():
@@ -451,13 +463,15 @@ def test_sample_edges_across_a_full_block():
     and a block of one step, which laid end to end are one walk of the
     whole run."""
     block = markov.TRAJECTORY_BLOCK
-    for rows in (circuit_step_table("postproc", F(1, 9), F(2, 3)),
-                 single_bit_table(0.37, 0.25)):
-        for start in range(len(rows)):
+    for table in (machine_table(circuit_step_table("postproc", F(1, 9),
+                                                   F(2, 3))),
+                  single_bit_table(0.37, 0.25)):
+        for start in range(len(table[1])):
             rng_a = np.random.default_rng(1584306215)
             rng_b = np.random.default_rng(1584306215)
-            blocks = list(sample_edges(rows, start, block + 1, rng_a))
-            ref, ref_final = reference_edge_walk(rows, start, block + 1, rng_b)
+            blocks = list(sample_edges(*table, start, block + 1, rng_a))
+            ref, ref_final = reference_edge_walk(edge_rows(*table), start,
+                                                 block + 1, rng_b)
             assert [symbols.size for symbols, _ in blocks] == [block, 1]
             assert np.array_equal(
                 np.concatenate([symbols for symbols, _ in blocks]), ref)
@@ -468,12 +482,14 @@ def test_sample_edges_across_a_full_block():
 def test_sample_edges_yields_the_state_after_each_block(monkeypatch):
     """Each block comes with the state the walk has reached after it."""
     monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 7)
-    for seed, rows in enumerate(edge_tables()):
-        blocks = list(sample_edges(rows, 0, 50, np.random.default_rng(seed)))
+    for seed, table in enumerate(edge_tables()):
+        blocks = list(sample_edges(*table, 0, 50,
+                                   np.random.default_rng(seed)))
         assert [symbols.size for symbols, _ in blocks] == [7] * 7 + [1]
         for k, (_, state) in enumerate(blocks):
             assert state == reference_edge_walk(
-                rows, 0, min(7 * k + 7, 50), np.random.default_rng(seed))[1]
+                edge_rows(*table), 0, min(7 * k + 7, 50),
+                np.random.default_rng(seed))[1]
 
 
 def test_sample_edges_memory_bounded_by_slices():
@@ -481,12 +497,12 @@ def test_sample_edges_memory_bounded_by_slices():
     symbols at a time.  At 1e6 steps the whole run as one list peaked at
     40.5 MB, the draws and symbols of the run as arrays at about 18.7 MB,
     and a walk whose blocks are dropped as they come at about 3.2 MB."""
-    rows = circuit_step_table("postproc", F(1, 9), F(2, 3))
-    walk(rows, 0, 10, np.random.default_rng(0))  # one-time allocations
+    table = machine_table(circuit_step_table("postproc", F(1, 9), F(2, 3)))
+    walk(table, 0, 10, np.random.default_rng(0))  # one-time allocations
     tracemalloc.start()
     try:
         steps = sum(symbols.size for symbols, _ in
-                    sample_edges(rows, 0, 10**6, np.random.default_rng(5)))
+                    sample_edges(*table, 0, 10**6, np.random.default_rng(5)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -494,58 +510,113 @@ def test_sample_edges_memory_bounded_by_slices():
     assert peak < 5_000_000, peak
 
 
+def test_walker_setup_memory_bounded_by_the_chain():
+    """A 500-state float chain's machine shares the chain's array, and the
+    walk's setup holds one float CDF and one successor array of the chain's
+    size, 2 MB each.  The tuple form built 250 000 edge tuples and then
+    per-state CDF and edge lists: 51.6 MB traced."""
+    chain = random_chain(np.random.default_rng(500), 500)
+    tracemalloc.start()
+    try:
+        machine = machine_from_chain(chain)
+        next(sample_edges(*machine_table(machine), 0, 1,
+                          np.random.default_rng(0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
+
+
+class TopDraws:
+    """A stub generator whose every uniform is the largest below 1."""
+
+    def random(self, size):
+        return np.full(size, 1 - 2**-53)
+
+
+def test_walk_never_takes_a_zero_probability_edge(monkeypatch):
+    """Rows whose edges sum to 1 - 1 ulp, with entries of probability 0
+    after them: at the largest draw below 1 a CDF pinned only at its last
+    entry would take the zero entry.  Each step, yielded as a block of one,
+    must follow an edge of probability above 0."""
+    short = 0.5 - 2**-53  # 0.5 + short == 1 - 2**-53
+    chain = TransitionMatrix([[0.5, short, 0.0, 0.0],
+                              [0.0, 0.5, short, 0.0],
+                              [0.0, 0.0, 0.5, short],
+                              [short, 0.0, 0.5, 0.0]])
+    tables = [machine_table(machine_from_chain(chain)),
+              single_bit_table(1.0, 0.0)]
+    monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 1)
+    for symbols, probs, succ in tables:
+        symbols, probs, succ = np.broadcast_arrays(symbols, probs, succ)
+        for start in range(len(probs)):
+            state = start
+            for (x,), after in sample_edges(symbols, probs, succ, start, 12,
+                                            TopDraws()):
+                assert any(probs[state, k] > 0 and symbols[state, k] == x
+                           and succ[state, k] == after
+                           for k in range(probs.shape[1]))
+                state = after
+            out, final = walk((symbols, probs, succ), start, 12, TopDraws())
+            ref, ref_final = reference_edge_walk(
+                edge_rows(symbols, probs, succ), start, 12, TopDraws())
+            assert np.array_equal(out, ref) and final == ref_final
+
+
 @st.composite
-def random_rows(draw):
-    """Random table whose symbols number the edges, so a trajectory names
-    the edges it took.  Rows may hold zero-probability edges, and some are
-    endpoint rows: one sure edge among impossible ones."""
+def random_table(draw):
+    """Random array table whose symbols number its entries, so a trajectory
+    names the edges it took.  Entries of probability 0 fall anywhere, the
+    last column too, and their successors may lie outside the states, as
+    they are never read; some rows are endpoint rows, one sure edge among
+    impossible ones."""
     n = draw(st.integers(1, 4))
-    rows, symbol = [], 0
-    for _ in range(n):
-        size = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    probs = np.zeros((n, k))
+    for row in probs:
         if draw(st.booleans()):
-            weights = [0] * size
-            weights[draw(st.integers(0, size - 1))] = 1
+            row[draw(st.integers(0, k - 1))] = 1
         else:
-            weights = draw(st.lists(st.integers(0, 3), min_size=size,
-                                    max_size=size).filter(any))
-        row = []
-        for w in weights:
-            row.append((symbol, w / sum(weights), draw(st.integers(0, n - 1))))
-            symbol += 1
-        rows.append(row)
-    return rows
+            weights = draw(st.lists(st.integers(0, 3), min_size=k,
+                                    max_size=k).filter(any))
+            row[:] = [w / sum(weights) for w in weights]
+    succ = np.array([[draw(st.integers(0, n - 1)) if pr > 0
+                      else draw(st.integers(-2, n + 2)) for pr in row]
+                     for row in probs])
+    return np.arange(n * k).reshape(n, k), probs, succ
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=random_rows(), steps=st.integers(0, 40),
+@given(table=random_table(), steps=st.integers(0, 40),
        seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_sample_edges_property(rows, steps, seed, data):
-    start = data.draw(st.integers(0, len(rows) - 1))
-    assert_walks_agree(rows, start, steps, seed)
-    out, final = walk(rows, start, steps, np.random.default_rng(seed))
-    edges = {x: (state, pr, nxt) for state, row in enumerate(rows)
-             for x, pr, nxt in row}
+def test_sample_edges_property(table, steps, seed, data):
+    start = data.draw(st.integers(0, len(table[1]) - 1))
+    assert_walks_agree(table, start, steps, seed)
+    out, final = walk(table, start, steps, np.random.default_rng(seed))
+    symbols, probs, succ = table
     state = start
     for x in out:
-        source, pr, nxt = edges[int(x)]
-        assert source == state and pr > 0
-        state = nxt
+        source, k = divmod(int(x), probs.shape[1])
+        assert source == state and probs[source, k] > 0
+        state = succ[source, k]
     assert final == state
 
 
 def test_sample_edges_validation():
     """A walk checks its table on the first ``next``, even of no steps."""
-    rows = circuit_step_table("coin", 0.3)
+    table = machine_table(circuit_step_table("coin", 0.3))
     rng = np.random.default_rng(0)
     for start, steps in ((2, 5), (-1, 5), (0, -1), (2, 0)):
         with pytest.raises(ValueError):
-            list(sample_edges(rows, start, steps, rng))
-    for bad in ([[(0, 1.0, 1)]], [[(0, 1.0, 0)], []]):
+            list(sample_edges(*table, start, steps, rng))
+    for bad in ((0, [[1.0]], [[1]]),                # an edge off the states
+                (0, [[1.0], [0.0]], [[0], [0]]),    # a state with no edge
+                ([0, 1], [[1.0, 0.0]], [0, 0, 0]),  # shapes disagree
+                (0, [1.0], [0])):                   # not a table
         with pytest.raises(ValueError):
-            list(sample_edges(bad, 0, 5, rng))
+            list(sample_edges(*bad, 0, 5, rng))
         with pytest.raises(ValueError):
-            list(sample_edges(bad, 0, 0, rng))
+            list(sample_edges(*bad, 0, 0, rng))
     assert rng.random() == np.random.default_rng(0).random()
 
 

@@ -29,8 +29,9 @@ from qimem.quantum import (check_orthogonal, check_unit, circuit_step_table,
                            quantum_topological_memory, u_x)
 from qimem.stats import compare_transitions, word_counts
 
-from helpers import (exact_kgram_distribution, random_chain, random_machine,
-                     reference_density_spectrum, walk)
+from helpers import (edge_rows, exact_kgram_distribution, machine_table,
+                     random_chain, random_machine, reference_density_spectrum,
+                     walk)
 
 P_GRID = [i / 10 for i in range(11)]
 
@@ -39,12 +40,13 @@ def gram_from_machine(machine) -> np.ndarray:
     """Overlap matrix of the encoded memory states, straight from the edges:
     a pair of edges overlaps where symbol and successor agree."""
     n = machine.n
+    rows = edge_rows(*machine_table(machine))
     G = np.eye(n)
     for i in range(n):
         for k in range(i + 1, n):
             s = sum(math.sqrt(float(a) * float(b))
-                    for x, a, nx in machine.edges[i]
-                    for y, b, ny in machine.edges[k] if (x, nx) == (y, ny))
+                    for x, a, nx in rows[i]
+                    for y, b, ny in rows[k] if (x, nx) == (y, ny))
             G[i, k] = G[k, i] = s
     return G
 
@@ -199,7 +201,7 @@ def test_coin_step_matches_machine():
         machine = perturbed_coin(p)
         refs = coin_memory_qubits(p)
         for j in range(2):
-            emit = {x: pr for x, pr, _ in machine.edges[j]}
+            emit = dict(enumerate(machine.probs[j].tolist()))
             outcomes = protocol_step("coin", j, p)
             assert sum(pr for _, pr, _ in outcomes) == pytest.approx(1.0, abs=1e-14)
             for x, pr, post in outcomes:
@@ -215,7 +217,7 @@ def test_postproc_step_matches_machine():
         machine = post_processed_coin(p, q)
         refs = postproc_memory_qubits(q)
         for j in range(3):
-            emit = {x: pr for x, pr, _ in machine.edges[j]}
+            emit = dict(enumerate(machine.probs[j].tolist()))
             outcomes = protocol_step("postproc", j, p, q)
             assert sum(pr for _, pr, _ in outcomes) == pytest.approx(1.0, abs=1e-14)
             for x, pr, post in outcomes:
@@ -374,8 +376,8 @@ def test_density_validation():
             quantum_statistical_memory(coin, weights)
     # a table that skipped the machine's own checks: P(0|0) = 0.5 alone
     short = object.__new__(EpsilonMachine)
-    object.__setattr__(short, "edges", (((0, 0.5, 0),),))
-    object.__setattr__(short, "n_symbols", 1)
+    object.__setattr__(short, "probs", np.array([[0.5]]))
+    object.__setattr__(short, "succ", np.array([[0]]))
     with pytest.raises(ValueError, match="norm"):
         memory_spectrum(short, (1.0,))
 
@@ -396,13 +398,14 @@ def test_large_chain_memory_without_the_dense_route():
 
 
 def test_circuit_step_table_successors():
-    table = circuit_step_table("coin", 0.3)
+    table = edge_rows(*machine_table(circuit_step_table("coin", 0.3)))
     chain = induced_chain(perturbed_coin(0.3))
     for j, row in enumerate(table):
         for x, pr, nxt in row:
             assert nxt == x
             assert pr == pytest.approx(float(chain.array[j, nxt]), abs=1e-13)
-    table = circuit_step_table("postproc", F(1, 9), F(2, 3))
+    table = edge_rows(*machine_table(
+        circuit_step_table("postproc", F(1, 9), F(2, 3))))
     assert [[nxt for _, _, nxt in row] for row in table] \
         == [[0, 2], [0, 1, 2], [1]]
     with pytest.raises(ValueError):
@@ -412,7 +415,7 @@ def test_circuit_step_table_successors():
 
 
 def test_circuit_trajectory_statistics():
-    table = circuit_step_table("postproc", F(1, 9), F(2, 3))
+    table = machine_table(circuit_step_table("postproc", F(1, 9), F(2, 3)))
     machine = post_processed_coin(F(1, 9), F(2, 3))
     rng = np.random.default_rng(90)
     traj, _ = walk(table, 0, 20000, rng)
