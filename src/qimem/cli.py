@@ -406,7 +406,7 @@ def _simulate_ensemble(chain, algo, p, seed, samples, steps, sigma, threads,
     prev = sampler.values
     with open(out, "wb") if out else nullcontext() as fh:
         if fh:
-            write_lines = _line_writer(fh, n, _sample_prefixes(samples))
+            write_lines = _line_writer(fh, n, samples)
             fh.write(b"step,sample,value\n")
             write_lines(prev, "0")
         for t in range(1, steps + 1):
@@ -437,36 +437,81 @@ def _sample_prefixes(samples: int) -> np.ndarray:
     return prefixes.view(f"S{width + 2}")[:, 0]
 
 
-def _line_writer(fh, n_symbols: int, prefixes=(b"",)):
+def _line_writer(fh, n_symbols: int, samples: int = 0):
     """Writer of data-file lines to the binary file ``fh``.
 
-    ``write(values, tag="")`` writes line k as ``tag + prefixes[k] +
-    f"{values[k]}\\n"`` for values in ``range(n_symbols)``, with the NUL
-    bytes of each prefix dropped; a single prefix serves every line.  The
-    lines are built in one kept record array of NUL-padded bytes fields,
-    remade with its prefixes only when the line count or the tag width
-    changes, so a call assigns just its tags and symbols.  Dropping the NUL
-    bytes, which decimal text never holds, closes the gaps.
+    ``write(values, tag="")`` writes line k as ``f"{tag},{k},{values[k]}\\n"``
+    when ``samples`` numbers the lines, each call then writing ``samples``
+    lines, and as ``f"{tag}{values[k]}\\n"`` otherwise, for values in
+    ``range(n_symbols)``.
+
+    A call that changes the line count or the tag width, as a trajectory's
+    last block or ensemble steps 10 and 100 do, builds its lines in a record
+    array of NUL-padded bytes fields (tag, sample prefix, symbol), kept with
+    its prefixes until the next such change, and drops the NUL bytes, which
+    decimal text never holds.  With at most 10 symbols every symbol is one
+    digit and a newline, so the next call's bytes sit where this call's do:
+    the compacted text is kept with, for each run of lines of one length
+    (samples 0 to 9, 10 to 99, ...), strided views of its tag and digit
+    bytes, and a call with the same line count and tag width rewrites only
+    those.  With more symbols the line lengths follow the values, and every
+    call compacts anew.  ``fh.write`` must be done with the buffer it is
+    given when it returns, as a file's is: the next call rewrites it.
     """
     symbols = np.array([f"{v}\n".encode() for v in range(n_symbols)])
-    prefixes = np.asarray(prefixes)
-    lines = np.empty(0, np.uint8)
+    # the first line and prefix length of each run: line k's prefix ",{k},"
+    # is len(str(k)) + 2 bytes long
+    runs_from = [(0, 0)]
+    prefixes = np.array([b""])
+    if samples:
+        runs_from = [(10 ** c if c else 0, c + 3)
+                     for c in range(len(str(samples - 1)))]
+        prefixes = _sample_prefixes(samples)
+    shape = lines = text = runs = None
 
     def write(values, tag=""):
-        nonlocal lines
+        nonlocal shape, lines, text, runs
         tag = tag.encode()
-        dtype = np.dtype([("tag", f"S{max(1, len(tag))}"),
-                          ("prefix", prefixes.dtype),
-                          ("symbol", symbols.dtype)])
-        if lines.shape != values.shape or lines.dtype != dtype:
-            lines = np.empty(values.shape, dtype)
+        if shape != (values.size, len(tag)):
+            shape = values.size, len(tag)
+            lines = np.empty(values.size, [("tag", f"S{max(1, len(tag))}"),
+                                           ("prefix", prefixes.dtype),
+                                           ("symbol", symbols.dtype)])
             lines["prefix"] = prefixes
+        elif runs is not None:
+            for first, last, tag_columns, digits in runs:
+                for column, byte in zip(tag_columns, tag):
+                    column[...] = byte
+                np.add(values[first:last], ord("0"), out=digits,
+                       casting="unsafe")
+            fh.write(text)
+            return
         lines["tag"] = tag
         lines["symbol"] = symbols[values]
         text = lines.view(np.uint8)
-        fh.write(text[text != 0])
+        text = text[text != 0]
+        if n_symbols <= 10:
+            runs = _line_runs(text, values.size, runs_from, len(tag))
+        fh.write(text)
 
     return write
+
+
+def _line_runs(text, count: int, runs_from, tag_width: int):
+    """``(first, last, tag_columns, digits)`` for each run of lines ``first`` to
+    ``last - 1`` of one length in ``text``, ``count`` compacted lines of a
+    tag, a prefix and one digit and a newline.  ``runs_from`` gives each
+    run's first line and prefix length.  ``tag_columns`` views the run's
+    tag bytes as ``tag_width`` uint8 columns and ``digits`` its digits, all
+    strided by the line length."""
+    runs, offset = [], 0
+    ends = [first for first, _ in runs_from[1:]] + [count]
+    for (first, prefix_width), last in zip(runs_from, ends):
+        length = tag_width + prefix_width + 2
+        block = text[offset:offset + (last - first) * length].reshape(-1, length)
+        offset += block.size
+        runs.append((first, last, block[:, :tag_width].T, block[:, -2]))
+    return runs
 
 
 def _verdict(words, tallies, law, sigma, context, ensemble=None):

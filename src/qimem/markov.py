@@ -243,10 +243,15 @@ def stationary(T: TransitionMatrix):
     STATIONARY_TOL is returned.  Exact matrices are solved by Gaussian
     elimination over rationals and satisfy pi T = pi exactly.
 
-    The float iteration's operations and their order (``pi @ T`` as one
-    BLAS matrix-vector product, ``0.5 * (step + pi)``, then ``pi /= sum``)
-    fix its result to the last bit, which the ``slow-chain`` golden digest
-    of the benchmark pins: do not reorder or fuse them.
+    The float iteration's result is pinned to the last bit by the
+    ``slow-chain`` golden digest of the benchmark.  It is the iteration
+    ``pi @ T`` (one BLAS matrix-vector product), ``0.5 * (step + pi)``,
+    ``pi /= sum``, computed without the halving: halving a float of at
+    least 2**-1021 only lowers its exponent by one, so the halves sum, in
+    the same pairwise order, to exactly half the sum, and each quotient is
+    unchanged.  The bits can differ only when an iterate holds a subnormal
+    entry.  Keep the product, the sum's order and the division as they
+    are; they round.
 
     Raises
     ------
@@ -277,8 +282,7 @@ def stationary(T: TransitionMatrix):
         for pi, step, nxt in rows[:b]:
             np.dot(pi, A, out=step)
             np.add(step, pi, out=nxt)
-            nxt *= 0.5
-            nxt /= nxt.sum()
+            np.divide(nxt, np.add.reduce(nxt), out=nxt)
         # a NaN residual compares False, so it never counts as converged
         hit = np.flatnonzero(np.abs(S[:b] - P[:b]).max(axis=1) < STATIONARY_TOL)
         if hit.size:

@@ -442,6 +442,8 @@ def test_custom_outputs_pinned(tmp_path, capsys):
     (3, 101, 3, 1),     # samples of one, two and three digits
     (3, 1, 12, 1),
     (12, 12, 0, 1),
+    (10, 101, 12, 1),   # the most states whose layout a step keeps
+    (11, 101, 12, 1),   # the fewest whose every step lays out anew
 ])
 def test_ensemble_out_matches_reference(states, samples, steps, threads,
                                         tmp_path, monkeypatch, capsys):
@@ -469,7 +471,7 @@ def test_ensemble_out_matches_reference(states, samples, steps, threads,
                "--threads", str(threads), "--seed", "7",
                "--out", str(out)) in (cli.PASS, cli.STAT_FAIL)
     assert len(seen) == steps + 1
-    assert states < 10 or max(v.max() for v in seen) >= 10
+    assert states <= 10 or max(v.max() for v in seen) >= 10
     assert out.read_bytes() == reference_ensemble_csv(seen)
 
 
@@ -510,20 +512,58 @@ def test_trajectory_builds_its_cdfs_once(monkeypatch, capsys):
     assert [np.shape(weights) for weights in built] == [(3, 3)]
 
 
-def test_line_writer_remakes_its_buffer_on_a_new_shape():
-    """One writer keeps its line buffer across calls and remakes it when
+@pytest.mark.parametrize("samples", [0, 101])
+@pytest.mark.parametrize("n_symbols", [3, 10, 11, 12])
+def test_line_writer_remakes_its_buffer_on_a_new_shape(n_symbols, samples):
+    """One writer keeps its lines across calls and lays them out anew when
     the line count changes, as on a trajectory's last block, or the tag
-    width does, as at steps 10 and 100."""
+    width does, as at steps 10 and 100, also on a return to an earlier
+    shape.  Lines carry no prefix, or the ``,{k},`` prefixes of
+    ``_sample_prefixes(101)``."""
     rng = np.random.default_rng(5)
     fh = io.BytesIO()
-    write = cli._line_writer(fh, 12)
+    write = cli._line_writer(fh, n_symbols, samples)
     expected = []
-    for size, tag in [(5, ""), (3, ""), (5, ""), (5, "9"), (5, "10"),
-                      (5, "100")]:
-        values = rng.integers(12, size=size)
+    for size, tag in [(5, ""), (5, ""), (3, ""), (5, ""), (5, "9"),
+                      (5, "9"), (5, "10"), (5, "10"), (5, "100"), (3, "9"),
+                      (5, "9"), (5, "")]:
+        size = samples or size
+        values = rng.integers(n_symbols, size=size)
+        values[-1] = n_symbols - 1  # the widest symbol
         write(values, tag)
-        expected += [f"{tag}{v}" for v in values.tolist()]
+        prefixes = ([f",{k}," for k in range(size)] if samples
+                    else [""] * size)
+        expected += [f"{tag}{prefix}{v}"
+                     for prefix, v in zip(prefixes, values.tolist())]
     assert fh.getvalue() == reference_trajectory_text(expected)
+
+
+@pytest.mark.parametrize("n_symbols", [10, 11])
+def test_line_writer_rewrites_its_kept_buffer(n_symbols):
+    """Two calls with one line count and tag width write one kept buffer,
+    rewritten in place, while every symbol is one digit; with 11 symbols
+    each call compacts a new buffer.  A new tag width always does."""
+
+    class Recorder:
+        def __init__(self):
+            self.buffers, self.data = [], []
+
+        def write(self, buffer):
+            self.buffers.append(buffer)
+            self.data.append(bytes(buffer))
+
+    rng = np.random.default_rng(9)
+    fh = Recorder()
+    write = cli._line_writer(fh, n_symbols, 101)
+    expected = []
+    for tag in ("7", "8", "10"):
+        values = rng.integers(n_symbols, size=101)
+        write(values, tag)
+        expected += [f"{tag},{k},{v}" for k, v in enumerate(values.tolist())]
+    first, second, third = fh.buffers
+    assert (second is first) == (n_symbols <= 10)
+    assert third is not second
+    assert b"".join(fh.data) == reference_trajectory_text(expected)
 
 
 @pytest.mark.parametrize("samples", [1, 9, 10, 11, 99, 100, 101, 65537])
