@@ -332,10 +332,8 @@ def cmd_simulate(args) -> int:
     if model == "custom":
         if not args.matrix:
             raise UsageError("--model custom needs --matrix")
-        parsed = _load_matrix(args.matrix)
-        chain = normalized_chain(parsed.array)
-        # a trajectory walks the entries as parsed, not as normalized
-        machine = machine_from_chain(parsed) if trajectory else None
+        chain = normalized_chain(_load_matrix(args.matrix).array)
+        machine = machine_from_chain(chain) if trajectory else None
     else:
         p = _number(args.p, "p")
         if model == "coin":
@@ -420,21 +418,19 @@ def _simulate_ensemble(chain, algo, p, seed, samples, steps, sigma, threads,
                     sampler)
 
 
-def _sample_prefixes(samples: int) -> np.ndarray:
-    """The line prefixes ``,{k},`` of samples k < ``samples``, as bytes
-    fields whose leading zeros are NUL bytes.  The digits are filled one
-    column at a time by integer division, with no Python object per
-    sample."""
-    width = len(str(samples - 1))
-    k = np.arange(samples)
-    prefixes = np.zeros((samples, width + 2), dtype=np.uint8)
-    prefixes[:, 0] = prefixes[:, -1] = ord(",")
+def _digits(ints, width: int) -> np.ndarray:
+    """The decimal digits of the non-negative ``ints`` as a (len, ``width``)
+    uint8 array, right-aligned, with NUL bytes for the leading zeros (0 is
+    "0").  The columns are filled one at a time by integer division, with
+    no Python object per number."""
+    ints = np.asarray(ints)
+    digits = np.zeros((ints.size, width), dtype=np.uint8)
     for c in range(width):
-        column = prefixes[:, width - c]
-        column[:] = k // 10 ** c % 10 + ord("0")
+        column = digits[:, width - 1 - c]
+        column[:] = ints // 10 ** c % 10 + ord("0")
         if c:
-            column[:10 ** c] = 0  # the leading zeros of k < 10**c
-    return prefixes.view(f"S{width + 2}")[:, 0]
+            column[ints < 10 ** c] = 0
+    return digits
 
 
 def _line_writer(fh, n_symbols: int, samples: int = 0):
@@ -445,73 +441,71 @@ def _line_writer(fh, n_symbols: int, samples: int = 0):
     lines, and as ``f"{tag}{values[k]}\\n"`` otherwise, for values in
     ``range(n_symbols)``.
 
-    A call that changes the line count or the tag width, as a trajectory's
-    last block or ensemble steps 10 and 100 do, builds its lines in a record
-    array of NUL-padded bytes fields (tag, sample prefix, symbol), kept with
-    its prefixes until the next such change, and drops the NUL bytes, which
-    decimal text never holds.  With at most 10 symbols every symbol is one
-    digit and a newline, so the next call's bytes sit where this call's do:
-    the compacted text is kept with, for each run of lines of one length
-    (samples 0 to 9, 10 to 99, ...), strided views of its tag and digit
-    bytes, and a call with the same line count and tag width rewrites only
-    those.  With more symbols the line lengths follow the values, and every
-    call compacts anew.  ``fh.write`` must be done with the buffer it is
-    given when it returns, as a file's is: the next call rewrites it.
+    The lines live in one kept uint8 buffer, laid out anew only when the
+    line count or the tag width changes, as on a trajectory's last block or
+    at ensemble steps 10 and 100.  Each run of lines whose ``,{k},`` prefix
+    has one width (samples 0 to 9, 10 to 99, ...; a single run when the
+    lines are not numbered) is a block of rows of the tag bytes, the
+    prefix, a symbol field as wide as the widest symbol, and a newline.
+    A call rewrites only the tag and symbol columns, through strided views.
+    With at most 10 symbols the field is one digit, written by adding "0"
+    to the values, and the buffer goes to the file as it is.  With more,
+    each digit column is gathered from a digit table whose shorter symbols
+    are NUL-led, and the NUL bytes, which decimal text never holds, are
+    dropped before writing.  ``fh.write`` must be done with the buffer it
+    is given when it returns, as a file's is: the next call rewrites it.
     """
-    symbols = np.array([f"{v}\n".encode() for v in range(n_symbols)])
-    # the first line and prefix length of each run: line k's prefix ",{k},"
-    # is len(str(k)) + 2 bytes long
-    runs_from = [(0, 0)]
-    prefixes = np.array([b""])
-    if samples:
-        runs_from = [(10 ** c if c else 0, c + 3)
-                     for c in range(len(str(samples - 1)))]
-        prefixes = _sample_prefixes(samples)
-    shape = lines = text = runs = None
+    width = len(str(n_symbols - 1))
+    # row c of each holds digit c of every symbol and sample number, so a
+    # column of lines is filled from one contiguous row
+    table = _digits(np.arange(n_symbols), width).T.copy()
+    numbers = _digits(np.arange(samples), len(str(samples))).T
+    shape = buffer = runs = None
+
+    def lay_out(count: int, tag_width: int):
+        # the first line, the last line + 1 and the prefix digits of each run
+        spans = [(0, count, 0)]
+        if samples:
+            spans = [(10 ** (d - 1) if d > 1 else 0, min(10 ** d, count), d)
+                     for d in range(1, len(str(count - 1)) + 1)]
+        shapes = [(last - first, tag_width + (d and d + 2) + width + 1)
+                  for first, last, d in spans]
+        sizes = [lines * length for lines, length in shapes]
+        buffer = np.empty(sum(sizes), dtype=np.uint8)
+        runs = []
+        for (first, last, d), (lines, length), block in zip(
+                spans, shapes, np.split(buffer, np.cumsum(sizes)[:-1])):
+            columns = block.reshape(lines, length).T
+            columns[-1] = ord("\n")
+            if d:
+                prefix = columns[tag_width:tag_width + d + 2]
+                prefix[0] = prefix[-1] = ord(",")
+                # one column at a time: a 2-D strided copy is slower
+                for column, digits in zip(prefix[1:-1],
+                                          numbers[-d:, first:last]):
+                    column[...] = digits
+            runs.append((first, last, columns[:tag_width],
+                         columns[-1 - width:-1]))
+        return buffer, runs
 
     def write(values, tag=""):
-        nonlocal shape, lines, text, runs
+        nonlocal shape, buffer, runs
         tag = tag.encode()
         if shape != (values.size, len(tag)):
             shape = values.size, len(tag)
-            lines = np.empty(values.size, [("tag", f"S{max(1, len(tag))}"),
-                                           ("prefix", prefixes.dtype),
-                                           ("symbol", symbols.dtype)])
-            lines["prefix"] = prefixes
-        elif runs is not None:
-            for first, last, tag_columns, digits in runs:
-                for column, byte in zip(tag_columns, tag):
-                    column[...] = byte
-                np.add(values[first:last], ord("0"), out=digits,
+            buffer, runs = lay_out(*shape)
+        for first, last, tag_columns, symbol_columns in runs:
+            for column, byte in zip(tag_columns, tag):
+                column[...] = byte
+            if width == 1:
+                np.add(values[first:last], ord("0"), out=symbol_columns[0],
                        casting="unsafe")
-            fh.write(text)
-            return
-        lines["tag"] = tag
-        lines["symbol"] = symbols[values]
-        text = lines.view(np.uint8)
-        text = text[text != 0]
-        if n_symbols <= 10:
-            runs = _line_runs(text, values.size, runs_from, len(tag))
-        fh.write(text)
+            else:
+                for digit, column in zip(table, symbol_columns):
+                    np.take(digit, values[first:last], out=column)
+        fh.write(buffer if width == 1 else buffer[buffer != 0])
 
     return write
-
-
-def _line_runs(text, count: int, runs_from, tag_width: int):
-    """``(first, last, tag_columns, digits)`` for each run of lines ``first`` to
-    ``last - 1`` of one length in ``text``, ``count`` compacted lines of a
-    tag, a prefix and one digit and a newline.  ``runs_from`` gives each
-    run's first line and prefix length.  ``tag_columns`` views the run's
-    tag bytes as ``tag_width`` uint8 columns and ``digits`` its digits, all
-    strided by the line length."""
-    runs, offset = [], 0
-    ends = [first for first, _ in runs_from[1:]] + [count]
-    for (first, prefix_width), last in zip(runs_from, ends):
-        length = tag_width + prefix_width + 2
-        block = text[offset:offset + (last - first) * length].reshape(-1, length)
-        offset += block.size
-        runs.append((first, last, block[:, :tag_width].T, block[:, -2]))
-    return runs
 
 
 def _verdict(words, tallies, law, sigma, context, ensemble=None):

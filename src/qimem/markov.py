@@ -336,11 +336,17 @@ TRAJECTORY_BLOCK = 1 << 16
 
 def as_cdf(weights) -> np.ndarray:
     """Cumulative sums of ``weights`` along the last axis, left to right in
-    the weights' own arithmetic, with the last entry pinned to 1, so that
-    ``searchsorted(cdf, u, side="right")`` maps every u in [0, 1) to a valid
-    index.  Fractions are summed exactly, and end at 1 already."""
-    cdf = np.cumsum(weights, axis=-1)
-    cdf[..., -1] = 1
+    the weights' own arithmetic, pinned to 1 from each row's last positive
+    entry on (the last entry of a row of zeros) and clamped at 1 before it,
+    so that ``searchsorted(cdf, u, side="right")`` maps every u in [0, 1)
+    to an entry of positive weight, the one that the row's positive
+    entries alone would give, and the row stays sorted when a float sum
+    rounds past 1.  Fractions are summed exactly, and reach 1 already."""
+    positive = np.asarray(weights) > 0
+    k = positive.shape[-1]
+    last = k - 1 - positive[..., ::-1].argmax(axis=-1)
+    cdf = np.minimum(np.cumsum(weights, axis=-1), 1)
+    cdf[np.arange(k) >= last[..., None]] = 1
     return cdf
 
 
@@ -352,9 +358,9 @@ def sample_edges(symbols, probs, succ, start: int, steps: int,
     ``probs[s, k]`` and leads to ``succ[s, k]``, the three arrays broadcast
     to one (states x edges) shape; probability 0 means no edge.  Edges may
     share a symbol, so the table need not be unifilar.  Step t takes the
-    first edge whose cumulative probability exceeds its uniform draw.  Each
-    row's float CDF is pinned to 1 from its last edge on, so no draw takes
-    an entry of probability 0.  Each step costs one bisection of the
+    first edge whose cumulative probability exceeds its uniform draw, on
+    the row's float CDF as ``as_cdf`` pins it, so no draw takes an entry of
+    probability 0.  Each step costs one bisection of the
     current state's CDF, whatever the number of states.  A generator: it
     checks the table and builds its CDFs on the first ``next``, then yields
     the symbols of each block of at most ``TRAJECTORY_BLOCK`` steps, whose
@@ -371,8 +377,6 @@ def sample_edges(symbols, probs, succ, start: int, steps: int,
     if not edge.any(axis=1).all() or np.any(edge & ((succ < 0) | (succ >= n))):
         raise ValueError("every state needs edges into the state range")
     cdf = as_cdf(np.asarray(probs, dtype=np.float64))
-    last = k - 1 - edge[:, ::-1].argmax(axis=1)  # each row's last edge
-    cdf[np.arange(k) >= last[:, None]] = 1
     # flat index s * k + j is edge j of state s, in the CDF and successors
     cdf = memoryview(cdf.reshape(-1))
     succ = memoryview(np.ascontiguousarray(succ, dtype=np.int64).reshape(-1))

@@ -102,14 +102,6 @@ def _below(words: np.ndarray, x: float) -> np.ndarray:
     return words < np.uint64(top << 11)
 
 
-def _cdf_thresholds(weights) -> np.ndarray:
-    """Thresholds of the CDF of each row of ``weights``, clamped at 2**53.
-    A float partial sum that rounds past 1 before the pinned last entry
-    would give a threshold above 2**53 and an unsorted row; no draw is
-    2**53 or more, so the clamp changes no comparison and sorts the row."""
-    return np.minimum(_threshold(as_cdf(weights)), np.uint64(2 ** 53))
-
-
 class _GuideTable:
     """``np.searchsorted(cdf, u, side="right")`` for draws u in [0, 2**53)
     and sorted thresholds ``cdf``, mostly by one table read: the guide table
@@ -321,11 +313,11 @@ class GeneralQISampler(_Ensemble):
         super().__init__(n_samples, seed)
         t = RerouteTables.from_chain(chain)
         self.expected_saved = float(expected_memory(t)[0])
-        self._pi = _GuideTable(_cdf_thresholds(t.pi))
+        self._pi = _GuideTable(_threshold(as_cdf(t.pi)))
         self._f = _threshold(t.f)
         self._rminus = _threshold(t.rminus).ravel()
         # the r_plus rows of states that never save are never read
-        self._rplus = _RowSearch(_cdf_thresholds(t.rplus))
+        self._rplus = _RowSearch(_threshold(as_cdf(t.rplus)))
         values = self._pi(self._draw(0, 0) >> _SHIFT)
         self._record(0, values, (self._draw(0, 3) >> _SHIFT) < self._f[values])
 

@@ -384,10 +384,10 @@ def _sparse_chain_file(tmp_path):
 # sha256 of stdout, the --out file and the report of the custom-chain runs,
 # with their exit codes: the rational demo chain, float chains of 12, 50
 # and 200 states, and a sparse 12-state float chain whose rows hold exact
-# zeros, some of them last and after a row sum of 1 - 1 ulp.  A trajectory
-# walks the machine of the entries as parsed; its stationary start and
-# verdict, and an ensemble, read the chain of those rows each divided by
-# its left-to-right sum.  The rows of the 200-state chain are longer than
+# zeros, some of them last and after a row sum of 1 - 1 ulp.  Every run,
+# its walk or ensemble, stationary start and verdict, reads the chain of
+# those rows each divided by its left-to-right sum.
+# The rows of the 200-state chain are longer than
 # the 128 entries of a numpy pairwise-sum block.  Three runs exit 1 on a
 # correct sampler, on cells the binomial normal approximation misjudges at
 # small expected counts: the 12-state baseline's row 7.5 scores z = 5.10,
@@ -442,8 +442,9 @@ def test_custom_outputs_pinned(tmp_path, capsys):
     (3, 101, 3, 1),     # samples of one, two and three digits
     (3, 1, 12, 1),
     (12, 12, 0, 1),
-    (10, 101, 12, 1),   # the most states whose layout a step keeps
-    (11, 101, 12, 1),   # the fewest whose every step lays out anew
+    (10, 101, 12, 1),   # the most states whose lines go out as laid out
+    (11, 101, 12, 1),   # the fewest whose NUL-led symbols are dropped
+    (101, 101, 12, 1),  # three-digit symbol fields
 ])
 def test_ensemble_out_matches_reference(states, samples, steps, threads,
                                         tmp_path, monkeypatch, capsys):
@@ -471,7 +472,8 @@ def test_ensemble_out_matches_reference(states, samples, steps, threads,
                "--threads", str(threads), "--seed", "7",
                "--out", str(out)) in (cli.PASS, cli.STAT_FAIL)
     assert len(seen) == steps + 1
-    assert states <= 10 or max(v.max() for v in seen) >= 10
+    # the widest symbol occurs, so a symbol field is filled to its width
+    assert len(str(max(v.max() for v in seen))) == len(str(states - 1))
     assert out.read_bytes() == reference_ensemble_csv(seen)
 
 
@@ -513,13 +515,13 @@ def test_trajectory_builds_its_cdfs_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("samples", [0, 101])
-@pytest.mark.parametrize("n_symbols", [3, 10, 11, 12])
+@pytest.mark.parametrize("n_symbols", [3, 10, 11, 12, 101])
 def test_line_writer_remakes_its_buffer_on_a_new_shape(n_symbols, samples):
     """One writer keeps its lines across calls and lays them out anew when
     the line count changes, as on a trajectory's last block, or the tag
     width does, as at steps 10 and 100, also on a return to an earlier
-    shape.  Lines carry no prefix, or the ``,{k},`` prefixes of
-    ``_sample_prefixes(101)``."""
+    shape.  Lines carry no prefix, or the ``,{k},`` prefixes of samples 0
+    to 100; symbols have one to three digits."""
     rng = np.random.default_rng(5)
     fh = io.BytesIO()
     write = cli._line_writer(fh, n_symbols, samples)
@@ -542,7 +544,8 @@ def test_line_writer_remakes_its_buffer_on_a_new_shape(n_symbols, samples):
 def test_line_writer_rewrites_its_kept_buffer(n_symbols):
     """Two calls with one line count and tag width write one kept buffer,
     rewritten in place, while every symbol is one digit; with 11 symbols
-    each call compacts a new buffer.  A new tag width always does."""
+    each call writes a new one, the kept buffer without its NUL bytes.  A
+    new tag width always lays out a new buffer."""
 
     class Recorder:
         def __init__(self):
@@ -567,10 +570,14 @@ def test_line_writer_rewrites_its_kept_buffer(n_symbols):
 
 
 @pytest.mark.parametrize("samples", [1, 9, 10, 11, 99, 100, 101, 65537])
-def test_sample_prefixes_at_digit_boundaries(samples):
-    prefixes = cli._sample_prefixes(samples).view(np.uint8)
-    assert (prefixes[prefixes != 0].tobytes()
-            == "".join(f",{k}," for k in range(samples)).encode())
+def test_digits_at_digit_boundaries(samples):
+    """Row k is the digits of k, right-aligned and NUL-led to the width of
+    the largest number, whose own row has no NUL."""
+    width = len(str(samples - 1))
+    digits = cli._digits(np.arange(samples), width)
+    assert digits.shape == (samples, width) and digits.dtype == np.uint8
+    assert ([bytes(row) for row in digits]
+            == [str(k).rjust(width, "\0").encode() for k in range(samples)])
 
 
 def test_float_chain_at_pi_expects_no_saves(tmp_path, capsys):

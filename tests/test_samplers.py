@@ -541,13 +541,13 @@ def test_guide_table_is_searchsorted(case):
 
 
 def test_guide_table_of_a_cdf_passing_one():
-    """A float CDF whose partial sum passes 1 before its last entry is
-    clamped into a sorted one, and draws land where the first threshold
-    above them is on the unclamped CDF."""
+    """Weights whose float partial sum passes 1 before their last entry
+    have a CDF that ``as_cdf`` clamps into a sorted one, and draws land
+    where the first threshold above them is on the unclamped sums."""
     weights = np.array([9 / 28, 9 / 14, 1 / 28, 0.0])
-    raw = samplers._threshold(as_cdf(weights))
+    raw = samplers._threshold(np.cumsum(weights))
     assert raw[2] > TOP
-    guide = samplers._GuideTable(samplers._cdf_thresholds(weights))
+    guide = samplers._GuideTable(samplers._threshold(as_cdf(weights)))
     assert np.all(guide.cdf[:-1] <= guide.cdf[1:])
     u = np.array([0, raw[0] - 1, raw[0], raw[1] - 1, raw[1], TOP - 1],
                  dtype=np.uint64)
@@ -567,14 +567,45 @@ def _row_search_cases(rows, rng, k=400):
 
 
 def _assert_row_search(weights, rng):
-    """``_RowSearch`` over the clamped CDF thresholds of ``weights`` gives
-    the first-exceeding index on the unclamped ones."""
+    """``_RowSearch`` over the CDF thresholds of ``weights`` gives the
+    first index whose threshold exceeds the pick."""
     raw = samplers._threshold(as_cdf(weights))
-    search = samplers._RowSearch(samplers._cdf_thresholds(weights))
+    search = samplers._RowSearch(raw)
     assert np.array_equal(np.sort(search.keys), search.keys)
     j, pick = _row_search_cases(raw, rng)
     got = search(j, pick)
     assert np.array_equal(got, reference_row_search(raw, j, pick))
+
+
+def test_no_pick_lands_on_a_zero_weight():
+    """A float row whose sum up to its last positive entry falls short of
+    1, as [0.7, 0.2, 0.1, 0.0] does at 0.9999999999999999, sends no draw
+    to a zero entry after it: not the top draw, nor draws at or next to a
+    threshold, through the reroute search, a guide table or a float
+    ``searchsorted``.  Each draw takes the entry that the CDF of the row's
+    positive entries alone, its last sum set to 1, gives."""
+    rng = np.random.default_rng(8)
+    rows = np.zeros((400, 7))
+    for row, k in zip(rows[1:], rng.integers(1, 7, size=len(rows) - 1)):
+        row[:k] = rng.dirichlet(np.ones(k))
+    rows[0, :3] = 0.7, 0.2, 0.1
+    assert np.cumsum(rows[0])[2] < 1
+    thresholds = samplers._threshold(as_cdf(rows))
+    j, pick = _row_search_cases(thresholds, rng, k=4000)
+    j = np.concatenate([np.arange(len(rows)), j])
+    pick = np.concatenate([np.full(len(rows), TOP - 1, np.uint64), pick])
+    got = samplers._RowSearch(thresholds)(j, pick)
+    assert np.all(rows[j, got] > 0)
+    expected = []
+    for row, p in zip(j.tolist(), pick.tolist()):
+        entries = np.flatnonzero(rows[row] > 0)
+        cdf = np.cumsum(rows[row, entries])
+        cdf[-1] = 1
+        expected.append(entries[(p < samplers._threshold(cdf)).argmax()])
+    assert got.tolist() == expected
+    top = np.array([TOP - 1], dtype=np.uint64)
+    assert samplers._GuideTable(thresholds[0])(top).tolist() == [2]
+    assert np.searchsorted(as_cdf(rows[0]), 1 - 2 ** -53, side="right") == 2
 
 
 def test_row_search_is_argmax():
