@@ -274,6 +274,41 @@ def test_trajectory_outputs_pinned(block, tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(blob).hexdigest() == digest, algo
 
 
+# sha256 of stdout, the --out file and the report of more trajectory runs
+# (2e4 steps, seed 5), keyed "model p [q] algo".  At postproc p=0.2 q=0.35
+# three entries of the machine's rows differ from its induced chain's in the
+# last bits.  At coin p=1/2 and postproc q=1 two causal states coincide,
+# so their circuit rows are equal.
+MODEL_WALK_DIGESTS = {
+    "postproc 0.2 0.35 baseline":
+        "b49f1e135e23aa3a152e9b9483f315ed0ad4148dde2d5018404738cf0ac619cd",
+    "postproc 0.2 0.35 quantum":
+        "68c685ce3d144ab599867419ede764da7eeed4337b17f7d5353c33b0e6fdf2cc",
+    "postproc 0.2 0.35 single-bit":
+        "f9451767d7cd57783d022da968186ba420cdfd32c0388c3fbf449462a61f4462",
+    "coin 0.3 baseline":
+        "5f7dcda804909e1e3208d433089b13814c5101336e39f2097c7081bc4bbb1460",
+    "coin 0.3 quantum":
+        "e653a655f7c19b9c400e5388336354e87290d16280e6bc5cb7c3f5f5b6c17c4f",
+    "coin 0.5 quantum":
+        "7bc0da9b719e7a429863f3789df3175d5b105813063c75c7f46743997bd75ad8",
+    "postproc 0.3 1 quantum":
+        "6734958f1266f6b12b35fb75575c0a154cc604f4ea6b8b653aac0a34baaf458a",
+}
+
+
+def test_model_walks_pinned(tmp_path, capsys):
+    for name, digest in MODEL_WALK_DIGESTS.items():
+        model, p, *q, algo = name.split()
+        out = tmp_path / "walk.txt"
+        flags = ("--p", p) + (("--q", *q) if q else ())
+        assert run("simulate", "--model", model, "--algo", algo, *flags,
+                   "--steps", "20000", "--seed", "5", "--out", str(out)) == 0
+        blob = (capsys.readouterr().out.encode() + out.read_bytes()
+                + Path(f"{out}.report.txt").read_bytes())
+        assert hashlib.sha256(blob).hexdigest() == digest, name
+
+
 # sha256 of stdout, the --out CSV and the report of the ensemble runs.  The
 # qi-ensemble p=0.3 and qi-general digests were recorded before the pipeline
 # streamed its rows and counted transitions per step, the other coin biases
