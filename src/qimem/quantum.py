@@ -264,48 +264,32 @@ def protocol_states(model: str, p, j: int, q=None,
     return up
 
 
-def protocol_step(model: str, j: int, p, q=None) -> list:
-    """One measured protocol step from causal state j.
-
-    Returns ``(x, probability, post_memory_state)`` triples sorted by the
-    emitted symbol x.  The coin measures qubit 1, which is x, and its
-    memory qubit lands on |xi_x>.  The post-processed coin measures qubits
-    1 and 3, emits x = y1 + 2*y3 and leaves |xi_x> on qubit 2; its branch
-    (y1, y3) = (1, 1) is never populated, which is what keeps the symbol
-    map injective.
-    """
-    psi = protocol_states(model, p, j, q)[-1]
-    out = []
-    for y, pr, post in measure(psi, (1,) if model == "coin" else (1, 3)):
-        if y == (1, 1):
-            if pr != 0.0:
-                raise ValueError(f"forbidden branch (1, 1) has probability {pr!r}")
-            continue
-        out.append((sum(bit << i for i, bit in enumerate(y)), pr, post))
-    return sorted(out)
-
-
 def circuit_step_table(model: str, p, q=None) -> EpsilonMachine:
     """The machine a circuit realizes, for trajectory use.
 
     ``probs[j, x]`` is the probability of measuring symbol x from causal
-    state j, and ``succ[j, x]`` the causal state whose vector the
-    post-measurement memory qubit matches.  The emitted distributions come
-    from the circuit, not from the transition matrix, so walking this
-    machine with ``markov.sample_edges`` exercises the quantum route end to
-    end.
+    state j, and the successor of x is x.  The coin measures qubit 1, which
+    is x; the post-processed coin measures qubits 1 and 3 and emits
+    x = y1 + 2*y3.  Every populated branch must leave the memory qubit
+    within 1e-10 of causal state x's vector, which also refuses the
+    post-processed coin's branch (y1, y3) = (1, 1), never populated.  The
+    emitted distributions come from the circuit, not from the transition
+    matrix, so walking this machine with ``markov.sample_edges`` exercises
+    the quantum route end to end.
     """
     refs = _memory_qubits(model, p, q)
-    # both protocols emit one symbol per causal state
-    probs = np.zeros((len(refs), len(refs)))
-    succ = np.zeros(probs.shape, dtype=np.int64)
-    for j in range(len(refs)):
-        for x, pr, post in protocol_step(model, j, p, q):
+    n = len(refs)  # both protocols emit one symbol per causal state
+    qubits = (1,) if model == "coin" else (1, 3)
+    probs = np.zeros((n, n))
+    for j in range(n):
+        psi = protocol_states(model, p, j, q)[-1]
+        for y, pr, post in measure(psi, qubits):
             if pr == 0:
                 continue
-            dists = [np.linalg.norm(post - r) for r in refs]
-            succ[j, x] = np.argmin(dists)
-            if dists[succ[j, x]] > 1e-10:
-                raise ValueError("post-measurement state is not a causal state")
-            probs[j, x] = pr
-    return EpsilonMachine(probs, succ)
+            x = sum(bit << i for i, bit in enumerate(y))
+            if x >= n or np.linalg.norm(post - refs[x]) > 1e-10:
+                raise ValueError(f"branch {y} from causal state {j} does not "
+                                 f"leave causal state {x}")
+            # a sum of squared amplitudes can pass 1 by an ulp
+            probs[j, x] = min(pr, 1.0)
+    return EpsilonMachine(probs, np.arange(n))

@@ -108,6 +108,17 @@ def test_simulate_quantum_postproc(tmp_path):
     assert len(symbols) == 3000 and set(symbols) <= {"0", "1", "2"}
 
 
+def test_simulate_quantum_postproc_branch_past_one(tmp_path):
+    """At q = 1/2 causal state 2's one branch measures as sqrt(q)**2 +
+    sqrt(1 - q)**2, 1 ulp past 1: the run walks it as probability 1."""
+    out = tmp_path / "traj.txt"
+    assert run("simulate", "--model", "postproc", "--algo", "quantum",
+               "--p", "0.3", "--q", "0.5", "--seed", "3",
+               "--steps", "3000", "--out", str(out)) == 0
+    seq = out.read_text().replace("\n", "")
+    assert "20" not in seq and "22" not in seq
+
+
 def test_simulate_single_bit(tmp_path):
     out = tmp_path / "traj.txt"
     assert run("simulate", "--model", "postproc", "--algo", "single-bit",
@@ -205,21 +216,26 @@ def test_exact_row_off_one_is_refused(tmp_path, capsys, algo):
 
 
 def test_custom_ensemble_builds_no_machine(tmp_path, monkeypatch, capsys):
-    """A custom ensemble reads only the parsed chain: with the machine
-    conversions broken, the 50-state run still gives its pinned output."""
+    """Custom runs read only the parsed chain: with the machine conversions
+    broken, the 12-state walk and the 50-state ensemble still give their
+    pinned outputs."""
     def broken(*args):
-        raise AssertionError("a custom ensemble built a machine")
+        raise AssertionError("a custom run built a machine")
 
-    monkeypatch.setattr(cli, "machine_from_chain", broken)
+    monkeypatch.setattr(markov, "machine_from_chain", broken)
     monkeypatch.setattr(cli, "induced_chain", broken)
-    out = tmp_path / "run.txt"
-    code = run("simulate", "--model", "custom", "--algo", "qi-general",
-               "--matrix", str(_chain_file(tmp_path, 50)), "--samples", "2000",
-               "--steps", "10", "--seed", "5", "--out", str(out))
-    blob = (capsys.readouterr().out.encode() + out.read_bytes()
-            + Path(f"{out}.report.txt").read_bytes())
-    assert (code, hashlib.sha256(blob).hexdigest()) \
-        == CUSTOM_DIGESTS["qi-general-50"]
+    for name, states, flags in (
+            ("baseline-12", 12, ("baseline", "--steps", "20000")),
+            ("qi-general-50", 50, ("qi-general", "--samples", "2000",
+                                   "--steps", "10"))):
+        out = tmp_path / f"{name}.txt"
+        code = run("simulate", "--model", "custom", "--algo", *flags,
+                   "--matrix", str(_chain_file(tmp_path, states)),
+                   "--seed", "5", "--out", str(out))
+        blob = (capsys.readouterr().out.encode() + out.read_bytes()
+                + Path(f"{out}.report.txt").read_bytes())
+        assert (code, hashlib.sha256(blob).hexdigest()) \
+            == CUSTOM_DIGESTS[name], name
 
 
 def test_simulate_memory_error_is_numeric_error(monkeypatch, capsys):
@@ -235,6 +251,20 @@ def test_simulate_memory_error_is_numeric_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical error: Unable to allocate 8.00 TiB\n"
+
+
+def test_simulate_linalg_error_is_numeric_error(monkeypatch, capsys):
+    """A failed linear solve inside a run, a ValueError subclass, is a
+    numerical error reported on one line."""
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "stationary", singular)
+    assert run("simulate", "--model", "coin", "--algo", "baseline",
+               "--p", "0.3", "--steps", "10", "--seed", "1") == cli.NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: Singular matrix\n"
 
 
 def test_simulate_nan_is_numeric_error():

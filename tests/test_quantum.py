@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qimem import quantum
 from qimem.bp import expected_messages
 from qimem.markov import (EpsilonMachine, binary_entropy, induced_chain,
                           machine_from_chain, perturbed_coin,
@@ -25,7 +26,7 @@ from qimem.quantum import (check_orthogonal, check_unit, circuit_step_table,
                            cnot, coin_memory_qubits, coin_quantum_memory,
                            controlled_u, kron, measure, memory_spectrum,
                            n_qubits, postproc_memory_qubits, protocol_states,
-                           protocol_step, quantum_statistical_memory,
+                           quantum_statistical_memory,
                            quantum_topological_memory, u_x)
 from qimem.stats import compare_transitions, word_counts
 
@@ -198,32 +199,45 @@ def test_encoded_states_match_single_qubit_overlaps():
 
 def test_coin_step_matches_machine():
     for p in P_GRID:
-        machine = perturbed_coin(p)
-        refs = coin_memory_qubits(p)
-        for j in range(2):
-            emit = dict(enumerate(machine.probs[j].tolist()))
-            outcomes = protocol_step("coin", j, p)
-            assert sum(pr for _, pr, _ in outcomes) == pytest.approx(1.0, abs=1e-14)
-            for x, pr, post in outcomes:
-                assert pr == pytest.approx(float(emit.get(x, 0)), abs=1e-13)
-                if pr > 0:
-                    assert np.allclose(post, refs[x], atol=1e-13)
+        table = circuit_step_table("coin", p)
+        assert np.array_equal(table.succ, np.broadcast_to(np.arange(2), (2, 2)))
+        assert np.allclose(table.probs, perturbed_coin(p).probs.astype(float),
+                           rtol=0, atol=1e-13)
 
 
 def test_postproc_step_matches_machine():
     grid = [(F(1, 9), F(2, 3)), (0.3, 0.6), (0.0, 0.5), (1.0, 0.5),
             (0.3, 0.0), (0.3, 1.0)]
     for p, q in grid:
-        machine = post_processed_coin(p, q)
-        refs = postproc_memory_qubits(q)
-        for j in range(3):
-            emit = dict(enumerate(machine.probs[j].tolist()))
-            outcomes = protocol_step("postproc", j, p, q)
-            assert sum(pr for _, pr, _ in outcomes) == pytest.approx(1.0, abs=1e-14)
-            for x, pr, post in outcomes:
-                assert pr == pytest.approx(float(emit.get(x, 0)), abs=1e-13)
-                if pr > 0:
-                    assert np.allclose(post, refs[x], atol=1e-13)
+        table = circuit_step_table("postproc", p, q)
+        assert np.array_equal(table.succ, np.broadcast_to(np.arange(3), (3, 3)))
+        assert np.allclose(table.probs,
+                           post_processed_coin(p, q).probs.astype(float),
+                           rtol=0, atol=1e-13)
+
+
+def test_step_table_refuses_a_branch_off_its_causal_state(monkeypatch):
+    """A populated branch must leave its own symbol's causal state: a coin
+    circuit with its memory qubit flipped leaves xi_1 after symbol 0, the
+    other causal state, and a postproc register read as (y1, y3) = (1, 1)
+    names no causal state."""
+    states = quantum.protocol_states
+
+    def flipped(*args, **kwargs):
+        up = states(*args, **kwargs)
+        return up[:-1] + [kron(quantum.I2, quantum.X) @ up[-1]]
+
+    monkeypatch.setattr(quantum, "protocol_states", flipped)
+    with pytest.raises(ValueError, match="branch \\(0,\\) from causal state 0"):
+        circuit_step_table("coin", 0.3)
+
+    def dead_branch(*args, **kwargs):
+        return [kron(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+                     np.array([0.0, 1.0]))]
+
+    monkeypatch.setattr(quantum, "protocol_states", dead_branch)
+    with pytest.raises(ValueError, match="branch \\(1, 1\\)"):
+        circuit_step_table("postproc", 0.3, 0.6)
 
 
 def assert_states_equal(got, want):
