@@ -33,7 +33,7 @@ import numpy as np
 from . import bp, quantum, samplers, stats
 from .markov import (TransitionMatrix, as_cdf, coin_mutual_info_bound,
                      induced_chain, normalized_chain, perturbed_coin,
-                     post_processed_coin, sample_edges, stationary)
+                     post_processed_coin, stationary, walk_chain)
 
 PASS, STAT_FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 BP_TOL = 1e-10
@@ -354,14 +354,15 @@ def cmd_simulate(args) -> int:
 def _simulate_trajectory(chain, model, algo, p, q, seed, steps, sigma, out):
     rng = np.random.default_rng(seed)
     state = _stationary_start(chain, rng)
-    # a unifilar walk reads a chain, the model's or the one its circuit
-    # measures: symbol x is the next state
+    # every walk reads a chain and emits the symbol of each state it
+    # enters: a unifilar walk's states are its symbols, on the model's chain
+    # or the one its circuit measures, and the single-bit walk's are pairs
     m = chain.n
-    probs = (quantum.circuit_step_table(model, p, q).probs
-             if algo == "quantum" else chain.array)
-    table = np.arange(m), probs, np.arange(m)
-    if algo == "single-bit":
-        table = samplers.single_bit_table(p, q)
+    walked, emit = chain, np.arange(m)
+    if algo == "quantum":
+        walked = quantum.circuit_step_table(model, p, q)
+    elif algo == "single-bit":
+        walked, emit = samplers.single_bit_chain(p, q)
         state = samplers.single_bit_start(state, q, rng)
     # Walked in blocks, so neither the draws, the symbols nor the --out text
     # ever hold the whole run; the last h symbols carry each block's first
@@ -371,7 +372,8 @@ def _simulate_trajectory(chain, model, algo, p, q, seed, steps, sigma, out):
     words = tallies = tail = np.empty(0, dtype=np.int64)
     with open(out, "wb") if out else nullcontext() as fh:
         write_lines = _line_writer(fh, m) if fh else None
-        for symbols, _ in sample_edges(*table, state, steps, rng):
+        for states in walk_chain(walked, state, steps, rng):
+            symbols = emit[states]
             if fh:
                 write_lines(symbols)
             seq = np.concatenate([tail, symbols])

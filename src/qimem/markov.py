@@ -115,8 +115,7 @@ class EpsilonMachine:
     ``probs[i, x]`` is P(x | i), read and checked as a chain's rows are.
     ``succ[i, x]``, broadcast to that shape, is the state after i emits x,
     read only on the edges, where ``probs > 0``.  One successor per (state,
-    symbol) makes the machine unifilar, and ``sample_edges(np.arange(
-    n_symbols), probs, succ, ...)`` walks it.
+    symbol) makes the machine unifilar.
     """
 
     probs: np.ndarray
@@ -328,7 +327,7 @@ def coin_mutual_info_bound(p) -> float:
     return 1.0 - binary_entropy(p)
 
 
-# Steps per block that ``sample_edges`` yields: bounds the draws, symbols
+# Steps per block that ``walk_chain`` yields: bounds the draws, states
 # and --out text a trajectory simulate holds at a few MB whatever the run
 # length.
 TRAJECTORY_BLOCK = 1 << 16
@@ -345,47 +344,39 @@ def as_cdf(weights) -> np.ndarray:
     positive = np.asarray(weights) > 0
     k = positive.shape[-1]
     last = k - 1 - positive[..., ::-1].argmax(axis=-1)
-    cdf = np.minimum(np.cumsum(weights, axis=-1), 1)
+    cdf = np.cumsum(weights, axis=-1)
+    np.minimum(cdf, 1, out=cdf)
     cdf[np.arange(k) >= last[..., None]] = 1
     return cdf
 
 
-def sample_edges(symbols, probs, succ, start: int, steps: int,
-                 rng: np.random.Generator):
-    """Walk an edge table for ``steps`` steps from state ``start``.
+def walk_chain(chain: TransitionMatrix, start: int, steps: int,
+               rng: np.random.Generator):
+    """Walk ``chain`` for ``steps`` steps from state ``start``.
 
-    Edge k of state s emits ``symbols[s, k]`` with probability
-    ``probs[s, k]`` and leads to ``succ[s, k]``, the three arrays broadcast
-    to one (states x edges) shape; probability 0 means no edge.  Edges may
-    share a symbol, so the table need not be unifilar.  Step t takes the
-    first edge whose cumulative probability exceeds its uniform draw, on
-    the row's float CDF as ``as_cdf`` pins it, so no draw takes an entry of
-    probability 0.  Each step costs one bisection of the
-    current state's CDF, whatever the number of states.  A generator: it
-    checks the table and builds its CDFs on the first ``next``, then yields
-    the symbols of each block of at most ``TRAJECTORY_BLOCK`` steps, whose
-    uniforms it draws at once, and the state after them.
+    Step t moves to the first state whose cumulative probability in the
+    current row exceeds its uniform draw, on the row's float CDF as
+    ``as_cdf`` pins it, so no draw takes an entry of probability 0.  Each
+    step costs one bisection of the current row, whatever the number of
+    states.  A generator: it checks ``start`` and ``steps`` and builds the
+    CDFs on the first ``next``, then yields the int64 states entered in
+    each block of at most ``TRAJECTORY_BLOCK`` steps, whose uniforms it
+    draws at once.
     """
-    symbols, probs, succ = np.broadcast_arrays(
-        np.asarray(symbols, dtype=np.int64), probs, succ)
-    n, k = probs.shape
+    n = chain.n
     if not 0 <= start < n:
         raise ValueError(f"start state {start} out of range")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    edge = probs > 0
-    if not edge.any(axis=1).all() or np.any(edge & ((succ < 0) | (succ >= n))):
-        raise ValueError("every state needs edges into the state range")
-    cdf = as_cdf(np.asarray(probs, dtype=np.float64))
-    # flat index s * k + j is edge j of state s, in the CDF and successors
-    cdf = memoryview(cdf.reshape(-1))
-    succ = memoryview(np.ascontiguousarray(succ, dtype=np.int64).reshape(-1))
+    # flat index s * n + i is entry i of row s; asarray keeps a float chain
+    # uncopied, where ``to_numpy`` would copy it
+    cdf = memoryview(as_cdf(np.asarray(chain.array, dtype=np.float64))
+                     .reshape(-1))
     state = start
     for done in range(0, steps, TRAJECTORY_BLOCK):
-        picks = []
+        states = []
         for v in rng.random(min(TRAJECTORY_BLOCK, steps - done)).tolist():
-            row = state * k
-            j = bisect_right(cdf, v, row, row + k)
-            picks.append(j)
-            state = succ[j]
-        yield symbols[np.divmod(picks, k)], state
+            row = state * n
+            state = bisect_right(cdf, v, row, row + n) - row
+            states.append(state)
+        yield np.array(states, dtype=np.int64)

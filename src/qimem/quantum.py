@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .markov import (EpsilonMachine, _check_unit_interval, binary_entropy,
-                     entropy_bits, induced_chain, stationary)
+from .markov import (EpsilonMachine, TransitionMatrix, _check_unit_interval,
+                     binary_entropy, entropy_bits, induced_chain, stationary)
 
 UNIT_TOL = 1e-12
 ORTHO_TOL = 1e-12
@@ -264,18 +264,18 @@ def protocol_states(model: str, p, j: int, q=None,
     return up
 
 
-def circuit_step_table(model: str, p, q=None) -> EpsilonMachine:
-    """The machine a circuit realizes, for trajectory use.
+def circuit_step_table(model: str, p, q=None) -> TransitionMatrix:
+    """The chain a circuit realizes, for trajectory use.
 
-    ``probs[j, x]`` is the probability of measuring symbol x from causal
-    state j, and the successor of x is x.  The coin measures qubit 1, which
-    is x; the post-processed coin measures qubits 1 and 3 and emits
-    x = y1 + 2*y3.  Every populated branch must leave the memory qubit
-    within 1e-10 of causal state x's vector, which also refuses the
-    post-processed coin's branch (y1, y3) = (1, 1), never populated.  The
-    emitted distributions come from the circuit, not from the transition
-    matrix, so walking this machine with ``markov.sample_edges`` exercises
-    the quantum route end to end.
+    Row j is the law of the symbol x measured from causal state j, and the
+    next state is x.  The coin measures qubit 1, which is x; the
+    post-processed coin measures qubits 1 and 3 and emits x = y1 + 2*y3.
+    Every populated branch must leave the memory qubit within 1e-10 of
+    causal state x's vector, which also refuses the post-processed coin's
+    branch (y1, y3) = (1, 1), never populated.  The emitted distributions
+    come from the circuit, not from the transition matrix, so walking this
+    chain with ``markov.walk_chain`` exercises the quantum route end to
+    end.
     """
     refs = _memory_qubits(model, p, q)
     n = len(refs)  # both protocols emit one symbol per causal state
@@ -292,4 +292,4 @@ def circuit_step_table(model: str, p, q=None) -> EpsilonMachine:
                                  f"leave causal state {x}")
             # a sum of squared amplitudes can pass 1 by an ulp
             probs[j, x] = min(pr, 1.0)
-    return EpsilonMachine(probs, np.arange(n))
+    return TransitionMatrix(probs)

@@ -54,20 +54,14 @@ def random_machine(rng: np.random.Generator, n_states: int,
         return machine
 
 
-def machine_table(machine: EpsilonMachine) -> tuple:
-    """The arrays (symbols, probs, succ) that ``markov.sample_edges`` walks
-    for ``machine``: symbol x is column x."""
-    return np.arange(machine.n_symbols), machine.probs, machine.succ
-
-
-def edge_rows(symbols, probs, succ) -> list:
-    """An array edge table as tuple rows, the form the reference walk and
-    the oracles read: row s lists ``(symbol, probability, next_state)`` for
-    each entry of state s with probability above 0, in column order."""
-    symbols, probs, succ = np.broadcast_arrays(np.asarray(symbols), probs,
-                                               succ)
-    return [[(x, pr, nx) for x, pr, nx in zip(*(a.tolist() for a in row))
-             if pr > 0] for row in zip(symbols, probs, succ)]
+def machine_edges(machine: EpsilonMachine) -> list:
+    """A machine's edges as tuple rows, the form the oracles read: row s
+    lists ``(symbol, probability, next_state)`` for each symbol that state
+    s emits with probability above 0, in symbol order."""
+    return [[(x, pr, nx) for x, (pr, nx) in enumerate(zip(probs, succ))
+             if pr > 0]
+            for probs, succ in zip(machine.probs.tolist(),
+                                   machine.succ.tolist())]
 
 
 def reference_stationary(T: TransitionMatrix) -> np.ndarray:
@@ -98,7 +92,7 @@ def reference_density_spectrum(machine: EpsilonMachine,
         weights = stationary(induced_chain(machine))
     a = machine.n_symbols
     rho = np.zeros((machine.n * a, machine.n * a))
-    for w, edges in zip(weights, edge_rows(*machine_table(machine))):
+    for w, edges in zip(weights, machine_edges(machine)):
         vec = np.zeros(machine.n * a)
         for x, pr, nxt in edges:
             vec[nxt * a + x] = math.sqrt(float(pr))
@@ -182,7 +176,7 @@ def exact_kgram_distribution(machine: EpsilonMachine, k: int,
             raise ValueError(f"start state {start} out of range")
         initial = [(start, Fraction(1) if machine.exact else 1.0)]
     out: dict = {}
-    rows = edge_rows(*machine_table(machine))
+    rows = machine_edges(machine)
     frontier = {((), i): w for i, w in initial if w != 0}
     for _ in range(k):
         nxt: dict = {}
@@ -236,41 +230,35 @@ def exact_coin_trajectory(p: float, steps: int,
     return ((first + np.cumsum(flips)) % 2).astype(np.int64)
 
 
-def walk(table, start: int, steps: int, rng: np.random.Generator):
-    """The symbols of a whole ``markov.sample_edges`` walk of the arrays
-    ``table`` = (symbols, probs, succ), its blocks laid end to end, and the
-    state after the last step."""
-    blocks, state = [np.empty(0, dtype=np.int64)], start
-    for symbols, state in markov.sample_edges(*table, start, steps, rng):
-        blocks.append(symbols)
-    return np.concatenate(blocks), state
+def walk(chain: TransitionMatrix, start: int, steps: int,
+         rng: np.random.Generator) -> np.ndarray:
+    """The states entered by a whole ``markov.walk_chain`` walk of
+    ``chain``, its blocks laid end to end."""
+    return np.concatenate([np.empty(0, dtype=np.int64),
+                           *markov.walk_chain(chain, start, steps, rng)])
 
 
-def reference_edge_walk(rows, start: int, steps: int,
-                        rng: np.random.Generator):
-    """The per-step walk that ``markov.sample_edges`` must reproduce, on
-    tuple rows as ``edge_rows`` gives them.
+def reference_walk(chain: TransitionMatrix, start: int, steps: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The per-step walk that ``markov.walk_chain`` must reproduce.
 
-    One ``searchsorted`` per step on the current state's CDF: the plainest
-    form of the walk, slow but easy to trust.  Returns the symbols and the
-    final state.
+    One ``searchsorted`` per step on the CDF of the current row's positive
+    entries, its last pinned to 1: the plainest form of the walk, slow but
+    easy to trust.  Returns the states entered.
     """
-    syms = [np.array([x for x, _, _ in row]) for row in rows]
-    cums = []
-    nxts = []
-    for row in rows:
-        c = np.cumsum([float(pr) for _, pr, _ in row])
+    nxts, cums = [], []
+    for row in chain.array:
+        nxt = np.flatnonzero(row > 0)
+        c = np.cumsum([float(row[i]) for i in nxt])
         c[-1] = 1.0
+        nxts.append(nxt)
         cums.append(c)
-        nxts.append(np.array([nx for _, _, nx in row]))
     out = np.empty(steps, dtype=np.int64)
-    u = rng.random(steps)
     state = start
-    for t in range(steps):
-        k = int(np.searchsorted(cums[state], u[t], side="right"))
-        out[t] = syms[state][k]
-        state = int(nxts[state][k])
-    return out, state
+    for t, u in enumerate(rng.random(steps)):
+        k = int(np.searchsorted(cums[state], u, side="right"))
+        state = out[t] = nxts[state][k]
+    return out
 
 
 def reference_ensemble_csv(steps) -> bytes:

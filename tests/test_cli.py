@@ -565,16 +565,17 @@ def test_ensemble_out_matches_reference(states, samples, steps, threads,
 
 def test_trajectory_out_matches_reference(tmp_path, monkeypatch, capsys):
     """A 12-symbol baseline trajectory, walked in blocks of 7 steps, is the
-    reference formatting of the symbols the kernel emitted."""
+    reference formatting of the states the kernel entered, which are its
+    symbols."""
     blocks = []
 
     def recording(*args):
-        for symbols, state in markov.sample_edges(*args):
-            blocks.append(symbols.copy())
-            yield symbols, state
+        for states in markov.walk_chain(*args):
+            blocks.append(states.copy())
+            yield states
 
     monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 7)
-    monkeypatch.setattr(cli, "sample_edges", recording)
+    monkeypatch.setattr(cli, "walk_chain", recording)
     out = tmp_path / "traj.txt"
     assert run("simulate", "--model", "custom", "--algo", "baseline",
                "--matrix", str(_chain_file(tmp_path, 12)), "--steps", "100",

@@ -19,16 +19,15 @@ from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, binary_entropy,
                           coin_mutual_info_bound, entropy_bits,
                           induced_chain, machine_from_chain, perturbed_coin,
-                          post_processed_coin, sample_edges, stationary,
-                          statistical_memory, topological_memory)
+                          post_processed_coin, stationary,
+                          statistical_memory, topological_memory, walk_chain)
 from qimem.quantum import circuit_step_table
-from qimem.samplers import single_bit_table, three_state_demo_chain
+from qimem.samplers import single_bit_chain, three_state_demo_chain
 
-from helpers import (context_law, edge_rows, exact_kgram_distribution,
-                     machine_table, random_chain, random_machine,
-                     random_rational_chain, reference_edge_walk,
+from helpers import (context_law, exact_kgram_distribution, machine_edges,
+                     random_chain, random_machine, random_rational_chain,
                      reference_stationary, reference_strongly_connected,
-                     walk)
+                     reference_walk, walk)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_PI = (F(2, 9), F(1, 2), F(5, 18))
@@ -89,9 +88,9 @@ def test_coin_machine():
 def test_coin_degenerate_ends():
     # zero-probability emissions are no edges
     frozen = perturbed_coin(0)
-    assert edge_rows(*machine_table(frozen)) == [[(0, 1, 0)], [(1, 1, 1)]]
+    assert machine_edges(frozen) == [[(0, 1, 0)], [(1, 1, 1)]]
     hot = perturbed_coin(1)
-    assert edge_rows(*machine_table(hot)) == [[(1, 1, 1)], [(0, 1, 0)]]
+    assert machine_edges(hot) == [[(1, 1, 1)], [(0, 1, 0)]]
     with pytest.raises(ValueError):
         perturbed_coin(1.2)
 
@@ -100,7 +99,7 @@ def test_postproc_machine():
     m = post_processed_coin(F(1, 9), F(2, 3))
     assert m.exact and m.n == 3 and m.n_symbols == 3
     # emitted symbol names the successor state
-    assert edge_rows(*machine_table(m)) == [
+    assert machine_edges(m) == [
         [(0, F(8, 9), 0), (2, F(1, 9), 2)],
         [(0, F(16, 27), 0), (1, F(1, 3), 1), (2, F(2, 27), 2)],
         [(1, 1, 1)]]
@@ -411,51 +410,52 @@ def test_mutual_info_bound():
 
 
 def test_machine_table_walk_basics():
-    table = machine_table(perturbed_coin(0.3))
-    assert edge_rows(*table) == [[(0, 0.7, 0), (1, 0.3, 1)],
-                                 [(0, 0.3, 0), (1, 0.7, 1)]]
-    a, _ = walk(table, 0, 500, np.random.default_rng(42))
-    b, _ = walk(table, 0, 500, np.random.default_rng(42))
+    """A walk of the coin's chain: the same states from the same seed, and
+    none off the chain's support."""
+    chain = induced_chain(perturbed_coin(0.3))
+    a = walk(chain, 0, 500, np.random.default_rng(42))
+    b = walk(chain, 0, 500, np.random.default_rng(42))
     assert np.array_equal(a, b)
     assert len(a) == 500 and set(np.unique(a)) <= {0, 1}
-    frozen, _ = walk(machine_table(perturbed_coin(0.0)), 0, 100,
-                     np.random.default_rng(1))
+    frozen = walk(induced_chain(perturbed_coin(0.0)), 0, 100,
+                  np.random.default_rng(1))
     assert not frozen.any()
     with pytest.raises(ValueError):
-        walk(table, 2, 10, np.random.default_rng(0))
+        walk(chain, 2, 10, np.random.default_rng(0))
 
 
-def edge_tables():
-    """Machine, circuit and single-bit tables: the kernel's three callers."""
+def walked_chains():
+    """Random chains, with zeros and without, and the circuit and
+    single-bit chains: the walks ``simulate`` takes."""
     rng = np.random.default_rng(11)
-    tables = [machine_table(random_machine(rng, n, a))
+    chains = [induced_chain(random_machine(rng, n, a))
               for n, a in ((1, 2), (2, 2), (3, 3), (4, 3), (5, 4))]
-    tables += [machine_table(circuit_step_table("coin", 0.3)),
-               machine_table(circuit_step_table("postproc", F(1, 9), F(2, 3))),
-               machine_table(circuit_step_table("postproc", 0.37, 0.25))]
-    tables += [single_bit_table(p, q)
+    chains += [random_chain(rng, 6),
+               circuit_step_table("coin", 0.3),
+               circuit_step_table("postproc", F(1, 9), F(2, 3)),
+               circuit_step_table("postproc", 0.37, 0.25)]
+    chains += [single_bit_chain(p, q)[0]
                for p, q in ((1 / 9, 2 / 3), (0.37, 0.25), (0.0, 1.0),
                             (1.0, 0.0))]
-    return tables
+    return chains
 
 
-def assert_walks_agree(table, start, steps, seed):
-    """The walk of the arrays is the reference walk of their tuple rows."""
+def assert_walks_agree(chain, start, steps, seed):
+    """The walk of the chain is the reference walk of its rows."""
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    out, final = walk(table, start, steps, rng_a)
-    ref, ref_final = reference_edge_walk(edge_rows(*table), start, steps,
-                                         rng_b)
+    out = walk(chain, start, steps, rng_a)
+    ref = reference_walk(chain, start, steps, rng_b)
     assert out.dtype == np.int64
-    assert np.array_equal(out, ref) and final == ref_final
+    assert np.array_equal(out, ref)
     # both consumed exactly ``steps`` uniforms
     assert rng_a.random() == rng_b.random()
 
 
 def test_sample_edges_matches_reference():
-    for seed, table in enumerate(edge_tables()):
-        for start in range(len(table[1])):
+    for seed, chain in enumerate(walked_chains()):
+        for start in range(chain.n):
             for steps in (0, 1, 6, 7, 8, 50):
-                assert_walks_agree(table, start, steps, seed)
+                assert_walks_agree(chain, start, steps, seed)
 
 
 def test_sample_edges_across_a_full_block():
@@ -463,46 +463,40 @@ def test_sample_edges_across_a_full_block():
     and a block of one step, which laid end to end are one walk of the
     whole run."""
     block = markov.TRAJECTORY_BLOCK
-    for table in (machine_table(circuit_step_table("postproc", F(1, 9),
-                                                   F(2, 3))),
-                  single_bit_table(0.37, 0.25)):
-        for start in range(len(table[1])):
+    for chain in (circuit_step_table("postproc", F(1, 9), F(2, 3)),
+                  single_bit_chain(0.37, 0.25)[0]):
+        for start in range(chain.n):
             rng_a = np.random.default_rng(1584306215)
             rng_b = np.random.default_rng(1584306215)
-            blocks = list(sample_edges(*table, start, block + 1, rng_a))
-            ref, ref_final = reference_edge_walk(edge_rows(*table), start,
-                                                 block + 1, rng_b)
-            assert [symbols.size for symbols, _ in blocks] == [block, 1]
-            assert np.array_equal(
-                np.concatenate([symbols for symbols, _ in blocks]), ref)
-            assert blocks[-1][1] == ref_final
+            blocks = list(walk_chain(chain, start, block + 1, rng_a))
+            ref = reference_walk(chain, start, block + 1, rng_b)
+            assert [states.size for states in blocks] == [block, 1]
+            assert np.array_equal(np.concatenate(blocks), ref)
             assert rng_a.random() == rng_b.random()
 
 
 def test_sample_edges_yields_the_state_after_each_block(monkeypatch):
-    """Each block comes with the state the walk has reached after it."""
+    """Each block ends with the state the walk has reached after it."""
     monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 7)
-    for seed, table in enumerate(edge_tables()):
-        blocks = list(sample_edges(*table, 0, 50,
-                                   np.random.default_rng(seed)))
-        assert [symbols.size for symbols, _ in blocks] == [7] * 7 + [1]
-        for k, (_, state) in enumerate(blocks):
-            assert state == reference_edge_walk(
-                edge_rows(*table), 0, min(7 * k + 7, 50),
-                np.random.default_rng(seed))[1]
+    for seed, chain in enumerate(walked_chains()):
+        blocks = list(walk_chain(chain, 0, 50, np.random.default_rng(seed)))
+        assert [states.size for states in blocks] == [7] * 7 + [1]
+        for k, states in enumerate(blocks):
+            assert states[-1] == reference_walk(
+                chain, 0, min(7 * k + 7, 50), np.random.default_rng(seed))[-1]
 
 
 def test_sample_edges_memory_bounded_by_slices():
     """A walk holds one TRAJECTORY_BLOCK of draws, as Python floats, and of
-    symbols at a time.  At 1e6 steps the whole run as one list peaked at
+    states at a time.  At 1e6 steps the whole run as one list peaked at
     40.5 MB, the draws and symbols of the run as arrays at about 18.7 MB,
     and a walk whose blocks are dropped as they come at about 3.2 MB."""
-    table = machine_table(circuit_step_table("postproc", F(1, 9), F(2, 3)))
-    walk(table, 0, 10, np.random.default_rng(0))  # one-time allocations
+    chain = circuit_step_table("postproc", F(1, 9), F(2, 3))
+    walk(chain, 0, 10, np.random.default_rng(0))  # one-time allocations
     tracemalloc.start()
     try:
-        steps = sum(symbols.size for symbols, _ in
-                    sample_edges(*table, 0, 10**6, np.random.default_rng(5)))
+        steps = sum(states.size for states in
+                    walk_chain(chain, 0, 10**6, np.random.default_rng(5)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -511,20 +505,19 @@ def test_sample_edges_memory_bounded_by_slices():
 
 
 def test_walker_setup_memory_bounded_by_the_chain():
-    """A 500-state float chain's machine shares the chain's array, and the
-    walk's setup holds one float CDF and one successor array of the chain's
-    size, 2 MB each.  The tuple form built 250 000 edge tuples and then
-    per-state CDF and edge lists: 51.6 MB traced."""
+    """A walk of a 500-state float chain reads the chain's own array and
+    holds one float CDF of its size, 2 MB, clamped in place.  The tuple
+    form built 250 000 edge tuples and then per-state CDF and edge lists,
+    51.6 MB traced, and an edge table with a successor array and a second
+    clamped CDF about 4.5 MB."""
     chain = random_chain(np.random.default_rng(500), 500)
     tracemalloc.start()
     try:
-        machine = machine_from_chain(chain)
-        next(sample_edges(*machine_table(machine), 0, 1,
-                          np.random.default_rng(0)))
+        next(walk_chain(chain, 0, 1, np.random.default_rng(0)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8_000_000, peak
+    assert peak < 3_500_000, peak
 
 
 class TopDraws:
@@ -535,88 +528,64 @@ class TopDraws:
 
 
 def test_walk_never_takes_a_zero_probability_edge(monkeypatch):
-    """Rows whose edges sum to 1 - 1 ulp, with entries of probability 0
+    """Rows whose entries sum to 1 - 1 ulp, with entries of probability 0
     after them: at the largest draw below 1 a CDF pinned only at its last
     entry would take the zero entry.  Each step, yielded as a block of one,
-    must follow an edge of probability above 0."""
+    must enter a state of probability above 0."""
     short = 0.5 - 2**-53  # 0.5 + short == 1 - 2**-53
-    chain = TransitionMatrix([[0.5, short, 0.0, 0.0],
-                              [0.0, 0.5, short, 0.0],
-                              [0.0, 0.0, 0.5, short],
-                              [short, 0.0, 0.5, 0.0]])
-    tables = [machine_table(machine_from_chain(chain)),
-              single_bit_table(1.0, 0.0)]
+    chains = [TransitionMatrix([[0.5, short, 0.0, 0.0],
+                                [0.0, 0.5, short, 0.0],
+                                [0.0, 0.0, 0.5, short],
+                                [short, 0.0, 0.5, 0.0]]),
+              single_bit_chain(1.0, 0.0)[0]]
     monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 1)
-    for symbols, probs, succ in tables:
-        symbols, probs, succ = np.broadcast_arrays(symbols, probs, succ)
-        for start in range(len(probs)):
+    for chain in chains:
+        for start in range(chain.n):
             state = start
-            for (x,), after in sample_edges(symbols, probs, succ, start, 12,
-                                            TopDraws()):
-                assert any(probs[state, k] > 0 and symbols[state, k] == x
-                           and succ[state, k] == after
-                           for k in range(probs.shape[1]))
+            for (after,) in walk_chain(chain, start, 12, TopDraws()):
+                assert chain.array[state, after] > 0
                 state = after
-            out, final = walk((symbols, probs, succ), start, 12, TopDraws())
-            ref, ref_final = reference_edge_walk(
-                edge_rows(symbols, probs, succ), start, 12, TopDraws())
-            assert np.array_equal(out, ref) and final == ref_final
+            assert np.array_equal(walk(chain, start, 12, TopDraws()),
+                                  reference_walk(chain, start, 12, TopDraws()))
 
 
 @st.composite
 def random_table(draw):
-    """Random array table whose symbols number its entries, so a trajectory
-    names the edges it took.  Entries of probability 0 fall anywhere, the
-    last column too, and their successors may lie outside the states, as
-    they are never read; some rows are endpoint rows, one sure edge among
-    impossible ones."""
+    """Random chain of one to four states whose entries of probability 0
+    fall anywhere, the last column too; some rows are endpoint rows, one
+    sure entry among impossible ones."""
     n = draw(st.integers(1, 4))
-    k = draw(st.integers(1, 4))
-    probs = np.zeros((n, k))
+    probs = np.zeros((n, n))
     for row in probs:
         if draw(st.booleans()):
-            row[draw(st.integers(0, k - 1))] = 1
+            row[draw(st.integers(0, n - 1))] = 1
         else:
-            weights = draw(st.lists(st.integers(0, 3), min_size=k,
-                                    max_size=k).filter(any))
+            weights = draw(st.lists(st.integers(0, 3), min_size=n,
+                                    max_size=n).filter(any))
             row[:] = [w / sum(weights) for w in weights]
-    succ = np.array([[draw(st.integers(0, n - 1)) if pr > 0
-                      else draw(st.integers(-2, n + 2)) for pr in row]
-                     for row in probs])
-    return np.arange(n * k).reshape(n, k), probs, succ
+    return TransitionMatrix(probs)
 
 
 @settings(max_examples=150, deadline=None)
-@given(table=random_table(), steps=st.integers(0, 40),
+@given(chain=random_table(), steps=st.integers(0, 40),
        seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_sample_edges_property(table, steps, seed, data):
-    start = data.draw(st.integers(0, len(table[1]) - 1))
-    assert_walks_agree(table, start, steps, seed)
-    out, final = walk(table, start, steps, np.random.default_rng(seed))
-    symbols, probs, succ = table
+def test_sample_edges_property(chain, steps, seed, data):
+    start = data.draw(st.integers(0, chain.n - 1))
+    assert_walks_agree(chain, start, steps, seed)
     state = start
-    for x in out:
-        source, k = divmod(int(x), probs.shape[1])
-        assert source == state and probs[source, k] > 0
-        state = succ[source, k]
-    assert final == state
+    for after in walk(chain, start, steps, np.random.default_rng(seed)):
+        assert chain.array[state, after] > 0
+        state = after
 
 
 def test_sample_edges_validation():
-    """A walk checks its table on the first ``next``, even of no steps."""
-    table = machine_table(circuit_step_table("coin", 0.3))
+    """A walk checks its start and step count on the first ``next``, even
+    of no steps, before it draws a uniform."""
+    chain = circuit_step_table("coin", 0.3)
     rng = np.random.default_rng(0)
     for start, steps in ((2, 5), (-1, 5), (0, -1), (2, 0)):
         with pytest.raises(ValueError):
-            list(sample_edges(*table, start, steps, rng))
-    for bad in ((0, [[1.0]], [[1]]),                # an edge off the states
-                (0, [[1.0], [0.0]], [[0], [0]]),    # a state with no edge
-                ([0, 1], [[1.0, 0.0]], [0, 0, 0]),  # shapes disagree
-                (0, [1.0], [0])):                   # not a table
-        with pytest.raises(ValueError):
-            list(sample_edges(*bad, 0, 5, rng))
-        with pytest.raises(ValueError):
-            list(sample_edges(*bad, 0, 0, rng))
+            next(walk_chain(chain, start, steps, rng))
     assert rng.random() == np.random.default_rng(0).random()
 
 

@@ -30,9 +30,8 @@ from qimem.quantum import (check_orthogonal, check_unit, circuit_step_table,
                            quantum_topological_memory, u_x)
 from qimem.stats import compare_transitions, word_counts
 
-from helpers import (edge_rows, exact_kgram_distribution, machine_table,
-                     random_chain, random_machine, reference_density_spectrum,
-                     walk)
+from helpers import (exact_kgram_distribution, machine_edges, random_chain,
+                     random_machine, reference_density_spectrum, walk)
 
 P_GRID = [i / 10 for i in range(11)]
 
@@ -41,7 +40,7 @@ def gram_from_machine(machine) -> np.ndarray:
     """Overlap matrix of the encoded memory states, straight from the edges:
     a pair of edges overlaps where symbol and successor agree."""
     n = machine.n
-    rows = edge_rows(*machine_table(machine))
+    rows = machine_edges(machine)
     G = np.eye(n)
     for i in range(n):
         for k in range(i + 1, n):
@@ -199,9 +198,8 @@ def test_encoded_states_match_single_qubit_overlaps():
 
 def test_coin_step_matches_machine():
     for p in P_GRID:
-        table = circuit_step_table("coin", p)
-        assert (table.succ == np.arange(2)).all()
-        assert np.allclose(table.probs, perturbed_coin(p).probs.astype(float),
+        chain = circuit_step_table("coin", p)
+        assert np.allclose(chain.array, perturbed_coin(p).probs.astype(float),
                            rtol=0, atol=1e-13)
 
 
@@ -209,9 +207,8 @@ def test_postproc_step_matches_machine():
     grid = [(F(1, 9), F(2, 3)), (0.3, 0.6), (0.0, 0.5), (1.0, 0.5),
             (0.3, 0.0), (0.3, 1.0)]
     for p, q in grid:
-        table = circuit_step_table("postproc", p, q)
-        assert (table.succ == np.arange(3)).all()
-        assert np.allclose(table.probs,
+        chain = circuit_step_table("postproc", p, q)
+        assert np.allclose(chain.array,
                            post_processed_coin(p, q).probs.astype(float),
                            rtol=0, atol=1e-13)
 
@@ -412,15 +409,14 @@ def test_large_chain_memory_without_the_dense_route():
 
 
 def test_circuit_step_table_successors():
-    table = edge_rows(*machine_table(circuit_step_table("coin", 0.3)))
+    """Each row of a circuit's chain is its measured symbol law, and the
+    symbol is the next state."""
+    table = circuit_step_table("coin", 0.3)
     chain = induced_chain(perturbed_coin(0.3))
-    for j, row in enumerate(table):
-        for x, pr, nxt in row:
-            assert nxt == x
-            assert pr == pytest.approx(float(chain.array[j, nxt]), abs=1e-13)
-    table = edge_rows(*machine_table(
-        circuit_step_table("postproc", F(1, 9), F(2, 3))))
-    assert [[nxt for _, _, nxt in row] for row in table] \
+    assert table.array.dtype == np.float64
+    assert np.allclose(table.array, chain.to_numpy(), rtol=0, atol=1e-13)
+    table = circuit_step_table("postproc", F(1, 9), F(2, 3))
+    assert [np.flatnonzero(row).tolist() for row in table.array] \
         == [[0, 2], [0, 1, 2], [1]]
     with pytest.raises(ValueError):
         circuit_step_table("postproc", 0.3)
@@ -429,19 +425,19 @@ def test_circuit_step_table_successors():
 
 
 def test_circuit_trajectory_statistics():
-    table = machine_table(circuit_step_table("postproc", F(1, 9), F(2, 3)))
+    chain = circuit_step_table("postproc", F(1, 9), F(2, 3))
     machine = post_processed_coin(F(1, 9), F(2, 3))
     rng = np.random.default_rng(90)
-    traj, _ = walk(table, 0, 20000, rng)
+    traj = walk(chain, 0, 20000, rng)
     report = compare_transitions(*word_counts(traj, 3, 3),
                                  induced_chain(machine).to_numpy(), context=2)
     assert report.passed, report
     assert not report.hard_failures
-    a, _ = walk(table, 1, 50, np.random.default_rng(3))
-    b, _ = walk(table, 1, 50, np.random.default_rng(3))
+    a = walk(chain, 1, 50, np.random.default_rng(3))
+    b = walk(chain, 1, 50, np.random.default_rng(3))
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        walk(table, 9, 5, rng)
+        walk(chain, 9, 5, rng)
 
 
 def test_two_step_state_matches_word_law():

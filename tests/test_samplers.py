@@ -5,6 +5,7 @@ fixture throughout; its tables below were derived by hand from the
 decomposition and frozen.
 """
 
+import itertools
 import math
 import os
 import signal
@@ -26,7 +27,7 @@ from qimem.markov import (TransitionMatrix, as_cdf, induced_chain,
 from qimem.samplers import (CoinEnsemble, DegenerateSupportError,
                             GeneralQISampler, RerouteTables, decompose,
                             effective_kernel, expected_memory, save_fractions,
-                            single_bit_start, single_bit_table,
+                            single_bit_chain, single_bit_start,
                             three_state_demo_chain)
 from qimem.stats import compare_transitions, transition_counts, word_counts
 
@@ -87,14 +88,14 @@ def test_nan_probabilities_rejected():
         with pytest.raises(ValueError):
             CoinEnsemble(bad, 10, seed=0)
         with pytest.raises(ValueError):
-            single_bit_table(bad, 0.5)
+            single_bit_chain(bad, 0.5)
         with pytest.raises(ValueError):
-            single_bit_table(0.5, bad)
+            single_bit_chain(0.5, bad)
         with pytest.raises(ValueError):
             three_state_demo_chain(bad, 0.1)
     for p in (0.0, 1.0):
         CoinEnsemble(p, 10, seed=0)
-        single_bit_table(p, p)
+        single_bit_chain(p, p)
 
 
 def test_save_fractions_frozen():
@@ -810,23 +811,57 @@ def test_coin_ensemble_state_is_boolean():
 
 def bit_machine_run(p, q, start, steps, rng):
     """Symbols of the single-bit sampler started from machine state start."""
-    bit = single_bit_start(start, q, rng)
-    return walk(single_bit_table(p, q), bit, steps, rng)[0]
+    chain, emit = single_bit_chain(p, q)
+    return emit[walk(chain, single_bit_start(start, q, rng), steps, rng)]
 
 
 def test_bit_machine_initial_law():
     rng = np.random.default_rng(14)
-    assert single_bit_start(0, 0.7, rng) == 0
-    assert single_bit_start(2, 0.7, rng) == 1
+    assert single_bit_start(0, 0.7, rng) == 1  # (0, 0)
+    assert single_bit_start(2, 0.7, rng) == 0  # (2, 1)
     # only the middle state draws, so the first two calls took no uniform
     assert rng.random() == np.random.default_rng(14).random()
-    bits = [single_bit_start(1, 0.7, rng) for _ in range(4000)]
-    zeros = bits.count(0)
+    pairs = [single_bit_start(1, 0.7, rng) for _ in range(4000)]
+    assert set(pairs) == {2, 3}  # (1, 0) and (1, 1)
+    zeros = pairs.count(2)
     assert abs(zeros - 4000 * 0.7) < 5 * math.sqrt(4000 * 0.7 * 0.3)
     with pytest.raises(ValueError):
         single_bit_start(3, 0.7, rng)
     with pytest.raises(ValueError):
-        single_bit_table(1.2, 0.7)
+        single_bit_chain(1.2, 0.7)
+
+
+def reference_bit_walk(p, q, bit, steps, rng):
+    """The single-bit sampler step by step, on its own rule: with bit 0
+    emit 2 and set the bit if u < p, else emit 0; with bit 1 emit 1 and
+    clear the bit if u < q.  Returns the (symbol, bit) pairs."""
+    pairs = []
+    for u in rng.random(steps).tolist():
+        if bit:
+            bit = 0 if u < q else 1
+            pairs.append((1, bit))
+        else:
+            bit = 1 if u < p else 0
+            pairs.append((2, 1) if bit else (0, 0))
+    return pairs
+
+
+def test_bit_machine_walk_is_the_per_step_rule():
+    """The pair chain's walk from each pair is the reference rule's, on a
+    12 x 12 grid of (p, q) with both endpoints, as symbols and as bits."""
+    grid = np.linspace(0, 1, 12).tolist()
+    bits = np.array([1, 0, 0, 1])
+    for p, q in itertools.product(grid, grid):
+        chain, emit = single_bit_chain(p, q)
+        for start in range(4):
+            seed = 1000 * start + grid.index(p) * 12 + grid.index(q)
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
+            states = walk(chain, start, 300, rng_a)
+            ref = reference_bit_walk(p, q, bits[start], 300, rng_b)
+            assert list(zip(emit[states].tolist(),
+                            bits[states].tolist())) == ref, (p, q, start)
+            assert rng_a.random() == rng_b.random()
 
 
 def test_bit_machine_deterministic_edges():

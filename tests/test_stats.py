@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from qimem.markov import (as_cdf, induced_chain, perturbed_coin,
                           post_processed_coin, stationary)
 from qimem.quantum import circuit_step_table
-from qimem.samplers import single_bit_start, single_bit_table
+from qimem.samplers import single_bit_chain, single_bit_start
 from qimem.stats import compare_transitions, transition_counts, word_counts
 
-from helpers import (context_law, exact_coin_trajectory, machine_table,
-                     matrix_words, reference_compare_transitions, walk)
+from helpers import (context_law, exact_coin_trajectory, matrix_words,
+                     reference_compare_transitions, walk)
 
 HALF = [[0.5, 0.5]]
 
@@ -269,18 +269,19 @@ def test_trajectory_samplers_calibrate_at_five_sigma():
     machine = post_processed_coin(p, q)
     cdf = as_cdf(np.array(stationary(induced_chain(machine)), dtype=float))
     law = induced_chain(machine).to_numpy()
-    tables = {"baseline": machine_table(machine),
-              "quantum": machine_table(circuit_step_table("postproc", p, q)),
-              "single-bit": single_bit_table(p, q)}
+    symbols = np.arange(3)
+    chains = {"baseline": (induced_chain(machine), symbols),
+              "quantum": (circuit_step_table("postproc", p, q), symbols),
+              "single-bit": single_bit_chain(p, q)}
     failed = []
-    for algo, table in tables.items():
+    for algo, (chain, emit) in chains.items():
         for seed in range(150):
             rng = np.random.default_rng(seed)
             start = int(np.searchsorted(cdf, rng.random(), side="right"))
             if algo == "single-bit":
                 start = single_bit_start(start, q, rng)
             report = compare_transitions(*word_counts(
-                walk(table, start, 20000, rng)[0], 3, 3), law, context=2)
+                emit[walk(chain, start, 20000, rng)], 3, 3), law, context=2)
             if not report.passed:
                 failed.append((algo, seed))
     assert failed == []
