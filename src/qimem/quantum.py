@@ -267,15 +267,15 @@ def protocol_states(model: str, p, j: int, q=None,
 def circuit_step_table(model: str, p, q=None) -> TransitionMatrix:
     """The chain a circuit realizes, for trajectory use.
 
-    Row j is the law of the symbol x measured from causal state j, and the
-    next state is x.  The coin measures qubit 1, which is x; the
-    post-processed coin measures qubits 1 and 3 and emits x = y1 + 2*y3.
-    Every populated branch must leave the memory qubit within 1e-10 of
-    causal state x's vector, which also refuses the post-processed coin's
-    branch (y1, y3) = (1, 1), never populated.  The emitted distributions
-    come from the circuit, not from the transition matrix, so walking this
-    chain with ``markov.walk_chain`` exercises the quantum route end to
-    end.
+    Entry [j, x] is the probability of measuring symbol x from causal
+    state j, and the next state is x.  The coin measures qubit 1, which
+    is x; the post-processed coin measures qubits 1 and 3 and emits
+    x = y1 + 2*y3.  Every populated branch must leave the memory qubit
+    within 1e-10 of causal state x's vector, which also refuses the
+    post-processed coin's branch (y1, y3) = (1, 1), never populated.  The
+    emitted distributions come from the circuit, not from the transition
+    matrix, so walking this chain with ``markov.walk_chain`` exercises
+    the quantum route end to end.
     """
     refs = _memory_qubits(model, p, q)
     n = len(refs)  # both protocols emit one symbol per causal state
