@@ -468,19 +468,20 @@ def _sparse_chain_file(tmp_path):
 
 
 # sha256 of stdout, the --out file and the report of the custom-chain runs,
-# with their exit codes: the rational demo chain, float chains of 12, 50
-# and 200 states, and a sparse 12-state float chain whose rows hold exact
+# with their exit codes: the rational demo chain, float chains of 12, 50,
+# 200 and 400 states, and a sparse 12-state float chain whose rows hold exact
 # zeros, some of them last and after a row sum of 1 - 1 ulp.  Every run,
 # its walk or ensemble, stationary start and verdict, reads the chain of
-# those rows each divided by its left-to-right sum.
-# The rows of the 200-state chain are longer than
-# the 128 entries of a numpy pairwise-sum block.  Three runs exit 1 on a
-# correct sampler, on cells the binomial normal approximation misjudges at
-# small expected counts: the 12-state baseline's row 7.5 scores z = 5.10,
-# the 200-state qi-general's row 27 scores z = 17.3, and the 200-state
-# baseline scores up to z = 175.6.  The 12-state baseline was re-recorded
-# when its verdict law became the chain rows: same symbols and exit code,
-# and 64 of its 153 report lines moved in their last digits.
+# those rows each divided by its left-to-right sum.  The rows of the 200-
+# and 400-state chains are longer than the 128 entries of a numpy
+# pairwise-sum block; the 400-state walk is the largest one pinned.  Four
+# runs exit 1 on a correct sampler, on cells the binomial normal
+# approximation misjudges at small expected counts: the 12-state baseline's
+# row 7.5 scores z = 5.10, the 200-state qi-general's row 27 scores
+# z = 17.3, and the 200- and 400-state baselines score up to z = 175.6 and
+# 238.1.  The 12-state baseline was re-recorded when its verdict law became
+# the chain rows: same symbols and exit code, and 64 of its 153 report lines
+# moved in their last digits.
 CUSTOM_DIGESTS = {
     "baseline-3":
         (0, "ffb3ec83e8b36ef540ae7372d89870705a74fc6d2e1de2a411fbe3ed8968090f"),
@@ -492,6 +493,8 @@ CUSTOM_DIGESTS = {
         (1, "6a86fdf10ed80d329593e0371166fea87223b44720c1614f1c601a54f1705fbd"),
     "baseline-200":
         (1, "2126a6809a2f8d55c9e19bbcc759bf188f90b48bc9e8a2fc48676da02a4784f7"),
+    "baseline-400":
+        (1, "4c883cc49f7420bd5cd4e0fe5baf11ede197584cc9685f52ec0eb98be9bc6fa0"),
     "baseline-sparse-12":
         (0, "7ac273f637a64be180819b752c1bce4988a5e7cfc5b01a1eb6104396292fb9ec"),
 }
@@ -506,6 +509,7 @@ def test_custom_outputs_pinned(tmp_path, capsys):
         "qi-general-200": (200, "qi-general", "--samples", "2000",
                            "--steps", "10", "--seed", "5"),
         "baseline-200": (200, "baseline", "--steps", "20000", "--seed", "5"),
+        "baseline-400": (400, "baseline", "--steps", "20000", "--seed", "5"),
         "baseline-sparse-12": ("sparse", "baseline", "--steps", "20000",
                                "--seed", "5"),
     }
