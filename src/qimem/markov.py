@@ -55,7 +55,10 @@ class TransitionMatrix:
         return f"TransitionMatrix({self.array.tolist()!r})"
 
     def to_numpy(self) -> np.ndarray:
-        return self.array.astype(np.float64)
+        """The chain as float64: a float chain's own array, not a copy,
+        and a Fraction chain's entries rounded to floats.  Read-only use:
+        writing to the result of a float chain writes to the chain."""
+        return np.asarray(self.array, dtype=np.float64)
 
 
 def _chain_array(rows) -> np.ndarray:
@@ -356,27 +359,22 @@ def walk_chain(chain: TransitionMatrix, start: int, steps: int,
 
     Step t moves to the first state whose cumulative probability in the
     current row exceeds its uniform draw, on the row's float CDF as
-    ``as_cdf`` pins it, so no draw takes an entry of probability 0.  Each
-    step costs one bisection of the current row, whatever the number of
-    states.  A generator: it checks ``start`` and ``steps`` and builds the
-    CDFs on the first ``next``, then yields the int64 states entered in
-    each block of at most ``TRAJECTORY_BLOCK`` steps, whose uniforms it
-    draws at once.
+    ``as_cdf`` pins it from ``chain.to_numpy()``, so no draw takes an entry
+    of probability 0.  Each step costs one bisection of a memoryview of
+    the current row, whatever the number of states.  A generator: it
+    checks ``start`` and ``steps`` and builds the CDFs on the first
+    ``next``, then yields the int64 states entered in each block of at
+    most ``TRAJECTORY_BLOCK`` steps, whose uniforms it draws at once.
     """
-    n = chain.n
-    if not 0 <= start < n:
+    if not 0 <= start < chain.n:
         raise ValueError(f"start state {start} out of range")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    # flat index s * n + i is entry i of row s; asarray keeps a float chain
-    # uncopied, where ``to_numpy`` would copy it
-    cdf = memoryview(as_cdf(np.asarray(chain.array, dtype=np.float64))
-                     .reshape(-1))
+    rows = list(map(memoryview, as_cdf(chain.to_numpy())))
     state = start
     for done in range(0, steps, TRAJECTORY_BLOCK):
         states = []
         for v in rng.random(min(TRAJECTORY_BLOCK, steps - done)).tolist():
-            row = state * n
-            state = bisect_right(cdf, v, row, row + n) - row
+            state = bisect_right(rows[state], v)
             states.append(state)
         yield np.array(states, dtype=np.int64)

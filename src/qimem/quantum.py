@@ -197,35 +197,26 @@ def coin_quantum_memory(p) -> float:
     return binary_entropy(0.5 + math.sqrt(float(p) * (1.0 - float(p))))
 
 
-def coin_memory_qubits(p) -> list[np.ndarray]:
-    """Single-qubit causal states of the perturbed coin: state j is
-    prepared by u_x(x_j) from |0>, with x_0 = p and x_1 = 1 - p."""
-    e0 = np.array([1.0, 0.0])
-    return [u_x(p) @ e0, u_x(1 - float(p)) @ e0]
+def memory_qubits(model: str, p, q=None) -> list[np.ndarray]:
+    """Single-qubit causal states of a circuit model, state j at index j.
 
-
-def postproc_memory_qubits(q) -> list[np.ndarray]:
-    """Single-qubit causal states of the post-processed coin.
-
-    States 0 and 2 are the basis states; state 1 interpolates with
-    amplitudes (sqrt(q), sqrt(1-q)).  They span one qubit for every q, which
-    is what lets the three-state machine run on a single bit of memory.
+    The coin's state j is prepared by u_x(x_j) from |0>, with x_0 = p and
+    x_1 = 1 - p.  The post-processed coin's states 0 and 2 are the basis
+    states and state 1 has amplitudes (sqrt(q), sqrt(1-q)); they span one
+    qubit for every q, which is what lets the three-state machine run on a
+    single bit of memory.  Its p is not read.
     """
+    e0 = np.array([1.0, 0.0])
+    if model == "coin":
+        return [u_x(p) @ e0, u_x(1 - float(p)) @ e0]
+    if model != "postproc":
+        raise ValueError(f"unknown circuit model {model!r}")
+    if q is None:
+        raise ValueError("postproc model needs q")
     q = float(q)
     _check_unit_interval(q, "q")
-    return [np.array([1.0, 0.0]),
-            np.array([math.sqrt(q), math.sqrt(1 - q)]),
+    return [e0, np.array([math.sqrt(q), math.sqrt(1 - q)]),
             np.array([0.0, 1.0])]
-
-
-def _memory_qubits(model: str, p, q) -> list[np.ndarray]:
-    if model == "coin":
-        return coin_memory_qubits(p)
-    if model == "postproc":
-        if q is None:
-            raise ValueError("postproc model needs q")
-        return postproc_memory_qubits(q)
-    raise ValueError(f"unknown circuit model {model!r}")
 
 
 def protocol_states(model: str, p, j: int, q=None,
@@ -242,7 +233,7 @@ def protocol_states(model: str, p, j: int, q=None,
     the negated-control U_p on qubit 3, the controlled U_{1-q} on qubit 2
     and CNOT(3 -> 2).
     """
-    xi = _memory_qubits(model, p, q)
+    xi = memory_qubits(model, p, q)
     if j not in range(len(xi)):
         raise ValueError(f"{model} causal state must be below {len(xi)}, "
                          f"got {j}")
@@ -277,7 +268,7 @@ def circuit_step_table(model: str, p, q=None) -> TransitionMatrix:
     matrix, so walking this chain with ``markov.walk_chain`` exercises
     the quantum route end to end.
     """
-    refs = _memory_qubits(model, p, q)
+    refs = memory_qubits(model, p, q)
     n = len(refs)  # both protocols emit one symbol per causal state
     qubits = (1,) if model == "coin" else (1, 3)
     probs = np.zeros((n, n))

@@ -36,10 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .markov import (TransitionMatrix, _check_unit_interval, _row_sums,
-                     as_cdf, stationary)
+from .markov import (ROW_SUM_TOL, TransitionMatrix, _check_unit_interval,
+                     _row_sums, as_cdf, stationary)
 
-DELTA_ROW_TOL = 1e-12
 # samples per block of an ensemble step: the unit of work of one thread,
 # small enough that a block's words and temporaries stay a few MB
 BLOCK = 1 << 16
@@ -154,7 +153,8 @@ class _RowSearch:
 def decompose(chain: TransitionMatrix, pi=None):
     """Split T into 1 pi^T + Delta and return (pi, Delta) as arrays.
 
-    Delta rows sum to 0 (within 1e-12 in float, exactly in rational mode).
+    Delta rows sum to 0, within ROW_SUM_TOL in floats and exactly in
+    Fractions: a row of Delta sums to its chain row's sum minus sum(pi).
     Raises DegenerateSupportError when pi has a zero entry, since the
     correction ratios divide by pi.
     """
@@ -164,7 +164,7 @@ def decompose(chain: TransitionMatrix, pi=None):
     if np.any(pi <= 0):
         raise DegenerateSupportError("degenerate stationary support")
     delta = chain.array - pi
-    off = np.flatnonzero(~(abs(_row_sums(delta)) <= DELTA_ROW_TOL))
+    off = np.flatnonzero(~(abs(_row_sums(delta)) <= ROW_SUM_TOL))
     if off.size:
         raise ValueError(f"Delta row {off[0]} does not sum to 0")
     return pi, delta
@@ -173,13 +173,13 @@ def decompose(chain: TransitionMatrix, pi=None):
 def save_fractions(pi, delta) -> np.ndarray:
     """Per-state save probabilities f_j = max over the depleted set of
     -Delta[j][i] / pi[i]; 0 when row j needs no correction.  A float row
-    whose every entry is within DELTA_ROW_TOL of 0 needs none: it equals pi
+    whose every entry is within ROW_SUM_TOL of 0 needs none: it equals pi
     up to the stationary solve's rounding.  Exact rows are taken as given."""
     pi, delta = np.asarray(pi), np.asarray(delta)
     zero = 0 * pi[0]
     f = np.where(delta < 0, -delta / pi, zero).max(axis=1)
     if delta.dtype != object:
-        f[np.all(abs(delta) <= DELTA_ROW_TOL, axis=1)] = zero
+        f[np.all(abs(delta) <= ROW_SUM_TOL, axis=1)] = zero
     return f
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qimem import markov, samplers
+from qimem import markov
 from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, as_cdf, induced_chain, stationary)
 from qimem.samplers import RerouteTables
@@ -114,7 +114,7 @@ def reference_reroute_tables(chain: TransitionMatrix) -> tuple:
     for row in delta:
         # a float row within the tolerance of pi needs no saves
         noise = (not all(isinstance(d, Fraction) for d in row)
-                 and all(abs(d) <= samplers.DELTA_ROW_TOL for d in row))
+                 and all(abs(d) <= markov.ROW_SUM_TOL for d in row))
         negs = [] if noise else [(-d, w) for d, w in zip(row, pi) if d < 0]
         f.append(max(d / w for d, w in negs) if negs else zero)
     rminus = [[zero] * n for _ in range(n)]

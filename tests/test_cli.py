@@ -787,6 +787,35 @@ def test_custom_trajectory_memory_bounded_by_data(tmp_path, capsys):
     assert peak < 80 * 2**20, peak
 
 
+@pytest.mark.parametrize("algo, flags", [
+    ("baseline", ("--steps", "200")),
+    ("qi-general", ("--samples", "200", "--steps", "3")),
+])
+def test_float_verdict_reads_the_chain_array(algo, flags, tmp_path,
+                                             monkeypatch, capsys):
+    """The verdict of a float --matrix run, trajectory or ensemble, judges
+    the counts against the walked chain's own array, not a float copy."""
+    chains, laws = [], []
+    normalized, compare = cli.normalized_chain, stats.compare_transitions
+
+    def recording_chain(rows):
+        chains.append(normalized(rows))
+        return chains[-1]
+
+    def recording_law(words, tallies, law, *args):
+        laws.append(law)
+        return compare(words, tallies, law, *args)
+
+    monkeypatch.setattr(cli, "normalized_chain", recording_chain)
+    monkeypatch.setattr(stats, "compare_transitions", recording_law)
+    assert run("simulate", "--model", "custom", "--algo", algo, *flags,
+               "--matrix", str(_chain_file(tmp_path, 12)),
+               "--seed", "1") in (cli.PASS, cli.STAT_FAIL)
+    (chain,), (law,) = chains, laws
+    assert law.dtype == np.float64
+    assert np.shares_memory(law, chain.array)
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--model", "coin", "--algo", "qi-ensemble", "--p", "1.5",
      "--seed", "1"),

@@ -59,6 +59,17 @@ def test_matrix_numpy_roundtrip():
     assert TransitionMatrix(A.tolist()) == TransitionMatrix(A.tolist())
 
 
+def test_to_numpy_is_the_float_view():
+    """A float chain's view is its own array, and a Fraction chain's is a
+    float64 array of its own that leaves the Fractions as they are."""
+    chain = random_chain(np.random.default_rng(4), 5)
+    assert np.shares_memory(chain.to_numpy(), chain.array)
+    A = DEMO.to_numpy()
+    assert A.dtype == np.float64 and not np.shares_memory(A, DEMO.array)
+    assert DEMO.array.dtype == object
+    assert DEMO.array[1].tolist() == [F(1, 9), F(2, 3), F(2, 9)]
+
+
 TINY = F(1, 2**1100)  # positive, but 0.0 as a float
 
 

@@ -23,10 +23,9 @@ from qimem.markov import (EpsilonMachine, binary_entropy, induced_chain,
                           post_processed_coin, stationary,
                           statistical_memory, topological_memory)
 from qimem.quantum import (check_orthogonal, check_unit, circuit_step_table,
-                           cnot, coin_memory_qubits, coin_quantum_memory,
-                           controlled_u, kron, measure, memory_spectrum,
-                           n_qubits, postproc_memory_qubits, protocol_states,
-                           quantum_statistical_memory,
+                           cnot, coin_quantum_memory, controlled_u, kron,
+                           measure, memory_qubits, memory_spectrum, n_qubits,
+                           protocol_states, quantum_statistical_memory,
                            quantum_topological_memory, u_x)
 from qimem.stats import compare_transitions, word_counts
 
@@ -86,11 +85,11 @@ def test_nan_probabilities_rejected():
         with pytest.raises(ValueError):
             coin_quantum_memory(bad)
         with pytest.raises(ValueError):
-            postproc_memory_qubits(bad)
+            memory_qubits("postproc", 0.5, bad)
     for x in (0, 1):
         u_x(x)
         coin_quantum_memory(x)
-        postproc_memory_qubits(x)
+        memory_qubits("postproc", 0.5, x)
 
 
 KRON_VALUES = st.one_of(
@@ -166,11 +165,11 @@ def test_measure_uniform():
 
 def test_coin_memory_qubits():
     for p in P_GRID:
-        xi0, xi1 = coin_memory_qubits(p)
+        xi0, xi1 = memory_qubits("coin", p)
         check_unit(xi0), check_unit(xi1)
         assert xi0 @ xi1 == pytest.approx(2 * math.sqrt(p * (1 - p)),
                                           abs=1e-14)
-    xi0, xi1 = coin_memory_qubits(0.25)
+    xi0, xi1 = memory_qubits("coin", 0.25)
     assert xi0 @ xi1 == pytest.approx(0.8660254037844386, abs=1e-15)
     # UNIT_TOL is 1e-12: rounding passes, a real norm error does not
     check_unit(xi0 * (1 + 1e-14))
@@ -184,7 +183,7 @@ def test_encoded_states_match_single_qubit_overlaps():
     q = F(2, 3)
     machine = post_processed_coin(F(1, 9), q)
     pi = stationary(induced_chain(machine))
-    xi = postproc_memory_qubits(q)
+    xi = memory_qubits("postproc", F(1, 9), q)
     rho = sum(float(w) * np.outer(v, v) for w, v in zip(pi, xi))
     lams = memory_spectrum(machine)
     assert lams.shape == (3,)
@@ -194,6 +193,26 @@ def test_encoded_states_match_single_qubit_overlaps():
     G = gram_from_machine(machine)
     assert G[0, 1] == pytest.approx(math.sqrt(float(q)), abs=1e-14)
     assert G[0, 2] == 0.0
+
+
+def test_memory_qubits_of_each_model():
+    """The post-processed coin's middle state is (sqrt(q), sqrt(1 - q))
+    itself: at q = 0.2, 1 - (1 - q) is not q in floats, so the first
+    column of u_x(1 - q) differs in its last bit.  A model without a
+    circuit, and the post-processed coin without q, are refused."""
+    q = 0.2
+    assert 1 - (1 - q) != q
+    e0, xi, e1 = memory_qubits("postproc", 0.3, q)
+    assert e0.tolist() == [1.0, 0.0] and e1.tolist() == [0.0, 1.0]
+    assert xi.tolist() == [math.sqrt(q), math.sqrt(1 - q)]
+    assert xi.tolist() != u_x(1 - q)[:, 0].tolist()
+    xi0, xi1 = memory_qubits("coin", 0.3, q)  # the coin reads no q
+    assert xi0.tolist() == u_x(0.3)[:, 0].tolist()
+    assert xi1.tolist() == u_x(1 - 0.3)[:, 0].tolist()
+    with pytest.raises(ValueError, match="needs q"):
+        memory_qubits("postproc", 0.3)
+    with pytest.raises(ValueError, match="unknown circuit model"):
+        memory_qubits("custom", 0.3, q)
 
 
 def test_coin_step_matches_machine():

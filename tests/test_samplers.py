@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qimem import samplers
+from qimem import markov, samplers
 from qimem.markov import (TransitionMatrix, as_cdf, induced_chain,
                           perturbed_coin, post_processed_coin)
 from qimem.samplers import (CoinEnsemble, DegenerateSupportError,
@@ -151,8 +151,8 @@ def test_float_row_at_pi_needs_no_saves():
     assert sampler.expected_saved == 0.0
     sampler.step()
     assert sampler.saved_counts == [0, 0]
-    # the whole row must be within DELTA_ROW_TOL, and exact rows are exact
-    tiny, past = samplers.DELTA_ROW_TOL, 2 * samplers.DELTA_ROW_TOL
+    # the whole row must be within ROW_SUM_TOL, and exact rows are exact
+    tiny, past = markov.ROW_SUM_TOL, 2 * markov.ROW_SUM_TOL
     assert save_fractions((0.5, 0.5), ((tiny, -tiny), (past, -past))
                           ).tolist() == [0.0, 2 * past]
     assert save_fractions((F(1, 2), F(1, 2)), ((F(tiny), -F(tiny)),)
@@ -166,8 +166,8 @@ def test_exact_row_near_pi_keeps_exact_saves():
     chain = TransitionMatrix([[F(3, 5) + e, F(2, 5) - e],
                               [F(3, 5) - e, F(2, 5) + e]])
     t = RerouteTables.from_chain(chain)
-    assert all(abs(d) <= samplers.DELTA_ROW_TOL for row in t.delta for d in row)
-    assert all(0 < f < samplers.DELTA_ROW_TOL for f in t.f)
+    assert all(abs(d) <= markov.ROW_SUM_TOL for row in t.delta for d in row)
+    assert all(0 < f < markov.ROW_SUM_TOL for f in t.f)
     kernel = effective_kernel(t)
     assert all(kernel[j][i] == chain.array[j, i]
                for j in range(2) for i in range(2))
