@@ -443,6 +443,44 @@ def test_ratio_bias_reproduces_exact_flag_outputs(capsys):
         assert hashlib.sha256(stdout).hexdigest() == RATIO_DIGESTS[name], name
 
 
+# sha256 of stdout and the exit code of bp-verify runs that bench/golden.json
+# does not pin: a ratio and a float bias at one to six coin steps (three and
+# more skip the enumeration), and the post-processed coin at three (p, q).
+BP_VERIFY_DIGESTS = {
+    ("coin", "3/10", "1"): (
+        "fc15e7040eebd17d6775b30e7bcc726d534e5ac2a584d5be2b0cc7c6d382b995", 0),
+    ("coin", "0.37", "1"): (
+        "e54be96af0c89fbc73ef3d3c07a48c78d5d60c7320117051e65d0d7d2bd34614", 0),
+    ("coin", "3/10", "3"): (
+        "2874899bc12304edf7446bfb4ecbff25622d577d33bc85cc74d758fa2a1a734c", 0),
+    ("coin", "0.37", "3"): (
+        "4a60ccbccfa3c7acebc438658c69592dc6e7906e4bd514c5bee6999b4cdbe74b", 0),
+    ("coin", "3/10", "4"): (
+        "2874899bc12304edf7446bfb4ecbff25622d577d33bc85cc74d758fa2a1a734c", 0),
+    ("coin", "0.37", "4"): (
+        "4a60ccbccfa3c7acebc438658c69592dc6e7906e4bd514c5bee6999b4cdbe74b", 0),
+    ("coin", "3/10", "6"): (
+        "c66307cad0a373db3bad3713b65fba53550cca64f4ba1316d57f67750d30e10a", 0),
+    ("coin", "0.37", "6"): (
+        "4a60ccbccfa3c7acebc438658c69592dc6e7906e4bd514c5bee6999b4cdbe74b", 0),
+    ("postproc", "0.2", "0.35"): (
+        "d4d254e91069d28f8ac12f099b95d9a66f0d9f1a485378d71e7e9f4098e53176", 0),
+    ("postproc", "0.3", "0.5"): (
+        "9c43d061194629e2de5d4fb78a54882ddd4a3c78aaf2f1cf2b2f14c366a8b82a", 0),
+    ("postproc", "1/9", "2/3"): (
+        "12a76c3f4e3f6ab35ed2e3384c7d37f96ad17e197e4008a9d771bb1c88fbdb27", 0),
+}
+
+
+@pytest.mark.parametrize("model,p,third", sorted(BP_VERIFY_DIGESTS))
+def test_bp_verify_outputs_pinned(model, p, third, capsys):
+    extra = ("--steps", third) if model == "coin" else ("--q", third)
+    code = run("bp-verify", "--model", model, "--p", p, *extra)
+    stdout = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(stdout).hexdigest(), code) \
+        == BP_VERIFY_DIGESTS[model, p, third]
+
+
 def _chain_file(tmp_path, n):
     """A JSON file of a DEMO_MATRIX (n=3) or of a float chain on n states."""
     path = tmp_path / f"chain{n}.json"
