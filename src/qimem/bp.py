@@ -35,7 +35,10 @@ class CycleFactorGraph:
     """Factors F_0 .. F_{L-1} with F_ell coupling s_ell to s_{ell+1 mod L}.
 
     ``factors[ell]`` has shape (dim of s_{ell+1}, dim of s_ell); the shapes
-    must chain cyclically.
+    must chain cyclically.  A factor that differs between the J states of a
+    graph is a stack of shape (J, dim of s_{ell+1}, dim of s_ell), and every
+    2-D factor is shared by all of them.  The messages and marginals of such
+    a graph carry the state axis first.
     """
 
     def __init__(self, factors):
@@ -43,14 +46,18 @@ class CycleFactorGraph:
         if len(factors) < 2:
             raise ValueError("a cycle needs at least two factors")
         for f in factors:
-            if f.ndim != 2:
-                raise ValueError("factors must be matrices")
+            if f.ndim not in (2, 3):
+                raise ValueError("factors must be matrices or stacks of them")
+        stacks = {f.shape[0] for f in factors if f.ndim == 3}
+        if len(stacks) > 1:
+            raise ValueError("stacked factors differ in their number of states")
         L = len(factors)
         for ell in range(L):
-            if factors[ell].shape[1] != factors[ell - 1].shape[0]:
+            if factors[ell].shape[-1] != factors[ell - 1].shape[-2]:
                 raise ValueError(f"factor {ell} does not chain with factor "
                                  f"{(ell - 1) % L}")
         self.factors = factors
+        self.state_shape = tuple(stacks)
 
     @property
     def n_vars(self) -> int:
@@ -58,13 +65,29 @@ class CycleFactorGraph:
 
     @property
     def dims(self) -> list[int]:
-        return [f.shape[1] for f in self.factors]
+        return [f.shape[-1] for f in self.factors]
+
+    def state(self, j: int) -> CycleFactorGraph:
+        """The graph of state j alone: every factor a matrix."""
+        n = self.state_shape[0] if self.state_shape else 0
+        if not 0 <= j < n:
+            raise ValueError(f"state {j} is out of range for {n} states")
+        return CycleFactorGraph([f[j] if f.ndim == 3 else f
+                                 for f in self.factors])
 
 
 def _checked(values: np.ndarray) -> np.ndarray:
-    if not values.any():
+    if not values.any(axis=-1).all():
         raise AnnihilatingFactorError("annihilating factor")
     return values
+
+
+def _initial(graph: CycleFactorGraph, init) -> np.ndarray:
+    """``init`` checked and repeated for every state of the graph."""
+    init = np.asarray(init, dtype=float)
+    if init.shape != (graph.dims[0],):
+        raise ValueError("init has the wrong dimension for variable 0")
+    return _checked(np.broadcast_to(init, graph.state_shape + init.shape))
 
 
 def forward_pass(graph: CycleFactorGraph,
@@ -75,12 +98,9 @@ def forward_pass(graph: CycleFactorGraph,
     the factor order, plus the recirculated message at variable 0, whose
     equality with ``init`` is the self-consistency of the loop.
     """
-    init = np.asarray(init, dtype=float)
-    if init.shape != (graph.dims[0],):
-        raise ValueError("init has the wrong dimension for variable 0")
-    msgs = [_checked(init)]
+    msgs = [_initial(graph, init)]
     for factor in graph.factors:
-        msgs.append(_checked(factor @ msgs[-1]))
+        msgs.append(_checked(np.matmul(factor, msgs[-1][..., None])[..., 0]))
     return msgs
 
 
@@ -92,14 +112,12 @@ def backward_pass(graph: CycleFactorGraph,
     with the recirculated message at variable 0 appended at position L.
     nu_ell = nu_{ell+1} F_ell throughout, rows acting from the left.
     """
-    init = np.asarray(init, dtype=float)
-    if init.shape != (graph.dims[0],):
-        raise ValueError("init has the wrong dimension for variable 0")
     L = graph.n_vars
     out: list = [None] * (L + 1)
-    out[0] = current = _checked(init)
+    out[0] = current = _initial(graph, init)
     for ell in range(L - 1, -1, -1):
-        current = _checked(current @ graph.factors[ell])
+        current = _checked(
+            np.matmul(current[..., None, :], graph.factors[ell])[..., 0, :])
         out[ell if ell > 0 else L] = current
     return out
 
@@ -108,32 +126,40 @@ def marginal(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Normalized elementwise product of the forward and the backward
     message at one variable."""
     prod = mu * nu
-    z = prod.sum()
-    if z == 0:
+    z = prod.sum(axis=-1, keepdims=True)
+    if not z.all():
         raise ValueError("zero normalizer")
     return prod / z
 
 
-def probability_matrix(graph: CycleFactorGraph, var: int) -> np.ndarray:
-    """Cyclic product of all factors cut open at ``var``.
+def cut_distribution(graph: CycleFactorGraph, var: int) -> np.ndarray:
+    """Normalized diagonal of the cyclic product of all factors cut open at
+    ``var``, one row per state of the graph.
 
-    P_var = F_{var-1} ... F_0 F_{L-1} ... F_var, a square matrix on the
+    P_var = F_{var-1} ... F_0 F_{L-1} ... F_var is a square matrix on the
     variable's space whose diagonal carries the unnormalized marginals.
+    The shared factors from F_var up to the first stacked one are
+    multiplied once; each state's product is finished from there in turn,
+    so one dense product is alive at a time.
     """
     L = graph.n_vars
     if not 0 <= var < L:
         raise ValueError(f"variable {var} out of range")
-    P = np.eye(graph.dims[var])
-    for k in range(L):
-        P = graph.factors[(var + k) % L] @ P
-    return P
-
-
-def diagonal_distribution(P: np.ndarray) -> np.ndarray:
-    z = np.trace(P)
-    if z == 0:
-        raise ValueError("zero normalizer")
-    return np.diag(P) / z
+    order = [graph.factors[(var + k) % L] for k in range(L)]
+    shared = next((k for k, f in enumerate(order) if f.ndim == 3), L)
+    prefix = np.eye(graph.dims[var])
+    for factor in order[:shared]:
+        prefix = factor @ prefix
+    out = np.empty(graph.state_shape + (graph.dims[var],))
+    for j in np.ndindex(graph.state_shape):
+        P = prefix
+        for factor in order[shared:]:
+            P = (factor[j] if factor.ndim == 3 else factor) @ P
+        z = np.trace(P)
+        if z == 0:
+            raise ValueError("zero normalizer")
+        out[j] = np.diag(P) / z
+    return out
 
 
 def enumerable(graph: CycleFactorGraph) -> bool:
@@ -191,25 +217,26 @@ def prep_factor(x) -> np.ndarray:
 
 
 def _mirrored(up: list[np.ndarray]) -> list[np.ndarray]:
-    return up + [f.T for f in reversed(up)]
+    return up + [np.swapaxes(f, -1, -2) for f in reversed(up)]
 
 
-def coin_graph(p, j: int, steps: int = 1) -> CycleFactorGraph:
-    """Cycle graph of the coin protocol run for ``steps`` chained steps.
+def coin_graph(p, steps: int = 1) -> CycleFactorGraph:
+    """Cycle graph of the coin protocol run for ``steps`` chained steps,
+    from both causal states at once.
 
-    The preparation factor carries x_j (p for state 0, 1-p for state 1) on
-    the memory slot and p on the ancilla slot.  Every additional step
-    splices in an expansion factor (a fresh ancilla column, no new
-    preparation of the memory) followed by the CNOT on the last two slots.
-    The second half of the cycle is the reversed transposes, so the product
-    around the loop projects onto the all-zeros state.
+    The preparation factor is a stack over the states: it carries x_j (p
+    for state 0, 1-p for state 1) on the memory slot and p on the ancilla
+    slot.  Every additional step splices in an expansion factor (a fresh
+    ancilla column, no new preparation of the memory) followed by the CNOT
+    on the last two slots; these are shared.  The second half of the cycle
+    is the reversed transposes, so the product around the loop projects
+    onto the all-zeros state.
     """
-    if j not in (0, 1):
-        raise ValueError(f"coin causal state must be 0 or 1, got {j}")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    x_j = p if j == 0 else 1 - p
-    up = [kron(prep_factor(x_j), prep_factor(p)), cnot(2, 1, 2)]
+    up = [np.stack([kron(prep_factor(x_j), prep_factor(p))
+                    for x_j in (p, 1 - p)]),
+          cnot(2, 1, 2)]
     column = prep_factor(p)[:, :1]
     for m in range(2, steps + 1):
         up.append(kron(np.eye(2 ** m), column))
@@ -217,34 +244,29 @@ def coin_graph(p, j: int, steps: int = 1) -> CycleFactorGraph:
     return CycleFactorGraph(_mirrored(up))
 
 
-def postproc_graph(p, q, j: int) -> CycleFactorGraph:
-    """Cycle graph of the post-processed-coin protocol, one step.
+def postproc_graph(p, q) -> CycleFactorGraph:
+    """Cycle graph of the post-processed-coin protocol, one step, from its
+    three causal states at once.
 
     Preparation places G_j on the memory slot (projector for state 0, a
     prep factor of weight q for state 1, a basis shift for state 2) and
     projectors on the two ancilla slots; then the three gate factors of the
-    circuit, then the mirror.
+    circuit, shared by the states, then the mirror.
     """
     # State 1's preparation must send |0> to (sqrt(q), sqrt(1-q)), the
     # memory qubit of the middle causal state, hence the 1 - q argument.
-    if j == 0:
-        g = P0
-    elif j == 1:
-        g = prep_factor(1 - q)
-    elif j == 2:
-        g = np.array([[0.0, 0.0], [1.0, 0.0]])
-    else:
-        raise ValueError(f"causal state must be 0, 1 or 2, got {j}")
-    up = [kron(g, P0, P0),
+    memory = [P0, prep_factor(1 - q), np.array([[0.0, 0.0], [1.0, 0.0]])]
+    up = [np.stack([kron(g, P0, P0) for g in memory]),
           controlled_u(3, 1, 3, prep_factor(p), control_value=0),
           controlled_u(3, 1, 2, prep_factor(1 - q), control_value=1),
           cnot(3, 3, 2)]
     return CycleFactorGraph(_mirrored(up))
 
 
-def expected_messages(model: str, p, j: int, q=None,
+def expected_messages(model: str, p, q=None,
                       steps: int = 1) -> list[np.ndarray]:
-    """Circuit-side prediction for every forward message of a graph.
+    """Circuit-side prediction for every forward message of a graph, one
+    row per causal state.
 
     Entry ell is the intermediate state of the (mirrored) circuit at the
     cut between factors ell-1 and ell; the last entry predicts the
@@ -252,5 +274,5 @@ def expected_messages(model: str, p, j: int, q=None,
     ``quantum.protocol_states``, not from this module's factors, so a
     match with ``forward_pass`` is a genuine cross-check of two routes.
     """
-    up = protocol_states(model, p, j, q=q, steps=steps)
+    up = protocol_states(model, p, q=q, steps=steps)
     return up + up[-2::-1]

@@ -544,16 +544,10 @@ def cmd_bp_verify(args) -> int:
             raise UsageError("--steps applies to the coin graph only")
     else:
         _refuse_unread(args, "q")
+    graph = (bp.coin_graph(p, steps) if model == "coin"
+             else bp.postproc_graph(p, q))
     lines = []
-    devs = []
-    states = (0, 1) if model == "coin" else (0, 1, 2)
-    for j in states:
-        if model == "coin":
-            graph = bp.coin_graph(p, j, steps)
-        else:
-            graph = bp.postproc_graph(p, q, j)
-        devs.append(_verify_graph(graph, model, p, q, j, steps, lines))
-    worst = _worst(devs)
+    worst = _verify_graph(graph, model, p, q, steps, lines)
     lines.append(f"max_deviation={worst!r}")
     passed = worst < BP_TOL
     lines.append(f"passed={'true' if passed else 'false'}")
@@ -567,46 +561,47 @@ def _worst(deviations) -> float:
     return float(np.max(deviations))
 
 
-def _dev(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entrywise ``|a - b|``, NaN if any entry is NaN."""
-    return float(np.abs(a - b).max())
+def _dev(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest entrywise ``|a - b|`` of each state's row, NaN if any entry
+    of the row is NaN."""
+    return np.abs(a - b).max(axis=-1)
 
 
-def _verify_graph(graph, model, p, q, j, steps, lines) -> float:
+def _verify_graph(graph, model, p, q, steps, lines) -> float:
+    """Every check of every causal state of ``graph``; returns the worst."""
     init = np.zeros(graph.dims[0])
     init[0] = 1.0
     mu = bp.forward_pass(graph, init)
     nu = bp.backward_pass(graph, init)
-    expected = bp.expected_messages(model, p, j, q=q, steps=steps)
+    expected = bp.expected_messages(model, p, q=q, steps=steps)
     L = graph.n_vars
     # One comparison per kind of deviation, over the arrays of every variable
-    # laid end to end; the last forward message is the loop's.  The dense
-    # probability matrices come first: the copies are not alive beside them.
-    diagonals = np.concatenate([
-        bp.diagonal_distribution(bp.probability_matrix(graph, ell))
-        for ell in range(L)])
-    forward = np.concatenate(mu)
-    backward = np.concatenate(nu[:L])
+    # laid end to end, one row per causal state; the last forward message is
+    # the loop's.  The dense cut products come first: the copies are not
+    # alive beside them.
+    diagonals = np.concatenate([bp.cut_distribution(graph, ell)
+                                for ell in range(L)], axis=-1)
+    forward = np.concatenate(mu, axis=-1)
+    backward = np.concatenate(nu[:L], axis=-1)
     marginals = np.concatenate([bp.marginal(mu[ell], nu[ell])
-                                for ell in range(L)])
-    cut = backward.size
-    msg_dev = _dev(forward, np.concatenate(expected))
-    loop_dev = _dev(forward[cut:], init)
-    transpose_dev = _dev(backward, forward[:cut])
-    marg_dev = _dev(marginals, diagonals)
-    devs = [msg_dev, loop_dev, transpose_dev, marg_dev]
-    lines.append(f"state{j}_message_dev={msg_dev!r}")
-    lines.append(f"state{j}_loop_dev={loop_dev!r}")
-    lines.append(f"state{j}_transpose_dev={transpose_dev!r}")
-    lines.append(f"state{j}_marginal_dev={marg_dev!r}")
-    # graphs above bp.MAX_ENUM_BITS skip only the brute-force cross-check
-    if bp.enumerable(graph):
-        enum_marg, _ = bp.brute_marginals(graph)
-        devs.append(_dev(marginals, np.concatenate(enum_marg)))
-        lines.append(f"state{j}_enumeration_dev={devs[-1]!r}")
-    else:
-        lines.append(f"state{j}_enumeration_dev=skipped")
-    return _worst(devs)
+                                for ell in range(L)], axis=-1)
+    cut = backward.shape[-1]
+    checks = {"message": _dev(forward, np.concatenate(expected, axis=-1)),
+              "loop": _dev(forward[:, cut:], init),
+              "transpose": _dev(backward, forward[:, :cut]),
+              "marginal": _dev(marginals, diagonals)}
+    devs = list(checks.values())
+    for j in range(len(forward)):
+        lines += [f"state{j}_{name}_dev={float(dev[j])!r}"
+                  for name, dev in checks.items()]
+        # graphs above bp.MAX_ENUM_BITS skip only the brute-force cross-check
+        if bp.enumerable(graph):
+            enum_marg, _ = bp.brute_marginals(graph.state(j))
+            devs.append(_dev(marginals[j], np.concatenate(enum_marg)))
+            lines.append(f"state{j}_enumeration_dev={float(devs[-1])!r}")
+        else:
+            lines.append(f"state{j}_enumeration_dev=skipped")
+    return _worst(np.hstack(devs))
 
 
 if __name__ == "__main__":

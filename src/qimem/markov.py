@@ -100,8 +100,12 @@ def _stochastic_array(rows) -> np.ndarray:
 
 def _row_sums(array: np.ndarray) -> np.ndarray:
     """Row sums of a 2-D array, each added left to right like ``sum(row)``,
-    so that the bits of a float sum do not depend on numpy's blocking."""
-    return np.cumsum(array, axis=1)[:, -1]
+    so that the bits of a float sum do not depend on numpy's blocking.
+    The columns are added into one vector, so no n x n temporary is made."""
+    sums = array[:, 0].copy()
+    for column in array.T[1:]:
+        sums += column
+    return sums
 
 
 def normalized_chain(rows) -> TransitionMatrix:

@@ -219,40 +219,50 @@ def memory_qubits(model: str, p, q=None) -> list[np.ndarray]:
             np.array([0.0, 1.0])]
 
 
-def protocol_states(model: str, p, j: int, q=None,
+def protocol_states(model: str, p, q=None,
                     steps: int = 1) -> list[np.ndarray]:
-    """Every register state of one protocol run from causal state j.
+    """Every register state of one protocol run, one row per causal state.
 
     The only place the protocols' gates are applied.  Entry 0 is the
     all-zeros register, entry 1 the prepared |xi_j> with its ancillas and
-    each later entry the register after one more gate.  The coin runs
-    ``steps`` chained steps: CNOT(1 -> 2) on |xi_j>|xi_0>, then per extra
-    step a fresh ancilla |xi_0> appended and a CNOT from the previous
-    memory qubit onto it, so qubits 1..k carry the outputs and qubit k+1
-    the memory.  The post-processed coin runs one step on |xi_j>|0>|0>:
-    the negated-control U_p on qubit 3, the controlled U_{1-q} on qubit 2
-    and CNOT(3 -> 2).
+    each later entry the register after one more gate; row j of each entry
+    is the run from causal state j.  The coin runs ``steps`` chained
+    steps: CNOT(1 -> 2) on |xi_j>|xi_0>, then per extra step a fresh
+    ancilla |xi_0> appended and a CNOT from the previous memory qubit onto
+    it, so qubits 1..k carry the outputs and qubit k+1 the memory.  The
+    post-processed coin runs one step on |xi_j>|0>|0>: the negated-control
+    U_p on qubit 3, the controlled U_{1-q} on qubit 2 and CNOT(3 -> 2).
     """
-    xi = memory_qubits(model, p, q)
-    if j not in range(len(xi)):
-        raise ValueError(f"{model} causal state must be below {len(xi)}, "
-                         f"got {j}")
+    xi = np.array(memory_qubits(model, p, q))
     if steps < 1 or (model == "postproc" and steps != 1):
         raise ValueError(f"{model} protocol cannot run {steps} steps")
     e0 = np.array([1.0, 0.0])
     if model == "coin":
-        up = [kron(e0, e0), kron(xi[j], xi[0])]
-        up.append(cnot(2, 1, 2) @ up[-1])
+        up = [_append(np.broadcast_to(e0, xi.shape), e0), _append(xi, xi[0])]
+        up.append(_apply(cnot(2, 1, 2), up[-1]))
         for m in range(2, steps + 1):
-            up.append(kron(up[-1], xi[0]))
-            up.append(kron(np.eye(2 ** (m - 1)), cnot(2, 1, 2)) @ up[-1])
+            up.append(_append(up[-1], xi[0]))
+            up.append(_apply(kron(np.eye(2 ** (m - 1)), cnot(2, 1, 2)),
+                             up[-1]))
         return up
-    up = [kron(e0, e0, e0), kron(xi[j], e0, e0)]
+    up = [_append(np.broadcast_to(e0, xi.shape), e0, e0), _append(xi, e0, e0)]
     for gate in (controlled_u(3, 1, 3, u_x(p), control_value=0),
                  controlled_u(3, 1, 2, u_x(1 - float(q))),
                  cnot(3, 3, 2)):
-        up.append(gate @ up[-1])
+        up.append(_apply(gate, up[-1]))
     return up
+
+
+def _append(states: np.ndarray, *qubits: np.ndarray) -> np.ndarray:
+    """``kron(row, *qubits)`` for every row of ``states``."""
+    for qubit in qubits:
+        states = (states[:, :, None] * qubit).reshape(len(states), -1)
+    return states
+
+
+def _apply(gate: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``gate @ row`` for every row of ``states``."""
+    return np.matmul(gate, states[:, :, None])[:, :, 0]
 
 
 def circuit_step_table(model: str, p, q=None) -> TransitionMatrix:
@@ -272,8 +282,7 @@ def circuit_step_table(model: str, p, q=None) -> TransitionMatrix:
     n = len(refs)  # both protocols emit one symbol per causal state
     qubits = (1,) if model == "coin" else (1, 3)
     probs = np.zeros((n, n))
-    for j in range(n):
-        psi = protocol_states(model, p, j, q)[-1]
+    for j, psi in enumerate(protocol_states(model, p, q)[-1]):
         for y, pr, post in measure(psi, qubits):
             if pr == 0:
                 continue

@@ -365,3 +365,48 @@ class ReferenceQISampler:
         self.flags = u_save < self.f[i]
         self.saved_counts.append(int(self.flags.sum()))
         return self.values
+
+
+def reference_bp(graph) -> dict:
+    """One state's belief propagation the per-state way, on a graph of
+    matrices (``CycleFactorGraph.state(j)``): 1-D messages from the unit
+    vector at variable 0, each cut product multiplied out in full from the
+    identity, marginals normalized by their own sums.  The shared graph's
+    messages, cut diagonals and marginals must match it bit for bit."""
+    factors, L = graph.factors, graph.n_vars
+    init = np.zeros(graph.dims[0])
+    init[0] = 1.0
+    forward = [init]
+    for factor in factors:
+        forward.append(factor @ forward[-1])
+    backward = [init] + [None] * L
+    current = init
+    for ell in range(L - 1, -1, -1):
+        current = current @ factors[ell]
+        backward[ell if ell > 0 else L] = current
+    marginals = []
+    for mu, nu in zip(forward[:L], backward[:L]):
+        prod = mu * nu
+        marginals.append(prod / prod.sum())
+    return {"forward": forward, "backward": backward, "marginals": marginals,
+            "diagonals": [diagonal_distribution(probability_matrix(graph, v))
+                          for v in range(L)]}
+
+
+def probability_matrix(graph, var: int) -> np.ndarray:
+    """Cyclic product of all factors of a graph of matrices cut open at
+    ``var``: P_var = F_{var-1} ... F_0 F_{L-1} ... F_var."""
+    L = graph.n_vars
+    if not 0 <= var < L:
+        raise ValueError(f"variable {var} out of range")
+    P = np.eye(graph.dims[var])
+    for k in range(L):
+        P = graph.factors[(var + k) % L] @ P
+    return P
+
+
+def diagonal_distribution(P: np.ndarray) -> np.ndarray:
+    z = np.trace(P)
+    if z == 0:
+        raise ValueError("zero normalizer")
+    return np.diag(P) / z

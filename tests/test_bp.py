@@ -9,14 +9,16 @@ per-edge comparison with states built from raw gates.
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
 from qimem.bp import (AnnihilatingFactorError, CycleFactorGraph, backward_pass,
-                      brute_marginals, coin_graph, diagonal_distribution,
+                      brute_marginals, coin_graph, cut_distribution,
                       expected_messages, forward_pass, marginal,
-                      postproc_graph, prep_factor, probability_matrix)
+                      postproc_graph, prep_factor)
 from qimem.markov import perturbed_coin
 from qimem.quantum import protocol_states
 
-from helpers import exact_kgram_distribution
+from helpers import exact_kgram_distribution, reference_bp
 
 P_SWEEP = [0.0, 0.3, 1 / 9, 1.0]
 
@@ -27,13 +29,14 @@ def unit_init(graph: CycleFactorGraph) -> np.ndarray:
     return init
 
 
-def full_battery(graph, model, p, j, q=None, steps=1, tol=1e-12):
-    """All five equivalence checks on one graph; returns worst deviation."""
+def full_battery(graph, model, p, q=None, steps=1, tol=1e-12):
+    """All five equivalence checks on every state of one graph; returns the
+    worst deviation."""
     init = unit_init(graph)
     mu = forward_pass(graph, init)
     nu = backward_pass(graph, init)
     L = graph.n_vars
-    expected = expected_messages(model, p, j, q=q, steps=steps)
+    expected = expected_messages(model, p, q=q, steps=steps)
     dev = max(np.max(np.abs(mu[ell] - expected[ell]))
               for ell in range(L + 1))
     dev = max(dev, np.max(np.abs(mu[L] - init)))
@@ -41,25 +44,39 @@ def full_battery(graph, model, p, j, q=None, steps=1, tol=1e-12):
                        for ell in range(L)))
     for ell in range(L):
         point = marginal(mu[ell], nu[ell])
-        assert point.sum() == pytest.approx(1.0, abs=1e-13)
-        diag = diagonal_distribution(probability_matrix(graph, ell))
+        assert point.sum(axis=-1) == pytest.approx(1.0, abs=1e-13)
+        diag = cut_distribution(graph, ell)
         dev = max(dev, float(np.max(np.abs(point - diag))))
-    enum_marg, z = brute_marginals(graph)
-    assert z == pytest.approx(1.0, abs=1e-12)
-    dev = max(dev, max(float(np.max(np.abs(marginal(mu[ell], nu[ell]) - m)))
-                       for ell, m in enumerate(enum_marg)))
-    assert dev < tol, f"{model} p={p} j={j}: deviation {dev}"
+    for j in range(graph.state_shape[0]):
+        enum_marg, z = brute_marginals(graph.state(j))
+        assert z == pytest.approx(1.0, abs=1e-12)
+        dev = max(dev, max(float(np.max(np.abs(
+            marginal(mu[ell][j], nu[ell][j]) - m)))
+            for ell, m in enumerate(enum_marg)))
+    assert dev < tol, f"{model} p={p}: deviation {dev}"
     return dev
 
 
 def test_graph_validation():
     with pytest.raises(ValueError):
         CycleFactorGraph([])
-    good = coin_graph(0.3, 0)
+    good = coin_graph(0.3)
     assert good.n_vars == 4 and good.dims == [4, 4, 4, 4]
+    assert good.state_shape == (2,)
+    assert postproc_graph(0.3, 0.5).state_shape == (3,)
     broken = [np.eye(4), np.zeros((8, 4)), np.eye(4)]  # 8 does not chain back
     with pytest.raises(ValueError):
         CycleFactorGraph(broken)
+    with pytest.raises(ValueError):  # two and three states
+        CycleFactorGraph([np.zeros((2, 4, 4)), np.zeros((3, 4, 4))])
+    with pytest.raises(ValueError):
+        CycleFactorGraph([np.zeros((1, 2, 4, 4)), np.eye(4)])
+    plain = CycleFactorGraph([np.eye(2), np.eye(2)])
+    assert plain.state_shape == ()
+    with pytest.raises(ValueError):
+        plain.state(0)
+    with pytest.raises(ValueError):
+        good.state(-1)
 
 
 def test_prep_factor():
@@ -75,41 +92,38 @@ def test_prep_factor():
 
 def test_coin_graph_battery():
     for p in P_SWEEP:
-        for j in (0, 1):
-            full_battery(coin_graph(p, j), "coin", p, j)
+        full_battery(coin_graph(p), "coin", p)
     with pytest.raises(ValueError):
-        coin_graph(0.3, 2)
+        coin_graph(0.3).state(2)
     with pytest.raises(ValueError):
-        coin_graph(0.3, 0, steps=0)
+        coin_graph(0.3, steps=0)
 
 
 def test_coin_graph_deterministic_point():
     # p = 0 from the quiet state: every message is a basis vector
-    mu = forward_pass(coin_graph(0.0, 0), np.array([1.0, 0, 0, 0]))
+    mu = forward_pass(coin_graph(0.0), np.array([1.0, 0, 0, 0]))
     for msg in mu:
-        assert np.count_nonzero(msg) == 1
-        assert np.linalg.norm(msg) == 1.0
+        assert np.count_nonzero(msg[0]) == 1
+        assert np.linalg.norm(msg[0]) == 1.0
 
 
 def test_postproc_graph_battery():
     for p in P_SWEEP:
-        for j in (0, 1, 2):
-            full_battery(postproc_graph(p, 2 / 3, j), "postproc", p, j,
-                         q=2 / 3)
+        full_battery(postproc_graph(p, 2 / 3), "postproc", p, q=2 / 3)
     for q in (0.0, 1.0):
-        full_battery(postproc_graph(0.3, q, 1), "postproc", 0.3, 1, q=q)
+        full_battery(postproc_graph(0.3, q), "postproc", 0.3, q=q)
     with pytest.raises(ValueError):
-        postproc_graph(0.3, 0.5, 3)
+        postproc_graph(0.3, 0.5).state(3)
 
 
 def test_prep_side_closes_into_projector():
-    g = coin_graph(0.7, 1)
+    g = coin_graph(0.7).state(1)
     G = g.factors[1] @ g.factors[0]
     target = np.zeros((4, 4))
     target[0, 0] = 1.0
     assert np.allclose(G.T @ G, target, atol=1e-12)
     for j in range(3):
-        g = postproc_graph(0.2, 0.6, j)
+        g = postproc_graph(0.2, 0.6).state(j)
         G = np.eye(8)
         for f in g.factors[:4]:
             G = f @ G
@@ -120,17 +134,17 @@ def test_prep_side_closes_into_projector():
 
 def test_two_step_graph():
     p = 0.3
+    graph = coin_graph(p, steps=2)
+    assert graph.dims == [4, 4, 4, 8, 8, 8, 4, 4]
+    full_battery(graph, "coin", p, steps=2)
+    mu = forward_pass(graph, unit_init(graph))
     for j in (0, 1):
-        graph = coin_graph(p, j, steps=2)
-        assert graph.dims == [4, 4, 4, 8, 8, 8, 4, 4]
-        full_battery(graph, "coin", p, j, steps=2)
-        mu = forward_pass(graph, unit_init(graph))
         # the fully entangled edge carries the two-step circuit state
-        theta = protocol_states("coin", p, j, steps=2)[-1]
-        assert np.max(np.abs(mu[4] - theta)) < 1e-12
+        theta = protocol_states("coin", p, steps=2)[-1][j]
+        assert np.max(np.abs(mu[4][j] - theta)) < 1e-12
         # reading both output slots off that edge gives the word law;
         # the final memory qubit is the last axis and is traced out
-        diag = diagonal_distribution(probability_matrix(graph, 4))
+        diag = cut_distribution(graph, 4)[j]
         joint = diag.reshape(2, 2, 2).sum(axis=2)
         law = exact_kgram_distribution(perturbed_coin(p), 2, start=j)
         for (b1, b2), pr in np.ndenumerate(joint):
@@ -139,22 +153,29 @@ def test_two_step_graph():
 
 
 def test_three_step_graph_spliced():
-    graph = coin_graph(0.4, 1, steps=3)
+    graph = coin_graph(0.4, steps=3)
     assert graph.n_vars == 12
     assert graph.dims[5] == 16
     init = unit_init(graph)
     mu = forward_pass(graph, init)
-    expected = expected_messages("coin", 0.4, 1, steps=3)
+    expected = expected_messages("coin", 0.4, steps=3)
     assert max(np.max(np.abs(m - e))
                for m, e in zip(mu, expected)) < 1e-12
     assert np.max(np.abs(mu[-1] - init)) < 1e-12
     # 34 bits of joint state is past the enumeration guard
     with pytest.raises(ValueError):
-        brute_marginals(graph)
+        brute_marginals(graph.state(1))
 
 
 def test_annihilating_factor():
     graph = CycleFactorGraph([np.zeros((2, 2)), np.eye(2)])
+    with pytest.raises(AnnihilatingFactorError):
+        forward_pass(graph, np.array([1.0, 0.0]))
+    with pytest.raises(AnnihilatingFactorError):
+        backward_pass(graph, np.array([1.0, 0.0]))
+    # one state of two is enough
+    graph = CycleFactorGraph([np.stack([np.eye(2), np.zeros((2, 2))]),
+                              np.eye(2)])
     with pytest.raises(AnnihilatingFactorError):
         forward_pass(graph, np.array([1.0, 0.0]))
     with pytest.raises(AnnihilatingFactorError):
@@ -169,7 +190,7 @@ def test_brute_zero_normalizer():
 
 
 def test_forward_init_validation():
-    graph = coin_graph(0.3, 0)
+    graph = coin_graph(0.3)
     with pytest.raises(ValueError):
         forward_pass(graph, np.ones(8))
     with pytest.raises(ValueError):
@@ -179,5 +200,40 @@ def test_forward_init_validation():
 def test_marginal_validation():
     with pytest.raises(ValueError):  # disjoint supports, zero normalizer
         marginal(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):  # one state of two
+        marginal(np.array([[1.0, 0.0], [1.0, 0.0]]),
+                 np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        probability_matrix(coin_graph(0.3, 0), 4)
+        cut_distribution(coin_graph(0.3), 4)
+    shift = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):  # state 1's loop product has no trace
+        cut_distribution(CycleFactorGraph([np.stack([np.eye(2), shift]),
+                                           shift.T]), 0)
+
+
+SHARED_GRID = [0, 1, Fraction(2, 3), 0.37]
+
+
+@pytest.mark.parametrize("model,p,q,steps",
+                         [("coin", p, None, s) for s in range(1, 6)
+                          for p in SHARED_GRID]
+                         + [("postproc", p, q, 1) for p in SHARED_GRID
+                            for q in SHARED_GRID])
+def test_shared_graph_matches_per_state_route(model, p, q, steps):
+    """The graph of all causal states at once gives every state the bytes
+    of its own graph run the per-state way."""
+    graph = coin_graph(p, steps) if model == "coin" else postproc_graph(p, q)
+    init = unit_init(graph)
+    mu = forward_pass(graph, init)
+    nu = backward_pass(graph, init)
+    shared = {"forward": mu, "backward": nu,
+              "marginals": [marginal(mu[ell], nu[ell])
+                            for ell in range(graph.n_vars)],
+              "diagonals": [cut_distribution(graph, ell)
+                            for ell in range(graph.n_vars)]}
+    for j in range(graph.state_shape[0]):
+        for name, arrays in reference_bp(graph.state(j)).items():
+            assert len(arrays) == len(shared[name]), name
+            for ell, want in enumerate(arrays):
+                got = shared[name][ell][j]
+                assert got.tobytes() == want.tobytes(), (name, j, ell)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qimem import quantum
-from qimem.bp import expected_messages
+from qimem.bp import coin_graph, expected_messages, postproc_graph
 from qimem.markov import (EpsilonMachine, binary_entropy, induced_chain,
                           machine_from_chain, perturbed_coin,
                           post_processed_coin, stationary,
@@ -241,15 +241,15 @@ def test_step_table_refuses_a_branch_off_its_causal_state(monkeypatch):
 
     def flipped(*args, **kwargs):
         up = states(*args, **kwargs)
-        return up[:-1] + [kron(quantum.I2, quantum.X) @ up[-1]]
+        return up[:-1] + [up[-1] @ kron(quantum.I2, quantum.X).T]
 
     monkeypatch.setattr(quantum, "protocol_states", flipped)
     with pytest.raises(ValueError, match="branch \\(0,\\) from causal state 0"):
         circuit_step_table("coin", 0.3)
 
     def dead_branch(*args, **kwargs):
-        return [kron(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
-                     np.array([0.0, 1.0]))]
+        return [np.tile(kron(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+                             np.array([0.0, 1.0])), (3, 1))]
 
     monkeypatch.setattr(quantum, "protocol_states", dead_branch)
     with pytest.raises(ValueError, match="branch \\(1, 1\\)"):
@@ -299,33 +299,40 @@ def test_postproc_conflicting_branch_is_structurally_dead():
 def test_protocol_states_match_raw_gates(p):
     # each protocol rebuilt gate by gate; the BP messages are those states
     # followed by their mirror image, bit for bit
-    for j in (0, 1):
-        for steps in (1, 2, 3):
+    for steps in (1, 2, 3):
+        got = protocol_states("coin", p, steps=steps)
+        messages = expected_messages("coin", p, steps=steps)
+        for j in (0, 1):
             want = raw_coin_states(p, j, steps)
-            assert_states_equal(protocol_states("coin", p, j, steps=steps),
-                                want)
-            assert_states_equal(expected_messages("coin", p, j, steps=steps),
+            assert_states_equal([s[j] for s in got], want)
+            assert_states_equal([m[j] for m in messages],
                                 want + want[-2::-1])
     for q in (F(2, 3), 0.25, 0.0, 1.0):
+        got = protocol_states("postproc", p, q)
+        messages = expected_messages("postproc", p, q=q)
         for j in (0, 1, 2):
             want = raw_postproc_states(p, q, j)
-            assert_states_equal(protocol_states("postproc", p, j, q), want)
-            assert_states_equal(expected_messages("postproc", p, j, q=q),
+            assert_states_equal([s[j] for s in got], want)
+            assert_states_equal([m[j] for m in messages],
                                 want + want[-2::-1])
 
 
 def test_protocol_validation():
-    for model, j in (("coin", 2), ("coin", -1), ("postproc", 3)):
+    # a causal state out of range is refused by the graph that has one
+    # row per causal state
+    for graph, j in ((coin_graph(0.3), 2), (coin_graph(0.3), -1),
+                     (postproc_graph(0.3, 0.5), 3)):
         with pytest.raises(ValueError):
-            protocol_states(model, 0.3, j, q=0.5)
+            graph.state(j)
+    assert [len(s) for s in protocol_states("postproc", 0.3, q=0.5)] == [3] * 5
     with pytest.raises(ValueError):
-        protocol_states("coin", 0.3, 0, steps=0)
+        protocol_states("coin", 0.3, steps=0)
     with pytest.raises(ValueError):
-        protocol_states("postproc", 0.3, 0, q=0.5, steps=2)
+        protocol_states("postproc", 0.3, q=0.5, steps=2)
     with pytest.raises(ValueError):
-        protocol_states("postproc", 0.3, 0)
+        protocol_states("postproc", 0.3)
     with pytest.raises(ValueError):
-        protocol_states("bogus", 0.3, 0)
+        protocol_states("bogus", 0.3)
 
 
 def test_coin_density_spectrum():
@@ -463,7 +470,7 @@ def test_two_step_state_matches_word_law():
     for p in P_GRID:
         machine = perturbed_coin(p)
         for j in range(2):
-            theta = protocol_states("coin", p, j, steps=2)[-1]
+            theta = protocol_states("coin", p, steps=2)[-1][j]
             assert theta.shape == (8,)
             check_unit(theta)
             dist = {word: pr for word, pr, _ in measure(theta, (1, 2))
