@@ -445,7 +445,8 @@ def test_ratio_bias_reproduces_exact_flag_outputs(capsys):
 
 # sha256 of stdout and the exit code of bp-verify runs that bench/golden.json
 # does not pin: a ratio and a float bias at one to six coin steps (three and
-# more skip the enumeration), and the post-processed coin at three (p, q).
+# more skip the enumeration), the ratio at five steps and the float at eight,
+# and the post-processed coin at three (p, q).
 BP_VERIFY_DIGESTS = {
     ("coin", "3/10", "1"): (
         "fc15e7040eebd17d6775b30e7bcc726d534e5ac2a584d5be2b0cc7c6d382b995", 0),
@@ -459,10 +460,14 @@ BP_VERIFY_DIGESTS = {
         "2874899bc12304edf7446bfb4ecbff25622d577d33bc85cc74d758fa2a1a734c", 0),
     ("coin", "0.37", "4"): (
         "4a60ccbccfa3c7acebc438658c69592dc6e7906e4bd514c5bee6999b4cdbe74b", 0),
+    ("coin", "3/10", "5"): (
+        "2874899bc12304edf7446bfb4ecbff25622d577d33bc85cc74d758fa2a1a734c", 0),
     ("coin", "3/10", "6"): (
         "c66307cad0a373db3bad3713b65fba53550cca64f4ba1316d57f67750d30e10a", 0),
     ("coin", "0.37", "6"): (
         "4a60ccbccfa3c7acebc438658c69592dc6e7906e4bd514c5bee6999b4cdbe74b", 0),
+    ("coin", "0.37", "8"): (
+        "2c755f675ac03fddd6195405e4b556f83c09dcfc5faa1ef328bf280e148cd008", 0),
     ("postproc", "0.2", "0.35"): (
         "d4d254e91069d28f8ac12f099b95d9a66f0d9f1a485378d71e7e9f4098e53176", 0),
     ("postproc", "0.3", "0.5"): (
