@@ -15,16 +15,19 @@ import math
 import numpy as np
 
 from .markov import _check_unit_interval
-from .quantum import cnot, controlled_u, kron, protocol_states, P0
+from .quantum import (PROTOCOL_STEPS, X, chained_steps, controlled_u, kron,
+                      protocol_states)
 
 MAX_ENUM_BITS = 24
-# Chained coin steps a bp-verify run takes: each step doubles the width of
-# the dense gates the graph and the circuit route build.  Step 10 takes
-# about 3.5 s and 186 MB, step 9 about 0.45 s and 71 MB (in-process runs at
-# --p 0.3 on a 2-vCPU AMD EPYC VM, Python 3.11 and numpy 2.4; wall clock,
-# peak RSS from resource.getrusage), so each step takes about eight times
-# as long as the one before.
-MAX_COIN_STEPS = 10
+# Qubits a bp-verify register may reach: every dense gate of the graph and
+# of the circuit route spans the register, so each qubit doubles its width.
+# A model with a ancillas per step chains (MAX_QUBITS - 1) // a steps.  The
+# coin's steps 9 and 10 take about 0.5 s at 69 MB and 3.6 s at 184 MB, the
+# post-processed coin's steps 4 and 5 about 0.25 s at 45 MB and 11 s at
+# 219 MB (in-process runs at --p 0.3, and at --p 0.2 --q 0.35, on a 2-vCPU
+# AMD EPYC VM, Python 3.11 and numpy 2.4; wall clock, peak RSS from
+# resource.getrusage).
+MAX_QUBITS = 11
 
 
 class AnnihilatingFactorError(ValueError):
@@ -220,46 +223,32 @@ def _mirrored(up: list[np.ndarray]) -> list[np.ndarray]:
     return up + [np.swapaxes(f, -1, -2) for f in reversed(up)]
 
 
-def coin_graph(p, steps: int = 1) -> CycleFactorGraph:
-    """Cycle graph of the coin protocol run for ``steps`` chained steps,
-    from both causal states at once.
+def protocol_graph(model: str, p, q=None, steps: int = 1) -> CycleFactorGraph:
+    """Cycle graph of a protocol run for ``steps`` chained steps, from all
+    of its causal states at once.
 
-    The preparation factor is a stack over the states: it carries x_j (p
-    for state 0, 1-p for state 1) on the memory slot and p on the ancilla
-    slot.  Every additional step splices in an expansion factor (a fresh
-    ancilla column, no new preparation of the memory) followed by the CNOT
-    on the last two slots; these are shared.  The second half of the cycle
-    is the reversed transposes, so the product around the loop projects
-    onto the all-zeros state.
+    The preparation factor, a stack over the states, prepares each state's
+    bias on the memory slot and the first step's fresh ancillas.  Each
+    further step splices in an expansion factor, which appends its ancilla
+    columns, and every step's gates follow; these are shared.  The second
+    half of the cycle is the reversed transposes, so the product around the
+    loop projects onto the all-zeros state.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    up = [np.stack([kron(prep_factor(x_j), prep_factor(p))
-                    for x_j in (p, 1 - p)]),
-          cnot(2, 1, 2)]
-    column = prep_factor(p)[:, :1]
-    for m in range(2, steps + 1):
-        up.append(kron(np.eye(2 ** m), column))
-        up.append(kron(np.eye(2 ** (m - 1)), cnot(2, 1, 2)))
-    return CycleFactorGraph(_mirrored(up))
-
-
-def postproc_graph(p, q) -> CycleFactorGraph:
-    """Cycle graph of the post-processed-coin protocol, one step, from its
-    three causal states at once.
-
-    Preparation places G_j on the memory slot (projector for state 0, a
-    prep factor of weight q for state 1, a basis shift for state 2) and
-    projectors on the two ancilla slots; then the three gate factors of the
-    circuit, shared by the states, then the mirror.
-    """
+    chain = list(chained_steps(model, steps))
     # State 1's preparation must send |0> to (sqrt(q), sqrt(1-q)), the
     # memory qubit of the middle causal state, hence the 1 - q argument.
-    memory = [P0, prep_factor(1 - q), np.array([[0.0, 0.0], [1.0, 0.0]])]
-    up = [np.stack([kron(g, P0, P0) for g in memory]),
-          controlled_u(3, 1, 3, prep_factor(p), control_value=0),
-          controlled_u(3, 1, 2, prep_factor(1 - q), control_value=1),
-          cnot(3, 3, 2)]
+    memory = (p, 1 - p) if model == "coin" else (0, 1 - q, 1)
+    rotations = {"0": prep_factor(0), "p": prep_factor(p), "X": X,
+                 "1-q": None if q is None else prep_factor(1 - q)}
+    step = PROTOCOL_STEPS[model]
+    fresh = [rotations[a] for a in step.ancillas]
+    up = [np.stack([kron(prep_factor(x), *fresh) for x in memory])]
+    for m, (qubits, width) in enumerate(chain):
+        if m:
+            up.append(kron(np.eye(2 ** (width - len(fresh))),
+                           *[f[:, :1] for f in fresh]))
+        up += [controlled_u(width, qubits[c], qubits[t], rotations[name], v)
+               for c, t, name, v in step.gates]
     return CycleFactorGraph(_mirrored(up))
 
 

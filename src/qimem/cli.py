@@ -101,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", help="coin bias")
     sp.add_argument("--q", help="post-processing weight")
     sp.add_argument("--steps", type=int, default=1,
-                    help="chained protocol steps for the coin graph, "
-                         f"at most {bp.MAX_COIN_STEPS} (default %(default)s)")
+                    help=f"chained protocol steps, {_max_steps('coin')} at "
+                         f"most for the coin and {_max_steps('postproc')} for "
+                         "postproc (default %(default)s)")
     common(sp)
     sp.set_defaults(func=cmd_bp_verify)
     return parser
@@ -532,20 +533,23 @@ def _verdict(words, tallies, law, sigma, context, ensemble=None):
 
 # --------------------------------------------------------------- bp-verify
 
+def _max_steps(model: str) -> int:
+    """Chained steps of a model whose register fits bp.MAX_QUBITS."""
+    return (bp.MAX_QUBITS - 1) // len(quantum.PROTOCOL_STEPS[model].ancillas)
+
+
 def cmd_bp_verify(args) -> int:
     model, steps = args.model, args.steps
     p = _number(args.p, "p")
     q = None
-    if not 1 <= steps <= bp.MAX_COIN_STEPS:
-        raise UsageError(f"--steps must be in 1..{bp.MAX_COIN_STEPS}")
+    if not 1 <= steps <= _max_steps(model):
+        raise UsageError(f"--steps must be in 1..{_max_steps(model)} for the "
+                         f"{model} model")
     if model == "postproc":
         q = _number(args.q, "q")
-        if steps != 1:
-            raise UsageError("--steps applies to the coin graph only")
     else:
         _refuse_unread(args, "q")
-    graph = (bp.coin_graph(p, steps) if model == "coin"
-             else bp.postproc_graph(p, q))
+    graph = bp.protocol_graph(model, p, q, steps)
     lines = []
     worst = _verify_graph(graph, model, p, q, steps, lines)
     lines.append(f"max_deviation={worst!r}")

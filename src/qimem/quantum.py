@@ -14,6 +14,7 @@ spectrum of an n x n Gram matrix.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -89,17 +90,22 @@ def u_x(x) -> np.ndarray:
 def controlled_u(n: int, control: int, target: int, u: np.ndarray,
                  control_value: int = 1) -> np.ndarray:
     """n-qubit gate applying ``u`` to ``target`` when ``control`` reads
-    ``control_value`` (qubit numbers start at 1)."""
+    ``control_value`` (qubit numbers start at 1).  It is built on the
+    qubits from control to target, then padded with identities."""
     if control == target or not (1 <= control <= n and 1 <= target <= n):
         raise ValueError(f"bad control/target pair ({control}, {target})")
-    proj_on = P1 if control_value else P0
-    proj_off = P0 if control_value else P1
-    on = [I2] * n
-    on[control - 1] = proj_on
-    on[target - 1] = np.asarray(u, dtype=float)
-    off = [I2] * n
-    off[control - 1] = proj_off
-    return kron(*on) + kron(*off)
+    lo, hi = min(control, target), max(control, target)
+    on = [I2] * (hi - lo + 1)
+    on[control - lo] = P1 if control_value else P0
+    on[target - lo] = np.asarray(u, dtype=float)
+    off = [I2] * (hi - lo + 1)
+    off[control - lo] = P0 if control_value else P1
+    gate = kron(*on) + kron(*off)
+    if lo > 1:
+        gate = kron(np.eye(2 ** (lo - 1)), gate)
+    if hi < n:
+        gate = kron(gate, np.eye(2 ** (n - hi)))
+    return gate
 
 
 def cnot(n: int, control: int, target: int) -> np.ndarray:
@@ -219,6 +225,39 @@ def memory_qubits(model: str, p, q=None) -> list[np.ndarray]:
             np.array([0.0, 1.0])]
 
 
+# One step of each circuit model on slot 0, its memory qubit, and slots 1..,
+# its fresh ancillas: each ancilla's preparation, the gates as (control,
+# target, rotation, control value), the slots of the symbol's bits, least
+# significant first, and the slot that carries the memory on.  Each route
+# makes its own matrices from the names: "0", "p" and "1-q" prepare those
+# biases from |0>, and "X" is the bit flip.  The coin copies its memory onto
+# a fresh |xi_0>; the post-processed coin runs the negated-control U_p on
+# ancilla 2, the controlled U_{1-q} on ancilla 1 and CNOT(2 -> 1).
+ProtocolStep = namedtuple("ProtocolStep", "ancillas gates outputs carry")
+PROTOCOL_STEPS = {
+    "coin": ProtocolStep(("p",), ((0, 1, "X", 1),), (0,), 1),
+    "postproc": ProtocolStep(("0", "0"), ((0, 2, "p", 0), (0, 1, "1-q", 1),
+                                          (2, 1, "X", 1)), (0, 2), 1),
+}
+
+
+def chained_steps(model: str, steps: int):
+    """Yield each chained step's qubit per slot and register width: step 1's
+    memory is qubit 1, a later step's is the carry slot of the step before,
+    and every step appends its ancillas to the register."""
+    if model not in PROTOCOL_STEPS:
+        raise ValueError(f"unknown circuit model {model!r}")
+    if steps < 1:
+        raise ValueError(f"{model} protocol cannot run {steps} steps")
+    step = PROTOCOL_STEPS[model]
+    memory, width = 1, 1
+    for _ in range(steps):
+        qubits = (memory, *range(width + 1, width + 1 + len(step.ancillas)))
+        width += len(step.ancillas)
+        yield qubits, width
+        memory = qubits[step.carry]
+
+
 def protocol_states(model: str, p, q=None,
                     steps: int = 1) -> list[np.ndarray]:
     """Every register state of one protocol run, one row per causal state.
@@ -226,30 +265,23 @@ def protocol_states(model: str, p, q=None,
     The only place the protocols' gates are applied.  Entry 0 is the
     all-zeros register, entry 1 the prepared |xi_j> with its ancillas and
     each later entry the register after one more gate; row j of each entry
-    is the run from causal state j.  The coin runs ``steps`` chained
-    steps: CNOT(1 -> 2) on |xi_j>|xi_0>, then per extra step a fresh
-    ancilla |xi_0> appended and a CNOT from the previous memory qubit onto
-    it, so qubits 1..k carry the outputs and qubit k+1 the memory.  The
-    post-processed coin runs one step on |xi_j>|0>|0>: the negated-control
-    U_p on qubit 3, the controlled U_{1-q} on qubit 2 and CNOT(3 -> 2).
+    is the run from causal state j.  Each chained ``PROTOCOL_STEPS[model]``
+    step after the first starts by appending its fresh ancillas.
     """
     xi = np.array(memory_qubits(model, p, q))
-    if steps < 1 or (model == "postproc" and steps != 1):
-        raise ValueError(f"{model} protocol cannot run {steps} steps")
+    rotations = {"0": u_x(0), "p": u_x(p), "X": X,
+                 "1-q": None if q is None else u_x(1 - float(q))}
+    step = PROTOCOL_STEPS[model]
+    fresh = [rotations[a][:, 0] for a in step.ancillas]
     e0 = np.array([1.0, 0.0])
-    if model == "coin":
-        up = [_append(np.broadcast_to(e0, xi.shape), e0), _append(xi, xi[0])]
-        up.append(_apply(cnot(2, 1, 2), up[-1]))
-        for m in range(2, steps + 1):
-            up.append(_append(up[-1], xi[0]))
-            up.append(_apply(kron(np.eye(2 ** (m - 1)), cnot(2, 1, 2)),
-                             up[-1]))
-        return up
-    up = [_append(np.broadcast_to(e0, xi.shape), e0, e0), _append(xi, e0, e0)]
-    for gate in (controlled_u(3, 1, 3, u_x(p), control_value=0),
-                 controlled_u(3, 1, 2, u_x(1 - float(q))),
-                 cnot(3, 3, 2)):
-        up.append(_apply(gate, up[-1]))
+    up = [_append(np.broadcast_to(e0, xi.shape), *[e0] * len(fresh)),
+          _append(xi, *fresh)]
+    for m, (qubits, width) in enumerate(chained_steps(model, steps)):
+        if m:
+            up.append(_append(up[-1], *fresh))
+        for c, t, name, v in step.gates:
+            up.append(_apply(controlled_u(width, qubits[c], qubits[t],
+                                          rotations[name], v), up[-1]))
     return up
 
 
@@ -280,7 +312,8 @@ def circuit_step_table(model: str, p, q=None) -> TransitionMatrix:
     """
     refs = memory_qubits(model, p, q)
     n = len(refs)  # both protocols emit one symbol per causal state
-    qubits = (1,) if model == "coin" else (1, 3)
+    slots, _ = next(chained_steps(model, 1))
+    qubits = tuple(slots[s] for s in PROTOCOL_STEPS[model].outputs)
     probs = np.zeros((n, n))
     for j, psi in enumerate(protocol_states(model, p, q)[-1]):
         for y, pr, post in measure(psi, qubits):

@@ -12,9 +12,8 @@ import pytest
 from fractions import Fraction
 
 from qimem.bp import (AnnihilatingFactorError, CycleFactorGraph, backward_pass,
-                      brute_marginals, coin_graph, cut_distribution,
-                      expected_messages, forward_pass, marginal,
-                      postproc_graph, prep_factor)
+                      brute_marginals, cut_distribution, expected_messages,
+                      forward_pass, marginal, prep_factor, protocol_graph)
 from qimem.markov import perturbed_coin
 from qimem.quantum import protocol_states
 
@@ -60,10 +59,10 @@ def full_battery(graph, model, p, q=None, steps=1, tol=1e-12):
 def test_graph_validation():
     with pytest.raises(ValueError):
         CycleFactorGraph([])
-    good = coin_graph(0.3)
+    good = protocol_graph("coin", 0.3)
     assert good.n_vars == 4 and good.dims == [4, 4, 4, 4]
     assert good.state_shape == (2,)
-    assert postproc_graph(0.3, 0.5).state_shape == (3,)
+    assert protocol_graph("postproc", 0.3, 0.5).state_shape == (3,)
     broken = [np.eye(4), np.zeros((8, 4)), np.eye(4)]  # 8 does not chain back
     with pytest.raises(ValueError):
         CycleFactorGraph(broken)
@@ -92,16 +91,17 @@ def test_prep_factor():
 
 def test_coin_graph_battery():
     for p in P_SWEEP:
-        full_battery(coin_graph(p), "coin", p)
+        full_battery(protocol_graph("coin", p), "coin", p)
     with pytest.raises(ValueError):
-        coin_graph(0.3).state(2)
+        protocol_graph("coin", 0.3).state(2)
     with pytest.raises(ValueError):
-        coin_graph(0.3, steps=0)
+        protocol_graph("coin", 0.3, steps=0)
 
 
 def test_coin_graph_deterministic_point():
     # p = 0 from the quiet state: every message is a basis vector
-    mu = forward_pass(coin_graph(0.0), np.array([1.0, 0, 0, 0]))
+    mu = forward_pass(protocol_graph("coin", 0.0),
+                      np.array([1.0, 0, 0, 0]))
     for msg in mu:
         assert np.count_nonzero(msg[0]) == 1
         assert np.linalg.norm(msg[0]) == 1.0
@@ -109,21 +109,23 @@ def test_coin_graph_deterministic_point():
 
 def test_postproc_graph_battery():
     for p in P_SWEEP:
-        full_battery(postproc_graph(p, 2 / 3), "postproc", p, q=2 / 3)
+        full_battery(protocol_graph("postproc", p, 2 / 3), "postproc", p,
+                     q=2 / 3)
     for q in (0.0, 1.0):
-        full_battery(postproc_graph(0.3, q), "postproc", 0.3, q=q)
+        full_battery(protocol_graph("postproc", 0.3, q), "postproc", 0.3,
+                     q=q)
     with pytest.raises(ValueError):
-        postproc_graph(0.3, 0.5).state(3)
+        protocol_graph("postproc", 0.3, 0.5).state(3)
 
 
 def test_prep_side_closes_into_projector():
-    g = coin_graph(0.7).state(1)
+    g = protocol_graph("coin", 0.7).state(1)
     G = g.factors[1] @ g.factors[0]
     target = np.zeros((4, 4))
     target[0, 0] = 1.0
     assert np.allclose(G.T @ G, target, atol=1e-12)
     for j in range(3):
-        g = postproc_graph(0.2, 0.6).state(j)
+        g = protocol_graph("postproc", 0.2, 0.6).state(j)
         G = np.eye(8)
         for f in g.factors[:4]:
             G = f @ G
@@ -134,7 +136,7 @@ def test_prep_side_closes_into_projector():
 
 def test_two_step_graph():
     p = 0.3
-    graph = coin_graph(p, steps=2)
+    graph = protocol_graph("coin", p, steps=2)
     assert graph.dims == [4, 4, 4, 8, 8, 8, 4, 4]
     full_battery(graph, "coin", p, steps=2)
     mu = forward_pass(graph, unit_init(graph))
@@ -153,7 +155,7 @@ def test_two_step_graph():
 
 
 def test_three_step_graph_spliced():
-    graph = coin_graph(0.4, steps=3)
+    graph = protocol_graph("coin", 0.4, steps=3)
     assert graph.n_vars == 12
     assert graph.dims[5] == 16
     init = unit_init(graph)
@@ -190,7 +192,7 @@ def test_brute_zero_normalizer():
 
 
 def test_forward_init_validation():
-    graph = coin_graph(0.3)
+    graph = protocol_graph("coin", 0.3)
     with pytest.raises(ValueError):
         forward_pass(graph, np.ones(8))
     with pytest.raises(ValueError):
@@ -204,7 +206,7 @@ def test_marginal_validation():
         marginal(np.array([[1.0, 0.0], [1.0, 0.0]]),
                  np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        cut_distribution(coin_graph(0.3), 4)
+        cut_distribution(protocol_graph("coin", 0.3), 4)
     shift = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):  # state 1's loop product has no trace
         cut_distribution(CycleFactorGraph([np.stack([np.eye(2), shift]),
@@ -218,11 +220,14 @@ SHARED_GRID = [0, 1, Fraction(2, 3), 0.37]
                          [("coin", p, None, s) for s in range(1, 6)
                           for p in SHARED_GRID]
                          + [("postproc", p, q, 1) for p in SHARED_GRID
-                            for q in SHARED_GRID])
+                            for q in SHARED_GRID]
+                         + [("postproc", p, q, s) for s in (2, 3)
+                            for p, q in ((Fraction(1, 9), Fraction(2, 3)),
+                                         (0.2, 0.35))])
 def test_shared_graph_matches_per_state_route(model, p, q, steps):
     """The graph of all causal states at once gives every state the bytes
     of its own graph run the per-state way."""
-    graph = coin_graph(p, steps) if model == "coin" else postproc_graph(p, q)
+    graph = protocol_graph(model, p, q, steps)
     init = unit_init(graph)
     mu = forward_pass(graph, init)
     nu = backward_pass(graph, init)
@@ -237,3 +242,18 @@ def test_shared_graph_matches_per_state_route(model, p, q, steps):
             for ell, want in enumerate(arrays):
                 got = shared[name][ell][j]
                 assert got.tobytes() == want.tobytes(), (name, j, ell)
+
+
+@pytest.mark.parametrize("p,q", [(Fraction(1, 9), Fraction(2, 3)),
+                                 (0.2, 0.35)])
+def test_chained_postproc_graph(p, q):
+    """Two chained postproc steps: the second step's expansion appends two
+    ancillas, the forward messages are the circuit's states and the loop
+    closes."""
+    graph = protocol_graph("postproc", p, q, steps=2)
+    assert graph.dims == [8] * 5 + [32] * 7 + [8] * 4
+    init = unit_init(graph)
+    mu = forward_pass(graph, init)
+    expected = expected_messages("postproc", p, q=q, steps=2)
+    assert max(np.max(np.abs(m - e)) for m, e in zip(mu, expected)) < 1e-12
+    assert np.max(np.abs(mu[-1] - init)) < 1e-12

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qimem import bp, cli, markov, samplers, stats
+from qimem import bp, cli, markov, quantum, samplers, stats
 from qimem.markov import binary_entropy
 from qimem.quantum import coin_quantum_memory
 
@@ -484,6 +484,40 @@ def test_bp_verify_outputs_pinned(model, p, third, capsys):
     stdout = capsys.readouterr().out.encode()
     assert (hashlib.sha256(stdout).hexdigest(), code) \
         == BP_VERIFY_DIGESTS[model, p, third]
+
+
+# sha256 of stdout and the exit code of chained bp-verify runs: the
+# post-processed coin at two to four steps, at a ratio and a float bias,
+# and each model one step past the steps its register fits (exit 2, no
+# stdout).
+BP_VERIFY_CHAIN_DIGESTS = {
+    ("postproc", "1/9", "2/3", "2"): (
+        "46877493f28153c695573d75b0ebbb2e3c0dd8d8ae54f2be47ff20bb1eea4107", 0),
+    ("postproc", "1/9", "2/3", "3"): (
+        "0579fcd6781f5191f26f12c0d6acae0f4aa7aa5e171dbcbdd0a41afe963cafdd", 0),
+    ("postproc", "1/9", "2/3", "4"): (
+        "df6322cd699b93c728f9f3ed4670c46efcb964bfa9960ff79f90785298bd7fd2", 0),
+    ("postproc", "0.2", "0.35", "2"): (
+        "b10ed2acf1681e56cabc81f652b19a5e8c6e2548fccd59a920e81e7d10035919", 0),
+    ("postproc", "0.2", "0.35", "3"): (
+        "c39bae82ea45a3988b153e77423175bd6e2c296811744810a8c9c70464f5bfee", 0),
+    ("postproc", "0.2", "0.35", "4"): (
+        "71f488fd215fb8676689e5c3b8c8b92517b821abba4274a87613be2d50fdbc6a", 0),
+    ("coin", "3/10", None, "11"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    ("postproc", "0.2", "0.35", "6"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+}
+
+
+@pytest.mark.parametrize("model,p,q,steps", list(BP_VERIFY_CHAIN_DIGESTS))
+def test_bp_verify_chained_outputs_pinned(model, p, q, steps, capsys):
+    extra = ("--q", q) if q else ()
+    code = run("bp-verify", "--model", model, "--p", p, *extra,
+               "--steps", steps)
+    stdout = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(stdout).hexdigest(), code) \
+        == BP_VERIFY_CHAIN_DIGESTS[model, p, q, steps]
 
 
 def _chain_file(tmp_path, n):
@@ -1125,10 +1159,15 @@ def test_bp_verify_postproc(capsys):
 
 
 def test_bp_verify_two_step(capsys):
+    """Both models chain their step; postproc without --q is refused."""
     assert run("bp-verify", "--model", "coin", "--p", "0.3",
                "--steps", "2") == 0
     assert run("bp-verify", "--model", "postproc", "--p", "0.3",
-               "--q", "0.5", "--steps", "2") == 2
+               "--q", "0.5", "--steps", "2") == 0
+    fields = dict(line.split("=", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    assert fields["passed"] == "true"
+    assert float(fields["state2_message_dev"]) < 1e-12
     assert run("bp-verify", "--model", "postproc", "--p", "0.3") == 2
 
 
@@ -1147,23 +1186,29 @@ def test_bp_verify_skips_only_enumeration_above_limit(capsys):
 
 
 def test_bp_verify_steps_limit(monkeypatch):
-    """Steps above bp.MAX_COIN_STEPS are refused before any graph is built,
-    as each step doubles the width of the dense gates."""
+    """Steps whose register would pass bp.MAX_QUBITS are refused before any
+    graph is built, as each qubit doubles the width of the dense gates: a
+    model with a ancillas per step runs at most (MAX_QUBITS - 1) // a."""
     built = []
 
     def no_graph(*args):
         built.append(args)
         raise ValueError("graph built")
 
-    monkeypatch.setattr(bp, "coin_graph", no_graph)
-    for steps in ("11", "1000"):
-        assert run("bp-verify", "--model", "coin", "--p", "0.3",
-                   "--steps", steps) == 2
-    assert built == []
-    # the limit itself is accepted and reaches the graph
-    assert run("bp-verify", "--model", "coin", "--p", "0.3",
-               "--steps", str(bp.MAX_COIN_STEPS)) == 3
-    assert len(built) == 1
+    monkeypatch.setattr(bp, "protocol_graph", no_graph)
+    for model, cap in (("coin", 10), ("postproc", 5)):
+        ancillas = len(quantum.PROTOCOL_STEPS[model].ancillas)
+        assert cap == (bp.MAX_QUBITS - 1) // ancillas
+        q = 0.5 if model == "postproc" else None
+        bias = ("--p", "0.3") + (("--q", "0.5") if q else ())
+        for steps in (str(cap + 1), "1000", "0"):
+            assert run("bp-verify", "--model", model, *bias,
+                       "--steps", steps) == 2
+        assert built == []
+        # the limit itself is accepted and reaches the graph
+        assert run("bp-verify", "--model", model, *bias,
+                   "--steps", str(cap)) == 3
+        assert built.pop() == (model, 0.3, q, cap)
 
 
 def test_bp_verify_nan_input_fails():

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qimem import quantum
-from qimem.bp import coin_graph, expected_messages, postproc_graph
+from qimem.bp import expected_messages, prep_factor, protocol_graph
 from qimem.markov import (EpsilonMachine, binary_entropy, induced_chain,
                           machine_from_chain, perturbed_coin,
                           post_processed_coin, stationary,
@@ -137,6 +137,24 @@ def test_gate_orthogonality():
         controlled_u(2, 1, 1, u_x(0.5))
     with pytest.raises(ValueError):
         cnot(2, 0, 1)
+
+
+@pytest.mark.parametrize("u", [u_x(0.3), prep_factor(0.3)])
+def test_controlled_u_matches_full_width_products(u):
+    """Built on its span and padded, every gate is entry for entry the sum
+    of two full-width Kronecker products: each ordered (control, target)
+    pair of 4 qubits, both control values, a rotation and a BP factor."""
+    for control in range(1, 5):
+        for target in set(range(1, 5)) - {control}:
+            for value in (0, 1):
+                on, off = [np.eye(2)] * 4, [np.eye(2)] * 4
+                on[control - 1] = np.diag([1.0 - value, value])
+                off[control - 1] = np.diag([value, 1.0 - value])
+                on[target - 1] = u
+                want = reduce(np.kron, on) + reduce(np.kron, off)
+                assert np.array_equal(
+                    controlled_u(4, control, target, u, value), want), \
+                    (control, target, value)
 
 
 def test_cnot_action():
@@ -320,19 +338,27 @@ def test_protocol_states_match_raw_gates(p):
 def test_protocol_validation():
     # a causal state out of range is refused by the graph that has one
     # row per causal state
-    for graph, j in ((coin_graph(0.3), 2), (coin_graph(0.3), -1),
-                     (postproc_graph(0.3, 0.5), 3)):
+    coin = protocol_graph("coin", 0.3)
+    for graph, j in ((coin, 2), (coin, -1),
+                     (protocol_graph("postproc", 0.3, 0.5), 3)):
         with pytest.raises(ValueError):
             graph.state(j)
     assert [len(s) for s in protocol_states("postproc", 0.3, q=0.5)] == [3] * 5
-    with pytest.raises(ValueError):
-        protocol_states("coin", 0.3, steps=0)
-    with pytest.raises(ValueError):
-        protocol_states("postproc", 0.3, q=0.5, steps=2)
+    # a chained postproc step appends its two ancillas, then runs its gates
+    assert [s.shape for s in protocol_states("postproc", 0.3, q=0.5,
+                                             steps=2)] \
+        == [(3, 8)] * 5 + [(3, 32)] * 4
+    for model, q in (("coin", None), ("postproc", 0.5)):
+        with pytest.raises(ValueError):
+            protocol_states(model, 0.3, q, steps=0)
+        with pytest.raises(ValueError):
+            protocol_graph(model, 0.3, q, steps=0)
     with pytest.raises(ValueError):
         protocol_states("postproc", 0.3)
     with pytest.raises(ValueError):
         protocol_states("bogus", 0.3)
+    with pytest.raises(ValueError, match="unknown circuit model"):
+        protocol_graph("bogus", 0.3)
 
 
 def test_coin_density_spectrum():
@@ -464,6 +490,40 @@ def test_circuit_trajectory_statistics():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         walk(chain, 9, 5, rng)
+
+
+# The output qubits of each chained step, least significant first: the coin
+# emits its memory qubit, and the post-processed coin its memory qubit and
+# second ancilla, while the first ancilla carries the memory on.
+CHAINED_OUTPUTS = {"coin": [(1,), (2,), (3,), (4,), (5,), (6,)],
+                   "postproc": [(1, 3), (2, 5), (4, 7), (6, 9)]}
+
+
+@pytest.mark.parametrize("model,p,q,steps",
+                         [("coin", p, None, k) for p in (F(3, 10), 0.37)
+                          for k in range(1, 7)]
+                         + [("postproc", p, q, k)
+                            for p, q in ((F(1, 9), F(2, 3)), (0.2, 0.35))
+                            for k in range(1, 5)])
+def test_chained_outputs_follow_word_law(model, p, q, steps):
+    """Measuring the outputs of k chained steps from causal state j gives
+    the machine's law of k-symbol words started in j."""
+    machine = (perturbed_coin(p) if model == "coin"
+               else post_processed_coin(p, q))
+    outputs = CHAINED_OUTPUTS[model][:steps]
+    width = len(outputs[0])
+    qubits = tuple(qubit for step in outputs for qubit in step)
+    for j, psi in enumerate(protocol_states(model, p, q, steps)[-1]):
+        law = exact_kgram_distribution(machine, steps, start=j)
+        dist = {}
+        for bits, pr, _ in measure(psi, qubits):
+            symbols = [bits[m:m + width] for m in range(0, len(bits), width)]
+            word = tuple(sum(bit << i for i, bit in enumerate(y))
+                         for y in symbols)
+            dist[word] = dist.get(word, 0.0) + pr
+        for word in set(dist) | set(law):
+            assert abs(dist.get(word, 0.0) - float(law.get(word, 0))) \
+                <= 1e-12, (j, word)
 
 
 def test_two_step_state_matches_word_law():
