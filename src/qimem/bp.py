@@ -235,8 +235,8 @@ def protocol_graph(model: str, p, q=None, steps: int = 1) -> CycleFactorGraph:
     loop projects onto the all-zeros state.
     """
     chain = list(chained_steps(model, steps))
-    # State 1's preparation must send |0> to (sqrt(q), sqrt(1-q)), the
-    # memory qubit of the middle causal state, hence the 1 - q argument.
+    # Postproc state 1's preparation must send |0> to (sqrt(q), sqrt(1-q)),
+    # the memory qubit of its middle causal state, hence the 1 - q argument.
     memory = (p, 1 - p) if model == "coin" else (0, 1 - q, 1)
     rotations = {"0": prep_factor(0), "p": prep_factor(p), "X": X,
                  "1-q": None if q is None else prep_factor(1 - q)}

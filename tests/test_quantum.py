@@ -518,9 +518,8 @@ def test_chained_outputs_follow_word_law(model, p, q, steps):
         dist = {}
         for bits, pr, _ in measure(psi, qubits):
             symbols = [bits[m:m + width] for m in range(0, len(bits), width)]
-            word = tuple(sum(bit << i for i, bit in enumerate(y))
-                         for y in symbols)
-            dist[word] = dist.get(word, 0.0) + pr
+            dist[tuple(sum(bit << i for i, bit in enumerate(y))
+                       for y in symbols)] = pr
         for word in set(dist) | set(law):
             assert abs(dist.get(word, 0.0) - float(law.get(word, 0))) \
                 <= 1e-12, (j, word)
