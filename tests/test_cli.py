@@ -360,6 +360,27 @@ def test_single_bit_starts_pinned(seed, tmp_path, capsys):
             == SINGLE_BIT_START_DIGESTS[seed])
 
 
+# The same digest of single-bit walks at q = 1, keyed "p seed".  Both start
+# from the middle state, whose bit is certainly clear at q = 1: its draw
+# still spends one uniform, which every later step reads after.
+CERTAIN_BIT_DIGESTS = {
+    "0.2 5": "1215caed90802a1e79c9fd001347ebe189eccec7b1fcff26029472afe8899cab",
+    "0.3 7": "5eb55203f7f7e11cc745841b23cc101d917525ac9da20b2ff87574a5a8193aef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTAIN_BIT_DIGESTS))
+def test_single_bit_certain_start_pinned(name, tmp_path, capsys):
+    p, seed = name.split()
+    out = tmp_path / "walk.txt"
+    assert run("simulate", "--model", "postproc", "--algo", "single-bit",
+               "--p", p, "--q", "1", "--steps", "20000", "--seed", seed,
+               "--out", str(out)) == 0
+    blob = (capsys.readouterr().out.encode() + out.read_bytes()
+            + Path(f"{out}.report.txt").read_bytes())
+    assert hashlib.sha256(blob).hexdigest() == CERTAIN_BIT_DIGESTS[name]
+
+
 # sha256 of stdout, the --out CSV and the report of the ensemble runs.  The
 # qi-ensemble p=0.3 and qi-general digests were recorded before the pipeline
 # streamed its rows and counted transitions per step, the other coin biases
