@@ -11,15 +11,15 @@ samplers (``samplers``) and belief propagation on cycle factor graphs
 from .markov import (ConvergenceError, EpsilonMachine, ReducibleChainError,
                      TransitionMatrix, coin_mutual_info_bound, entropy_bits,
                      induced_chain, machine_from_chain, perturbed_coin,
-                     post_processed_coin, stationary, statistical_memory,
-                     topological_memory, walk_chain)
+                     post_processed_coin, post_processed_factors,
+                     stationary, statistical_memory, topological_memory,
+                     walk_chain)
 from .quantum import (coin_quantum_memory, memory_spectrum,
                       quantum_statistical_memory, quantum_topological_memory)
 from .samplers import (CoinEnsemble, DegenerateSupportError, GeneralQISampler,
                        RerouteTables, decompose, effective_kernel,
-                       expected_memory, reroute_ratios, save_fractions,
-                       single_bit_chain, single_bit_start,
-                       three_state_demo_chain)
+                       expected_memory, factor_chain, factor_start,
+                       reroute_ratios, save_fractions, three_state_demo_chain)
 from .stats import (TransitionReport, compare_transitions, transition_counts,
                     word_counts)
 

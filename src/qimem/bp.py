@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .markov import _check_unit_interval
+from .markov import _check_unit_interval, post_processed_factors
 from .quantum import (PROTOCOL_STEPS, X, chained_steps, controlled_u, kron,
                       protocol_states)
 
@@ -235,9 +235,9 @@ def protocol_graph(model: str, p, q=None, steps: int = 1) -> CycleFactorGraph:
     loop projects onto the all-zeros state.
     """
     chain = list(chained_steps(model, steps))
-    # Postproc state 1's preparation must send |0> to (sqrt(q), sqrt(1-q)),
-    # the memory qubit of its middle causal state, hence the 1 - q argument.
-    memory = (p, 1 - p) if model == "coin" else (0, 1 - q, 1)
+    # a postproc state prepares the square roots of its latent bit's law
+    memory = ((p, 1 - p) if model == "coin"
+              else post_processed_factors(p, q)[0][:, 1])
     rotations = {"0": prep_factor(0), "p": prep_factor(p), "X": X,
                  "1-q": None if q is None else prep_factor(1 - q)}
     step = PROTOCOL_STEPS[model]

@@ -33,7 +33,8 @@ import numpy as np
 from . import bp, quantum, samplers, stats
 from .markov import (TransitionMatrix, as_cdf, coin_mutual_info_bound,
                      induced_chain, normalized_chain, perturbed_coin,
-                     post_processed_coin, stationary, walk_chain)
+                     post_processed_coin, post_processed_factors, stationary,
+                     walk_chain)
 
 PASS, STAT_FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 BP_TOL = 1e-10
@@ -363,8 +364,9 @@ def _simulate_trajectory(chain, model, algo, p, q, seed, steps, sigma, out):
     if algo == "quantum":
         walked = quantum.circuit_step_table(model, p, q)
     elif algo == "single-bit":
-        walked, emit = samplers.single_bit_chain(p, q)
-        state = samplers.single_bit_start(state, q, rng)
+        A, B, sources = post_processed_factors(p, q)
+        walked, emit = samplers.factor_chain(A, B, sources)
+        state = samplers.factor_start(state, A, sources, rng)
     # Walked in blocks, so neither the draws, the symbols nor the --out text
     # ever hold the whole run; the last h symbols carry each block's first
     # contexts over from the one before.  Only the distinct (h + 1)-symbol

@@ -161,6 +161,15 @@ def perturbed_coin(p) -> EpsilonMachine:
     return EpsilonMachine(((1 - p, p), (p, 1 - p)), np.arange(2))
 
 
+def post_processed_factors(p, q) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The post-processed coin's probs as A @ B: B the rows of ``sources`` 0
+    and 2, A[x] the law of a latent bit after symbol x (Chaos 28, 013109)."""
+    _check_unit_interval(p, "p")
+    _check_unit_interval(q, "q")
+    return (_stochastic_array(((1, 0), (q, 1 - q), (0, 1))),
+            _stochastic_array(((1 - p, 0, p), (0, 1, 0))), (0, 2))
+
+
 def post_processed_coin(p, q) -> EpsilonMachine:
     """Three-state, three-symbol machine obtained by rewriting coin runs.
 
@@ -168,11 +177,8 @@ def post_processed_coin(p, q) -> EpsilonMachine:
     a quiet step.  State i again equals the previous output, which makes the
     machine unifilar with successor f(i, x) = x.
     """
-    _check_unit_interval(p, "p")
-    _check_unit_interval(q, "q")
-    return EpsilonMachine(((1 - p, 0, p),
-                           (q * (1 - p), 1 - q, q * p),
-                           (0, 1, 0)), np.arange(3))
+    A, B, _ = post_processed_factors(p, q)
+    return EpsilonMachine(A @ B, np.arange(3))
 
 
 def _check_unit_interval(v, name: str) -> None:

@@ -4,9 +4,9 @@ The general construction splits a target chain T into a rank-one stationary
 part plus a correction, T = 1 pi^T + Delta, and realizes the correction by
 occasionally saving a sample's value and rerouting its next i.i.d. draw.
 Two specializations are provided: the two-outcome coin ensemble, whose
-correction reduces to a conditional bit flip, and a three-symbol machine
-that runs on a single stochastic bit of memory, as the chain of its (symbol,
-bit) pairs (``single_bit_chain``/``single_bit_start``), which
+correction reduces to a conditional bit flip, and the generator of a
+factorization T = A B, whose memory is one latent state, as the chain of
+its (symbol, latent) pairs (``factor_chain``/``factor_start``), which
 ``markov.walk_chain`` walks like any other trajectory sampler.
 
 Randomness is counter-based: every step of an ensemble consumes Philox
@@ -425,35 +425,27 @@ def three_state_demo_chain(p, q) -> TransitionMatrix:
     return TransitionMatrix([uniform, [p, q, 1 - p - q], list(uniform)])
 
 
-def single_bit_chain(p, q) -> tuple[TransitionMatrix, np.ndarray]:
-    """The three-symbol sampler whose entire memory is one stochastic bit,
-    as a chain over the pairs (symbol just emitted, bit now held) and the
-    symbol of each pair: pairs (2, 1), (0, 0), (1, 0) and (1, 1), in that
-    order, so the symbols are ``[2, 0, 1, 1]``.
-
-    The bit plays the role of a causal state drawn from the mixture that
-    represents the middle state: bit 0 behaves like the quiet state, bit 1
-    deterministically emits the run-continuation symbol.  Per step with
-    bit 0: emit 2 and set the bit with probability p, else emit 0 and clear
-    it.  With bit 1: emit 1, then clear the bit with probability q.  A
-    pair's row depends on its bit alone.
-    """
-    p, q = float(p), float(q)
-    _check_unit_interval(p, "p")
-    _check_unit_interval(q, "q")
-    bit0, bit1 = [p, 1 - p, 0.0, 0.0], [0.0, 0.0, q, 1 - q]
-    return TransitionMatrix([bit1, bit0, bit0, bit1]), np.array([2, 0, 1, 1])
+def _factor_pairs(A, sources) -> list:
+    """The (symbol, latent) pairs of ``factor_chain``, in its order."""
+    return [(x, c) for x in range(len(A) - 1, -1, -1)
+            for c in range(A.shape[1]) if x not in sources or sources[c] == x]
 
 
-def single_bit_start(start: int, q, rng: np.random.Generator) -> int:
-    """The pair of ``single_bit_chain`` that stands for machine state
-    ``start``: (0, 0) for the quiet state, (2, 1) for state 2, and for the
-    middle state (1, 0) or (1, 1), by a draw that clears the bit with
-    probability q, the only case that consumes a uniform."""
-    if start == 0:
-        return 1
-    if start == 2:
-        return 0
-    if start == 1:
-        return 2 if rng.random() < float(q) else 3
-    raise ValueError(f"start state must be 0, 1 or 2, got {start}")
+def factor_chain(A, B, sources) -> tuple[TransitionMatrix, np.ndarray]:
+    """The generator of T = A @ B (arrays) with r latent states, as a chain
+    over pairs (symbol, latent) in descending symbol, then ascending latent,
+    and their symbols: (x, c) moves to (x', c') with B[c][x'] * A[x'][c'].
+    State ``sources[c]`` is latent c for certain and pairs with c alone."""
+    x, c = np.array(_factor_pairs(A, sources)).T
+    return TransitionMatrix(B[c][:, x] * A[x, c]), x
+
+
+def factor_start(start: int, A, sources, rng: np.random.Generator) -> int:
+    """The pair of ``factor_chain`` that stands for state ``start``: a
+    source's one pair, else that of a latent drawn from A[start] by one
+    uniform, also when the latent is certain."""
+    if not 0 <= start < len(A):
+        raise ValueError(f"start state {start} out of range")
+    latent = sources.index(start) if start in sources else int(
+        np.searchsorted(as_cdf(A[start].astype(float)), rng.random(), "right"))
+    return _factor_pairs(A, sources).index((start, latent))

@@ -261,6 +261,41 @@ def reference_walk(chain: TransitionMatrix, start: int, steps: int,
     return out
 
 
+def single_bit_chain(p, q) -> tuple[TransitionMatrix, np.ndarray]:
+    """The single-bit sampler written out by hand, the reference that
+    ``samplers.factor_chain`` of the post-processed coin's factors must
+    walk alike: a chain over the pairs (symbol just emitted, bit now held),
+    (2, 1), (0, 0), (1, 0) and (1, 1) in that order, and their symbols.
+
+    With bit 0: emit 2 and set the bit with probability p, else emit 0 and
+    clear it.  With bit 1: emit 1, then clear the bit with probability q.
+    """
+    p, q = float(p), float(q)
+    markov._check_unit_interval(p, "p")
+    markov._check_unit_interval(q, "q")
+    bit0, bit1 = [p, 1 - p, 0.0, 0.0], [0.0, 0.0, q, 1 - q]
+    return TransitionMatrix([bit1, bit0, bit0, bit1]), np.array([2, 0, 1, 1])
+
+
+def single_bit_start(start: int, q, rng: np.random.Generator) -> int:
+    """The pair of ``single_bit_chain`` that stands for machine state
+    ``start``: (0, 0) for the quiet state, (2, 1) for state 2, and for the
+    middle state (1, 0) or (1, 1), by a draw that clears the bit with
+    probability q, the only case that consumes a uniform."""
+    if start == 0:
+        return 1
+    if start == 2:
+        return 0
+    if start == 1:
+        return 2 if rng.random() < float(q) else 3
+    raise ValueError(f"start state must be 0, 1 or 2, got {start}")
+
+
+def post_processed_rows(p, q) -> list:
+    """The post-processed coin's rows written out by hand."""
+    return [[1 - p, 0, p], [q * (1 - p), 1 - q, q * p], [0, 1, 0]]
+
+
 def reference_ensemble_csv(steps) -> bytes:
     """The ensemble ``--out`` file for the values of steps 0, 1, ...: the
     header, then one ``f"{t},{i},{v}\\n"`` line per sample of each step."""

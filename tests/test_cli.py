@@ -980,9 +980,11 @@ def test_bad_input_is_usage_error(argv, capsys, tmp_path, monkeypatch):
     [[10 ** 400, 0.5], [0.5, 0.5]],
     [[1.5, -0.5], [0.5, 0.5]],
     [["3/2", "-1/2"], ["1/2", "1/2"]],
+    [0.5, 0.5],
 ], ids=["non-square", "ragged", "empty", "null-entry", "bad-rational",
         "bool-entries", "bool-among-rationals", "float-among-rationals",
-        "int-too-large-for-float", "entry-above-one", "rational-above-one"])
+        "int-too-large-for-float", "entry-above-one", "rational-above-one",
+        "rows-not-lists"])
 def test_bad_matrix_is_usage_error(tmp_path, capsys, matrix):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(matrix))
@@ -1084,6 +1086,8 @@ def test_config_errors(tmp_path):
     bad.write_text("{not json")
     assert run("memory-curve", "--config", str(bad)) == 2
     assert run("memory-curve", "--config", str(tmp_path / "missing.json")) == 2
+    # no path at all: the config finder leaves it to the full parse
+    assert run("memory-curve", "--config") == 2
 
 
 def test_undecodable_files_are_usage_errors(tmp_path, capsys):

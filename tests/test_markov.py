@@ -19,15 +19,16 @@ from qimem.markov import (EpsilonMachine, ReducibleChainError,
                           TransitionMatrix, binary_entropy,
                           coin_mutual_info_bound, entropy_bits,
                           induced_chain, machine_from_chain, perturbed_coin,
-                          post_processed_coin, stationary,
-                          statistical_memory, topological_memory, walk_chain)
+                          post_processed_coin, post_processed_factors,
+                          stationary, statistical_memory, topological_memory,
+                          walk_chain)
 from qimem.quantum import circuit_step_table
-from qimem.samplers import single_bit_chain, three_state_demo_chain
+from qimem.samplers import factor_chain, three_state_demo_chain
 
 from helpers import (context_law, exact_kgram_distribution, machine_edges,
-                     random_chain, random_machine, random_rational_chain,
-                     reference_stationary, reference_strongly_connected,
-                     reference_walk, walk)
+                     post_processed_rows, random_chain, random_machine,
+                     random_rational_chain, reference_stationary,
+                     reference_strongly_connected, reference_walk, walk)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_PI = (F(2, 9), F(1, 2), F(5, 18))
@@ -114,6 +115,26 @@ def test_postproc_machine():
         [(0, F(8, 9), 0), (2, F(1, 9), 2)],
         [(0, F(16, 27), 0), (1, F(1, 3), 1), (2, F(2, 27), 2)],
         [(1, 1, 1)]]
+
+
+def test_postproc_factors_multiply_to_the_machine():
+    """A @ B is the machine's probs and its hand-written rows exactly, in
+    Fractions, floats and a mix of the two; B holds the rows of the
+    sources, whose bit is certain."""
+    values = (0, 1, F(1, 9), F(2, 3), 0.2, 0.35, 1e-9, 1.0)
+    for p, q in itertools.product(values, values):
+        A, B, sources = post_processed_factors(p, q)
+        probs = post_processed_coin(p, q).probs
+        hand = EpsilonMachine(post_processed_rows(p, q), np.arange(3)).probs
+        assert probs.dtype == hand.dtype
+        assert (A @ B).tolist() == probs.tolist() == hand.tolist(), (p, q)
+        assert sources == (0, 2)
+        assert B.astype(probs.dtype).tolist() == probs[list(sources)].tolist()
+        assert A[list(sources)].tolist() == [[1, 0], [0, 1]]
+    for bad in (float("nan"), -0.5, 1.5):
+        for pq in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError):
+                post_processed_factors(*pq)
 
 
 def test_exact_rows_sum_to_exactly_one():
@@ -445,7 +466,7 @@ def walked_chains():
                circuit_step_table("coin", 0.3),
                circuit_step_table("postproc", F(1, 9), F(2, 3)),
                circuit_step_table("postproc", 0.37, 0.25)]
-    chains += [single_bit_chain(p, q)[0]
+    chains += [factor_chain(*post_processed_factors(p, q))[0]
                for p, q in ((1 / 9, 2 / 3), (0.37, 0.25), (0.0, 1.0),
                             (1.0, 0.0))]
     return chains
@@ -475,7 +496,7 @@ def test_sample_edges_across_a_full_block():
     whole run."""
     block = markov.TRAJECTORY_BLOCK
     for chain in (circuit_step_table("postproc", F(1, 9), F(2, 3)),
-                  single_bit_chain(0.37, 0.25)[0]):
+                  factor_chain(*post_processed_factors(0.37, 0.25))[0]):
         for start in range(chain.n):
             rng_a = np.random.default_rng(1584306215)
             rng_b = np.random.default_rng(1584306215)
@@ -576,7 +597,7 @@ def test_walk_never_takes_a_zero_probability_edge(monkeypatch):
                                 [0.0, 0.5, short, 0.0],
                                 [0.0, 0.0, 0.5, short],
                                 [short, 0.0, 0.5, 0.0]]),
-              single_bit_chain(1.0, 0.0)[0]]
+              factor_chain(*post_processed_factors(1.0, 0.0))[0]]
     monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 1)
     for chain in chains:
         for start in range(chain.n):

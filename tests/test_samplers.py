@@ -1,4 +1,4 @@
-"""Save/reroute tables, ensemble samplers and the single-bit machine.
+"""Save/reroute tables, ensemble samplers and the factorization generator.
 
 The worked three-state chain at p = 1/9, q = 2/3 is used as the exact
 fixture throughout; its tables below were derived by hand from the
@@ -23,17 +23,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from qimem import markov, samplers
 from qimem.markov import (TransitionMatrix, as_cdf, induced_chain,
-                          perturbed_coin, post_processed_coin)
+                          perturbed_coin, post_processed_coin,
+                          post_processed_factors)
 from qimem.samplers import (CoinEnsemble, DegenerateSupportError,
                             GeneralQISampler, RerouteTables, decompose,
-                            effective_kernel, expected_memory, save_fractions,
-                            single_bit_chain, single_bit_start,
+                            effective_kernel, expected_memory, factor_chain,
+                            factor_start, save_fractions,
                             three_state_demo_chain)
 from qimem.stats import compare_transitions, transition_counts, word_counts
 
 from helpers import (ReferenceQISampler, matrix_words, random_chain,
                      random_rational_chain, reference_reroute_tables,
-                     reference_row_search, reference_uniforms, walk)
+                     reference_row_search, reference_uniforms,
+                     single_bit_chain, single_bit_start, walk)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_TABLES = RerouteTables.from_chain(DEMO)
@@ -82,20 +84,25 @@ def test_decompose_rejects_pi_off_the_simplex():
         decompose(induced_chain(perturbed_coin(0.3)), pi=(0.5, 0.6))
 
 
+def test_decompose_rejects_pi_of_the_wrong_length():
+    with pytest.raises(ValueError, match="one entry per state"):
+        decompose(DEMO, pi=(F(1, 2), F(1, 2)))
+
+
 def test_nan_probabilities_rejected():
     nan = float("nan")
     for bad in (nan, float("inf"), -0.5, 1.5):
         with pytest.raises(ValueError):
             CoinEnsemble(bad, 10, seed=0)
         with pytest.raises(ValueError):
-            single_bit_chain(bad, 0.5)
+            factor_chain(*post_processed_factors(bad, 0.5))
         with pytest.raises(ValueError):
-            single_bit_chain(0.5, bad)
+            factor_chain(*post_processed_factors(0.5, bad))
         with pytest.raises(ValueError):
             three_state_demo_chain(bad, 0.1)
     for p in (0.0, 1.0):
         CoinEnsemble(p, 10, seed=0)
-        single_bit_chain(p, p)
+        factor_chain(*post_processed_factors(p, p))
 
 
 def test_save_fractions_frozen():
@@ -811,24 +818,27 @@ def test_coin_ensemble_state_is_boolean():
 
 def bit_machine_run(p, q, start, steps, rng):
     """Symbols of the single-bit sampler started from machine state start."""
-    chain, emit = single_bit_chain(p, q)
-    return emit[walk(chain, single_bit_start(start, q, rng), steps, rng)]
+    A, B, sources = post_processed_factors(p, q)
+    chain, emit = factor_chain(A, B, sources)
+    return emit[walk(chain, factor_start(start, A, sources, rng), steps, rng)]
 
 
 def test_bit_machine_initial_law():
     rng = np.random.default_rng(14)
-    assert single_bit_start(0, 0.7, rng) == 1  # (0, 0)
-    assert single_bit_start(2, 0.7, rng) == 0  # (2, 1)
+    A, _, sources = post_processed_factors(0.3, 0.7)
+    assert factor_start(0, A, sources, rng) == 3  # (0, 0)
+    assert factor_start(2, A, sources, rng) == 0  # (2, 1)
     # only the middle state draws, so the first two calls took no uniform
     assert rng.random() == np.random.default_rng(14).random()
-    pairs = [single_bit_start(1, 0.7, rng) for _ in range(4000)]
-    assert set(pairs) == {2, 3}  # (1, 0) and (1, 1)
-    zeros = pairs.count(2)
+    pairs = [factor_start(1, A, sources, rng) for _ in range(4000)]
+    assert set(pairs) == {1, 2}  # (1, 0) and (1, 1)
+    zeros = pairs.count(1)
     assert abs(zeros - 4000 * 0.7) < 5 * math.sqrt(4000 * 0.7 * 0.3)
+    for start in (-1, 3):
+        with pytest.raises(ValueError):
+            factor_start(start, A, sources, rng)
     with pytest.raises(ValueError):
-        single_bit_start(3, 0.7, rng)
-    with pytest.raises(ValueError):
-        single_bit_chain(1.2, 0.7)
+        post_processed_factors(1.2, 0.7)
 
 
 def reference_bit_walk(p, q, bit, steps, rng):
@@ -850,9 +860,10 @@ def test_bit_machine_walk_is_the_per_step_rule():
     """The pair chain's walk from each pair is the reference rule's, on a
     12 x 12 grid of (p, q) with both endpoints, as symbols and as bits."""
     grid = np.linspace(0, 1, 12).tolist()
-    bits = np.array([1, 0, 0, 1])
+    bits = np.array([1, 0, 1, 0])
     for p, q in itertools.product(grid, grid):
-        chain, emit = single_bit_chain(p, q)
+        chain, emit = factor_chain(*post_processed_factors(p, q))
+        assert emit.tolist() == [2, 1, 1, 0]
         for start in range(4):
             seed = 1000 * start + grid.index(p) * 12 + grid.index(q)
             rng_a = np.random.default_rng(seed)
@@ -862,6 +873,51 @@ def test_bit_machine_walk_is_the_per_step_rule():
             assert list(zip(emit[states].tolist(),
                             bits[states].tolist())) == ref, (p, q, start)
             assert rng_a.random() == rng_b.random()
+
+
+def test_factor_chain_walks_the_hand_written_single_bit_chain():
+    """From each machine state, the start and walk of the post-processed
+    coin's factor chain emit the symbols of the hand-written single-bit
+    chain's, and spend the same uniforms: over a grid of (p, q) with both
+    endpoints, ratios and a tiny bias.  At q = 1 the middle state's bit is
+    certain, and its start still spends one uniform."""
+    grid = [0, 1, F(1, 9), F(2, 3), 0.2, 0.35, 0.5, 1e-9, 1.0]
+    for k, (p, q) in enumerate(itertools.product(grid, grid)):
+        A, B, sources = post_processed_factors(p, q)
+        chain, emit = factor_chain(A, B, sources)
+        ref_chain, ref_emit = single_bit_chain(p, q)
+        for start in range(3):
+            rng_a = np.random.default_rng(k)
+            rng_b = np.random.default_rng(k)
+            first = factor_start(start, A, sources, rng_a)
+            ref_first = single_bit_start(start, q, rng_b)
+            assert emit[first] == ref_emit[ref_first]
+            symbols = emit[walk(chain, first, 200, rng_a)]
+            ref = ref_emit[walk(ref_chain, ref_first, 200, rng_b)]
+            assert symbols.dtype == ref.dtype
+            assert symbols.tobytes() == ref.tobytes(), (p, q, start)
+            assert rng_a.random() == rng_b.random()
+
+
+def test_factor_chain_follows_any_factorization():
+    """Generators of random exact factors T = A @ B, with no sources and
+    with the first r states as sources: weighted by A[x], the pairs of
+    symbol x emit the next symbol by row x of T."""
+    rng = np.random.default_rng(8)
+    for n, r in ((2, 2), (3, 2), (4, 3)):
+        A = random_rational_chain(rng, n).array[:, :r]
+        A /= A.sum(axis=1)[:, None]
+        B = random_rational_chain(rng, n).array[:r]
+        for sources in ((), tuple(range(r))):
+            A[list(sources)] = np.eye(r, dtype=int)[:len(sources)]
+            chain, emit = factor_chain(A, B, sources)
+            assert chain.exact
+            assert emit.tolist() == sorted(emit.tolist(), reverse=True)
+            for x in range(n):
+                weights = [1] if x in sources else A[x]
+                law = np.dot(weights, chain.array[emit == x])
+                assert ([sum(law[emit == y]) for y in range(n)]
+                        == np.dot(A[x], B).tolist())
 
 
 def test_bit_machine_deterministic_edges():

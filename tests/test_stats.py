@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qimem.markov import (as_cdf, induced_chain, perturbed_coin,
-                          post_processed_coin, stationary)
+                          post_processed_coin, post_processed_factors,
+                          stationary)
 from qimem.quantum import circuit_step_table
-from qimem.samplers import single_bit_chain, single_bit_start
+from qimem.samplers import factor_chain, factor_start
 from qimem.stats import compare_transitions, transition_counts, word_counts
 
 from helpers import (context_law, exact_coin_trajectory, matrix_words,
@@ -267,19 +268,20 @@ def test_trajectory_samplers_calibrate_at_five_sigma():
     symbols, next-symbol counts per 2-symbol context at 5 sigma."""
     p, q = F(1, 9), F(2, 3)
     machine = post_processed_coin(p, q)
+    A, B, sources = post_processed_factors(p, q)
     cdf = as_cdf(np.array(stationary(induced_chain(machine)), dtype=float))
     law = induced_chain(machine).to_numpy()
     symbols = np.arange(3)
     chains = {"baseline": (induced_chain(machine), symbols),
               "quantum": (circuit_step_table("postproc", p, q), symbols),
-              "single-bit": single_bit_chain(p, q)}
+              "single-bit": factor_chain(A, B, sources)}
     failed = []
     for algo, (chain, emit) in chains.items():
         for seed in range(150):
             rng = np.random.default_rng(seed)
             start = int(np.searchsorted(cdf, rng.random(), side="right"))
             if algo == "single-bit":
-                start = single_bit_start(start, q, rng)
+                start = factor_start(start, A, sources, rng)
             report = compare_transitions(*word_counts(
                 emit[walk(chain, start, 20000, rng)], 3, 3), law, context=2)
             if not report.passed:
