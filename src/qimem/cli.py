@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bp, quantum, samplers, stats
-from .markov import (TransitionMatrix, as_cdf, coin_mutual_info_bound,
+from .markov import (TransitionMatrix, coin_mutual_info_bound, draw,
                      induced_chain, normalized_chain, perturbed_coin,
                      post_processed_coin, post_processed_factors, stationary,
                      walk_chain)
@@ -296,11 +296,6 @@ def _load_matrix(path) -> TransitionMatrix:
     return TransitionMatrix([[number(v) for v in row] for row in raw])
 
 
-def _stationary_start(chain: TransitionMatrix, rng: np.random.Generator) -> int:
-    pi = np.array(stationary(chain), dtype=float)
-    return int(np.searchsorted(as_cdf(pi), rng.random(), side="right"))
-
-
 def _saved_fraction_z(observed: float, expected: float, draws: int) -> float:
     if expected in (0.0, 1.0):
         return 0.0 if observed == expected else float("inf")
@@ -355,7 +350,7 @@ def cmd_simulate(args) -> int:
 
 def _simulate_trajectory(chain, model, algo, p, q, seed, steps, sigma, out):
     rng = np.random.default_rng(seed)
-    state = _stationary_start(chain, rng)
+    state = draw(stationary(chain), rng)
     # every walk reads a chain and emits the symbol of each state it
     # enters: a unifilar walk's states are its symbols, on the model's chain
     # or the one its circuit measures, and the single-bit walk's are pairs

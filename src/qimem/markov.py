@@ -363,6 +363,13 @@ def as_cdf(weights) -> np.ndarray:
     return cdf
 
 
+def draw(weights, rng: np.random.Generator) -> int:
+    """The first index whose ``as_cdf`` entry of the float ``weights``
+    exceeds one ``rng.random()``, spent also when one entry is certain."""
+    return int(np.searchsorted(as_cdf(np.asarray(weights, dtype=float)),
+                               rng.random(), side="right"))
+
+
 def walk_chain(chain: TransitionMatrix, start: int, steps: int,
                rng: np.random.Generator):
     """Walk ``chain`` for ``steps`` steps from state ``start``.

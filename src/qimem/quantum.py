@@ -108,10 +108,6 @@ def controlled_u(n: int, control: int, target: int, u: np.ndarray,
     return gate
 
 
-def cnot(n: int, control: int, target: int) -> np.ndarray:
-    return controlled_u(n, control, target, X)
-
-
 def measure(state: np.ndarray, qubits: tuple[int, ...]) -> list:
     """Exact measurement of a subset of qubits in the computational basis.
 

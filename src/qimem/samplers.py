@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .markov import (ROW_SUM_TOL, TransitionMatrix, _check_unit_interval,
-                     _row_sums, as_cdf, stationary)
+                     _row_sums, as_cdf, draw, stationary)
 
 # samples per block of an ensemble step: the unit of work of one thread,
 # small enough that a block's words and temporaries stay a few MB
@@ -264,9 +264,6 @@ class _Ensemble:
         self.seed = int(seed)
         self.saved_counts = []
 
-    def _draw(self, t: int, substream: int) -> np.ndarray:
-        return _words(self.seed, t, substream, self.n_samples)
-
     def _record(self, t: int, values: np.ndarray, flags: np.ndarray) -> None:
         self.values = values
         self.flags = flags
@@ -318,8 +315,11 @@ class GeneralQISampler(_Ensemble):
         self._rminus = _threshold(t.rminus).ravel()
         # the r_plus rows of states that never save are never read
         self._rplus = _RowSearch(_threshold(as_cdf(t.rplus)))
-        values = self._pi(self._draw(0, 0) >> _SHIFT)
-        self._record(0, values, (self._draw(0, 3) >> _SHIFT) < self._f[values])
+        # step 0 draws whole streams on purpose: freeing them lifts glibc's
+        # mmap and trim thresholds above one block, so later steps reuse heap
+        values = self._pi(_words(self.seed, 0, 0, self.n_samples) >> _SHIFT)
+        self._record(0, values, (_words(self.seed, 0, 3, self.n_samples)
+                                 >> _SHIFT) < self._f[values])
 
     def _update(self, lo, hi, draw, accept, pick, save):
         for words in (draw, accept, save):
@@ -356,8 +356,10 @@ class CoinEnsemble(_Ensemble):
         self.p = p
         # both values are equally likely and save alike
         self.expected_saved = abs(2 * p - 1)
-        self._record(0, _below(self._draw(0, 0), 0.5).view(np.uint8),
-                     _below(self._draw(0, 1), self.expected_saved))
+        # whole streams at step 0, as in GeneralQISampler
+        seed, m = self.seed, self.n_samples
+        self._record(0, _below(_words(seed, 0, 0, m), 0.5).view(np.uint8),
+                     _below(_words(seed, 0, 1, m), self.expected_saved))
 
     def _update(self, lo, hi, draw, save):
         fresh = _below(draw, 0.5)
@@ -446,6 +448,5 @@ def factor_start(start: int, A, sources, rng: np.random.Generator) -> int:
     uniform, also when the latent is certain."""
     if not 0 <= start < len(A):
         raise ValueError(f"start state {start} out of range")
-    latent = sources.index(start) if start in sources else int(
-        np.searchsorted(as_cdf(A[start].astype(float)), rng.random(), "right"))
+    latent = sources.index(start) if start in sources else draw(A[start], rng)
     return _factor_pairs(A, sources).index((start, latent))

@@ -688,8 +688,8 @@ def test_trajectory_out_matches_reference(tmp_path, monkeypatch, capsys):
 
 
 def test_trajectory_builds_its_cdfs_once(monkeypatch, capsys):
-    """A run walked in 8 blocks builds the CDFs of all its states once, as
-    one 3 x 3 array, not once a block."""
+    """A run walked in 8 blocks builds one CDF per law, not one a block: pi's
+    for the start draw, then those of all its states as one 3 x 3 array."""
     built, as_cdf = [], markov.as_cdf
 
     def counting(weights):
@@ -700,7 +700,7 @@ def test_trajectory_builds_its_cdfs_once(monkeypatch, capsys):
     monkeypatch.setattr(markov, "as_cdf", counting)
     assert run("simulate", "--model", "postproc", "--algo", "baseline",
                "--p", "1/9", "--q", "2/3", "--steps", "50", "--seed", "5") == 0
-    assert [np.shape(weights) for weights in built] == [(3, 3)]
+    assert [np.shape(weights) for weights in built] == [(3,), (3, 3)]
 
 
 @pytest.mark.parametrize("samples", [0, 101])
@@ -1119,6 +1119,15 @@ def test_module_entry_point_reads_sys_argv(tmp_path, capsys):
     stdout = fresh_process(*argv)
     assert stdout == capsys.readouterr().out
     assert "steps=3" in stdout
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_prints_usage_and_exits_zero(argv, capsys):
+    """--help is a successful run: usage on stdout, nothing on stderr."""
+    assert run(*argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: ") and err == ""
+    assert " ".join(argv[:-1]) in out.splitlines()[0]
 
 
 def test_shared_parser_after_usage_errors(capsys):

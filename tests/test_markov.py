@@ -638,6 +638,21 @@ def test_sample_edges_property(chain, steps, seed, data):
         state = after
 
 
+@pytest.mark.parametrize("weights", [DEMO_PI, [0.2, 0.0, 0.8, 0.0],
+                                     [0.0, 1.0, 0.0], [0.1] * 10])
+def test_draw_spends_one_uniform_on_the_cdf(weights):
+    """``draw`` takes the entry that one uniform picks on ``as_cdf`` of the
+    float weights, Fractions included, and spends that uniform also when
+    one entry is certain."""
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    cdf = markov.as_cdf(np.array(weights, dtype=float))
+    for _ in range(200):
+        got = markov.draw(weights, rng)
+        assert type(got) is int
+        assert got == np.searchsorted(cdf, ref.random(), side="right")
+    assert rng.random() == ref.random()
+
+
 def test_sample_edges_validation():
     """A walk checks its start and step count on the first ``next``, even
     of no steps, before it draws a uniform."""

@@ -23,7 +23,7 @@ from qimem.markov import (EpsilonMachine, binary_entropy, induced_chain,
                           post_processed_coin, stationary,
                           statistical_memory, topological_memory)
 from qimem.quantum import (check_orthogonal, check_unit, circuit_step_table,
-                           cnot, coin_quantum_memory, controlled_u, kron,
+                           coin_quantum_memory, controlled_u, kron,
                            measure, memory_qubits, memory_spectrum, n_qubits,
                            protocol_states, quantum_statistical_memory,
                            quantum_topological_memory, u_x)
@@ -131,12 +131,12 @@ def test_gate_orthogonality():
     for x in P_GRID:
         check_orthogonal(controlled_u(3, 1, 3, u_x(x), control_value=0))
         check_orthogonal(controlled_u(3, 1, 2, u_x(x)))
-    check_orthogonal(cnot(2, 1, 2))
-    check_orthogonal(cnot(3, 3, 2))
+    check_orthogonal(controlled_u(2, 1, 2, quantum.X))
+    check_orthogonal(controlled_u(3, 3, 2, quantum.X))
     with pytest.raises(ValueError):
         controlled_u(2, 1, 1, u_x(0.5))
     with pytest.raises(ValueError):
-        cnot(2, 0, 1)
+        controlled_u(2, 0, 1, quantum.X)
 
 
 @pytest.mark.parametrize("u", [u_x(0.3), prep_factor(0.3)])
@@ -159,7 +159,7 @@ def test_controlled_u_matches_full_width_products(u):
 
 def test_cnot_action():
     # qubit 1 is the most significant bit of the index
-    g = cnot(2, 1, 2)
+    g = controlled_u(2, 1, 2, quantum.X)
     basis = np.eye(4)
     assert np.array_equal(g @ basis[0], basis[0])
     assert np.array_equal(g @ basis[1], basis[1])
@@ -284,10 +284,10 @@ def raw_coin_states(p, j, steps):
     e0 = np.array([1.0, 0.0])
     xi = [u_x(p)[:, 0], u_x(1 - float(p))[:, 0]]
     states = [kron(e0, e0), kron(xi[j], xi[0])]
-    states.append(cnot(2, 1, 2) @ states[-1])
+    states.append(controlled_u(2, 1, 2, quantum.X) @ states[-1])
     for m in range(2, steps + 1):
         states.append(kron(states[-1], xi[0]))
-        states.append(cnot(m + 1, m, m + 1) @ states[-1])
+        states.append(controlled_u(m + 1, m, m + 1, quantum.X) @ states[-1])
     return states
 
 
@@ -297,7 +297,7 @@ def raw_postproc_states(p, q, j):
     states = [kron(e0, e0, e0), kron(xi[j], e0, e0)]
     for gate in (controlled_u(3, 1, 3, u_x(p), control_value=0),
                  controlled_u(3, 1, 2, u_x(1 - float(q))),
-                 cnot(3, 3, 2)):
+                 controlled_u(3, 3, 2, quantum.X)):
         states.append(gate @ states[-1])
     return states
 
