@@ -189,6 +189,35 @@ def test_simulate_usage_errors(tmp_path):
                "--p", "0.3", "--seed", "1") == 2  # argparse choice
 
 
+MODEL_FLAGS = {"coin": ("--p", "0.3"),
+               "postproc": ("--p", "1/9", "--q", "2/3"),
+               "custom": ("--matrix", "chain.json")}
+UNDEFINED = {("coin", "single-bit"), ("postproc", "qi-ensemble"),
+             ("custom", "quantum"), ("custom", "qi-ensemble"),
+             ("custom", "single-bit")}
+
+
+@pytest.mark.parametrize("algo", ["baseline", "quantum", "qi-ensemble",
+                                  "single-bit", "qi-general"])
+@pytest.mark.parametrize("model", ["coin", "postproc", "custom"])
+def test_simulate_model_algo_table(model, algo, tmp_path, monkeypatch,
+                                   capsys):
+    """Each of the 15 model x algorithm pairs, with valid model flags: the
+    10 that simulate runs pass its usage checks, and the other 5 are
+    refused as undefined for the model."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.json").write_text(json.dumps(DEMO_MATRIX))
+    code = run("simulate", "--model", model, "--algo", algo,
+               *MODEL_FLAGS[model], "--samples", "50", "--steps", "5",
+               "--seed", "1")
+    err = capsys.readouterr().err
+    if (model, algo) in UNDEFINED:
+        assert code == 2
+        assert f"is not defined for model {model}" in err
+    else:
+        assert code != 2, err
+
+
 def test_simulate_statistical_failure_exit(tmp_path):
     assert run("simulate", "--model", "coin", "--algo", "baseline",
                "--p", "0.3", "--seed", "1", "--steps", "2000",
