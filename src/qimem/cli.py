@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -38,6 +39,16 @@ from .markov import (TransitionMatrix, coin_mutual_info_bound, draw,
 
 PASS, STAT_FAIL, USAGE, NUMERIC = 0, 1, 2, 3
 BP_TOL = 1e-10
+
+# The flags each --model reads and the algorithms simulate runs on it.
+# bp-verify runs the models with a circuit, quantum.PROTOCOL_STEPS.
+Model = namedtuple("Model", "flags algos")
+MODELS = {"coin": Model(("p",), {"baseline", "quantum", "qi-ensemble",
+                                 "qi-general"}),
+          "postproc": Model(("p", "q"), {"baseline", "quantum", "single-bit",
+                                         "qi-general"}),
+          "custom": Model(("matrix",), {"baseline", "qi-general"})}
+ENSEMBLE_ALGOS = {"qi-ensemble", "qi-general"}
 
 
 class UsageError(Exception):
@@ -76,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_appendix_a)
 
     sp = sub.add_parser("simulate", help="sample a model and verify statistics")
-    sp.add_argument("--model", required=True,
-                    choices=["coin", "postproc", "custom"])
+    sp.add_argument("--model", required=True, choices=MODELS)
     sp.add_argument("--algo", required=True,
                     choices=["baseline", "quantum", "qi-ensemble",
                              "single-bit", "qi-general"])
@@ -98,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bp-verify",
                         help="check BP messages and marginals against circuits")
-    sp.add_argument("--model", required=True, choices=["coin", "postproc"])
+    sp.add_argument("--model", required=True, choices=quantum.PROTOCOL_STEPS)
     sp.add_argument("--p", help="coin bias")
     sp.add_argument("--q", help="post-processing weight")
     sp.add_argument("--steps", type=int, default=1,
@@ -181,12 +191,15 @@ def _number(text, name: str):
     return number
 
 
-def _refuse_unread(args, *names) -> None:
-    """Model flags a run does not read are usage errors, like the flags a
-    subcommand does not register."""
-    for name in names:
-        if getattr(args, name) is not None:
+def _model_numbers(args) -> tuple:
+    """``(p, q)`` of ``args.model``, None for a flag it does not read.  Any
+    model flag it does not read is a usage error, as an unknown flag is."""
+    reads = MODELS[args.model].flags
+    for name in ("p", "q", "matrix"):
+        if name not in reads and getattr(args, name, None) is not None:
             raise UsageError(f"--{name} is not read by --model {args.model}")
+    return tuple(_number(getattr(args, name), name) if name in reads else None
+                 for name in ("p", "q"))
 
 
 def _write_text(out, text: str) -> None:
@@ -308,42 +321,31 @@ def cmd_simulate(args) -> int:
     samples, steps, sigma, threads = (args.samples, args.steps, args.sigma,
                                       args.threads)
     # the ensemble samplers key their Philox streams with a uint64 seed
-    if seed < 0 or (algo in ("qi-ensemble", "qi-general") and seed >= 2 ** 64):
+    if seed < 0 or (algo in ENSEMBLE_ALGOS and seed >= 2 ** 64):
         raise UsageError(f"--seed {seed} out of range")
     if samples < 1 or steps < 0 or threads < 1 or not sigma >= 0:
         raise UsageError("--samples/--steps/--threads/--sigma out of range")
-
-    allowed = {"coin": {"baseline", "quantum", "qi-ensemble", "qi-general"},
-               "postproc": {"baseline", "quantum", "single-bit", "qi-general"},
-               "custom": {"baseline", "qi-general"}}
-    unread = {"coin": ("q", "matrix"), "postproc": ("matrix",),
-              "custom": ("p", "q")}
-    if algo not in allowed[model]:
+    if algo not in MODELS[model].algos:
         raise UsageError(f"algo {algo} is not defined for model {model}")
-    _refuse_unread(args, *unread[model])
-
-    p = q = None
+    p, q = _model_numbers(args)
     if model == "custom":
         if not args.matrix:
             raise UsageError("--model custom needs --matrix")
         chain = normalized_chain(_load_matrix(args.matrix).array)
-    elif model == "coin":
-        p = _number(args.p, "p")
-        chain = induced_chain(perturbed_coin(p))
     else:
-        p, q = _number(args.p, "p"), _number(args.q, "q")
-        chain = induced_chain(post_processed_coin(p, q))
+        chain = induced_chain(perturbed_coin(p) if model == "coin"
+                              else post_processed_coin(p, q))
 
     # threads is a performance knob with no statistical footprint, so it
     # stays out of the report: outputs are byte-identical whatever its value
     meta = [f"model={model}", f"algo={algo}", f"seed={seed}",
             f"samples={samples}", f"steps={steps}", f"sigma={sigma!r}"]
-    if algo in ("baseline", "quantum", "single-bit"):
-        body, code = _simulate_trajectory(chain, model, algo, p, q, seed,
-                                          steps, sigma, out)
-    else:
+    if algo in ENSEMBLE_ALGOS:
         body, code = _simulate_ensemble(chain, algo, p, seed, samples, steps,
                                         sigma, threads, out)
+    else:
+        body, code = _simulate_trajectory(chain, model, algo, p, q, seed,
+                                          steps, sigma, out)
     _write_report(out and out + ".report.txt", "\n".join(meta) + "\n" + body)
     return code
 
@@ -537,15 +539,10 @@ def _max_steps(model: str) -> int:
 
 def cmd_bp_verify(args) -> int:
     model, steps = args.model, args.steps
-    p = _number(args.p, "p")
-    q = None
+    p, q = _model_numbers(args)
     if not 1 <= steps <= _max_steps(model):
         raise UsageError(f"--steps must be in 1..{_max_steps(model)} for the "
                          f"{model} model")
-    if model == "postproc":
-        q = _number(args.q, "q")
-    else:
-        _refuse_unread(args, "q")
     graph = bp.protocol_graph(model, p, q, steps)
     lines = []
     worst = _verify_graph(graph, model, p, q, steps, lines)

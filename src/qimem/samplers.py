@@ -309,7 +309,8 @@ class GeneralQISampler(_Ensemble):
     def __init__(self, chain: TransitionMatrix, n_samples: int, seed: int):
         super().__init__(n_samples, seed)
         t = RerouteTables.from_chain(chain)
-        self.expected_saved = float(expected_memory(t)[0])
+        # a probability, though a float sum of f_j pi_j may round past 1
+        self.expected_saved = min(float(expected_memory(t)[0]), 1.0)
         self._pi = _GuideTable(_threshold(as_cdf(t.pi)))
         self._f = _threshold(t.f)
         self._rminus = _threshold(t.rminus).ravel()

@@ -218,6 +218,18 @@ def test_simulate_model_algo_table(model, algo, tmp_path, monkeypatch,
         assert code != 2, err
 
 
+def test_qi_general_runs_a_chain_in_which_every_state_saves(capsys):
+    """At q = 1 every state saves, and a float expectation that rounds past
+    1 must not reach the saved-fraction z as a math domain error."""
+    assert run("simulate", "--model", "postproc", "--algo", "qi-general",
+               "--p", "0.2", "--q", "1", "--samples", "50", "--steps", "5",
+               "--seed", "1") == 0
+    fields = dict(line.split("=", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    assert fields["saved_fraction_expected"] == "1.0"
+    assert fields["saved_z"] == "0.0"
+
+
 def test_simulate_statistical_failure_exit(tmp_path):
     assert run("simulate", "--model", "coin", "--algo", "baseline",
                "--p", "0.3", "--seed", "1", "--steps", "2000",

@@ -483,14 +483,14 @@ def assert_walks_agree(chain, start, steps, seed):
     assert rng_a.random() == rng_b.random()
 
 
-def test_sample_edges_matches_reference():
+def test_walk_chain_matches_reference():
     for seed, chain in enumerate(walked_chains()):
         for start in range(chain.n):
             for steps in (0, 1, 6, 7, 8, 50):
                 assert_walks_agree(chain, start, steps, seed)
 
 
-def test_sample_edges_across_a_full_block():
+def test_walk_chain_across_a_full_block():
     """A run one step longer than TRAJECTORY_BLOCK comes as a full block
     and a block of one step, which laid end to end are one walk of the
     whole run."""
@@ -507,7 +507,7 @@ def test_sample_edges_across_a_full_block():
             assert rng_a.random() == rng_b.random()
 
 
-def test_sample_edges_yields_the_state_after_each_block(monkeypatch):
+def test_walk_chain_yields_the_state_after_each_block(monkeypatch):
     """Each block ends with the state the walk has reached after it."""
     monkeypatch.setattr(markov, "TRAJECTORY_BLOCK", 7)
     for seed, chain in enumerate(walked_chains()):
@@ -518,7 +518,7 @@ def test_sample_edges_yields_the_state_after_each_block(monkeypatch):
                 chain, 0, min(7 * k + 7, 50), np.random.default_rng(seed))[-1]
 
 
-def test_sample_edges_memory_bounded_by_slices():
+def test_walk_chain_memory_bounded_by_slices():
     """A walk holds one TRAJECTORY_BLOCK of draws, as Python floats, and of
     states at a time.  At 1e6 steps the whole run as one list peaked at
     40.5 MB, the draws and symbols of the run as arrays at about 18.7 MB,
@@ -629,7 +629,7 @@ def random_table(draw):
 @settings(max_examples=150, deadline=None)
 @given(chain=random_table(), steps=st.integers(0, 40),
        seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_sample_edges_property(chain, steps, seed, data):
+def test_walk_chain_property(chain, steps, seed, data):
     start = data.draw(st.integers(0, chain.n - 1))
     assert_walks_agree(chain, start, steps, seed)
     state = start
@@ -653,7 +653,7 @@ def test_draw_spends_one_uniform_on_the_cdf(weights):
     assert rng.random() == ref.random()
 
 
-def test_sample_edges_validation():
+def test_walk_chain_validation():
     """A walk checks its start and step count on the first ``next``, even
     of no steps, before it draws a uniform."""
     chain = circuit_step_table("coin", 0.3)

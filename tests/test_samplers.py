@@ -150,6 +150,14 @@ def test_expected_memory():
     assert CoinEnsemble(0.75, 10, seed=0).expected_saved == 0.5
 
 
+def test_expected_saved_is_a_probability():
+    """A chain in which every state saves: the float sum of f_j pi_j rounds
+    to 1.0000000000000002, and the expectation is clamped at 1."""
+    chain = induced_chain(markov.post_processed_coin(0.2, 1))
+    assert RerouteTables.from_chain(chain).f.tolist() == [1.0, 1.0, 1.0]
+    assert GeneralQISampler(chain, 10, seed=0).expected_saved == 1.0
+
+
 def test_float_row_at_pi_needs_no_saves():
     """A float row equal to pi differs from the solved pi only by rounding,
     which must not become save fractions and reroute tables."""
