@@ -235,14 +235,14 @@ def protocol_graph(model: str, p, q=None, steps: int = 1) -> CycleFactorGraph:
     loop projects onto the all-zeros state.
     """
     chain = list(chained_steps(model, steps))
-    # a postproc state prepares the square roots of its latent bit's law
-    memory = ((p, 1 - p) if model == "coin"
-              else post_processed_factors(p, q)[0][:, 1])
+    # postproc states prepare the roots of the latent bit's law from P(bit=0)
+    memory = ([prep_factor(x) for x in (p, 1 - p)] if model == "coin" else [
+        X @ prep_factor(x) for x in post_processed_factors(p, q)[0][:, 0]])
     rotations = {"0": prep_factor(0), "p": prep_factor(p), "X": X,
-                 "1-q": None if q is None else prep_factor(1 - q)}
+                 "1-q": None if q is None else X @ prep_factor(q)}
     step = PROTOCOL_STEPS[model]
     fresh = [rotations[a] for a in step.ancillas]
-    up = [np.stack([kron(prep_factor(x), *fresh) for x in memory])]
+    up = [np.stack([kron(prep, *fresh) for prep in memory])]
     for m, (qubits, width) in enumerate(chain):
         if m:
             up.append(kron(np.eye(2 ** (width - len(fresh))),

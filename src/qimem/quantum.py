@@ -266,7 +266,7 @@ def protocol_states(model: str, p, q=None,
     """
     xi = np.array(memory_qubits(model, p, q))
     rotations = {"0": u_x(0), "p": u_x(p), "X": X,
-                 "1-q": None if q is None else u_x(1 - float(q))}
+                 "1-q": None if q is None else X @ u_x(float(q))}
     step = PROTOCOL_STEPS[model]
     fresh = [rotations[a][:, 0] for a in step.ancillas]
     e0 = np.array([1.0, 0.0])
