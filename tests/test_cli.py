@@ -558,6 +558,8 @@ def test_trajectory_outputs_pinned(block, tmp_path, monkeypatch, capsys):
 
 
 def test_ensemble_steps_0_writes_the_start_states(tmp_path, capsys):
+    """The pinned --steps 0 ensemble writes its header and one step-0 line
+    per sample."""
     command = ("simulate --model custom --algo qi-general --matrix {chain3} "
                "--samples 5000 --steps 0 --seed 5 --out")
     assert _pinned(command, tmp_path, capsys) == PINNED[command]
