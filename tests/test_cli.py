@@ -320,8 +320,8 @@ def test_simulate_nan_is_numeric_error():
 
 
 # Every pinned command output: the command text, with {chainN} and
-# {sparse12} for the files _chain_file and _sparse_chain_file write, and its
-# exit code and sha256.  The sha256 is of stdout, then, for a command that
+# {sparse12} for the files _chain_file and _sparse_chain_file write and
+# {thirds} for THIRDS_MATRIX, and its exit code and sha256.  The sha256 is of stdout, then, for a command that
 # ends in --out, of the output file _pinned appends and of its report.
 PINNED = {
     # One trajectory run per algorithm (postproc p=1/9 q=2/3, 2e4 steps,
@@ -473,8 +473,9 @@ PINNED = {
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 
     # The custom-chain runs: the rational demo chain, float chains of 12, 50,
-    # 200 and 400 states, and a sparse 12-state float chain whose rows hold
-    # exact zeros, some of them last and after a row sum of 1 - 1 ulp.  Every
+    # 200 and 400 states, a sparse 12-state float chain whose rows hold
+    # exact zeros, some of them last and after a row sum of 1 - 1 ulp, and
+    # the demo chain in floats, whose middle row sums to 1 - 1 ulp.  Every
     # run, its walk or ensemble, stationary start and verdict, reads the
     # chain of those rows each divided by its left-to-right sum.  The rows of
     # the 200- and 400-state chains are longer than the 128 entries of a
@@ -507,7 +508,16 @@ PINNED = {
     "simulate --model custom --algo baseline --matrix {sparse12} "
     "--steps 20000 --seed 5 --out":
         (0, "7ac273f637a64be180819b752c1bce4988a5e7cfc5b01a1eb6104396292fb9ec"),
+    "simulate --model custom --algo qi-general --matrix {thirds} "
+    "--samples 1000 --steps 10 --seed 1 --out":
+        (0, "0716488f397a391e97ba88502244da259e83a70cd4fce91b322d0a9f0d4d2bc1"),
+    "simulate --model custom --algo baseline --matrix {thirds} "
+    "--steps 10000 --seed 1 --out":
+        (0, "47922fd593cb374639453d18d00d6623e988756e9365f6ffce92fab1e68870aa"),
 }
+
+# DEMO_MATRIX in floats, whose middle row sums to 0.9999999999999999
+THIRDS_MATRIX = [[1/3, 1/3, 1/3], [1/9, 2/3, 2/9], [1/3, 1/3, 1/3]]
 
 
 def _pinned(command, tmp_path, capsys):
@@ -517,6 +527,10 @@ def _pinned(command, tmp_path, capsys):
     for word in command.split():
         if word == "{sparse12}":
             word = str(_sparse_chain_file(tmp_path))
+        elif word == "{thirds}":
+            path = tmp_path / "thirds.json"
+            path.write_text(json.dumps(THIRDS_MATRIX))
+            word = str(path)
         elif word.startswith("{chain"):
             word = str(_chain_file(tmp_path, int(word[6:-1])))
         argv.append(word)
