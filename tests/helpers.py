@@ -24,6 +24,14 @@ def random_chain(rng: np.random.Generator, n: int) -> TransitionMatrix:
     return TransitionMatrix([[float(v) for v in row] for row in rows])
 
 
+def floored_chain(rows) -> TransitionMatrix:
+    """Float rows, each entry raised to at least 1e-12 and each row then
+    divided by its sum: a Dirichlet draw with small alpha stays
+    irreducible."""
+    rows = np.maximum(rows, 1e-12)
+    return TransitionMatrix((rows / rows.sum(axis=1, keepdims=True)).tolist())
+
+
 def random_rational_chain(rng: np.random.Generator, n: int) -> TransitionMatrix:
     """Positive rational rows that sum to one exactly."""
     rows = []

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qimem import cli
+from qimem import cli, samplers
 from qimem.markov import (binary_entropy, perturbed_coin, post_processed_coin,
                           statistical_memory)
 from qimem.quantum import (memory_spectrum, quantum_statistical_memory,
@@ -191,8 +191,13 @@ def test_criterion_6_memory_compression(capsys):
         assert elapsed < 5.0
 
 
-def test_criterion_7_thread_count_invisible(tmp_path, capsys):
+def test_criterion_7_thread_count_invisible(tmp_path, capsys, monkeypatch):
     with verdict(capsys, 7, "thread count leaves no trace in outputs"):
+        # three blocks per step, the second and third starting at samples
+        # 16666 and 33333, inside four-word Philox counters; with more CPUs
+        # than blocks, 2 and 5 threads run 2 and 3 lanes
+        monkeypatch.setattr(samplers, "BLOCK", 16667)
+        monkeypatch.setattr(samplers, "_usable_cpus", lambda: 8)
         matrix = tmp_path / "chain.json"
         matrix.write_text(json.dumps(DEMO_MATRIX))
         general, coin = [], []

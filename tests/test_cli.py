@@ -170,21 +170,6 @@ def test_simulate_qi_general_custom(tmp_path):
     assert expected == pytest.approx(5 / 12, abs=1e-12)
 
 
-def test_simulate_threads_are_invisible_in_output(tmp_path):
-    matrix = tmp_path / "chain.json"
-    matrix.write_text(json.dumps(DEMO_MATRIX))
-    blobs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}.csv"
-        assert run("simulate", "--model", "custom", "--algo", "qi-general",
-                   "--matrix", str(matrix), "--samples", "4000",
-                   "--steps", "12", "--seed", "5", "--threads", threads,
-                   "--out", str(out)) == 0
-        report = tmp_path / f"t{threads}.csv.report.txt"
-        blobs.append((out.read_bytes(), report.read_bytes()))
-    assert blobs[0] == blobs[1]
-
-
 def test_simulate_usage_errors(tmp_path):
     assert run("simulate", "--model", "coin", "--algo", "single-bit",
                "--p", "0.3", "--seed", "1") == 2

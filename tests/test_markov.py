@@ -25,10 +25,11 @@ from qimem.markov import (EpsilonMachine, ReducibleChainError,
 from qimem.quantum import circuit_step_table
 from qimem.samplers import factor_chain, three_state_demo_chain
 
-from helpers import (context_law, exact_kgram_distribution, machine_edges,
-                     post_processed_rows, random_chain, random_machine,
-                     random_rational_chain, reference_stationary,
-                     reference_strongly_connected, reference_walk, walk)
+from helpers import (context_law, exact_kgram_distribution, floored_chain,
+                     machine_edges, post_processed_rows, random_chain,
+                     random_machine, random_rational_chain,
+                     reference_stationary, reference_strongly_connected,
+                     reference_walk, walk)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_PI = (F(2, 9), F(1, 2), F(5, 18))
@@ -270,11 +271,6 @@ def test_stationary_slow_chain_pinned():
     assert pi.tolist() == [0.7499999999000511, 0.2500000000999489]
 
 
-def _floored_chain(rows) -> TransitionMatrix:
-    rows = np.maximum(rows, 1e-12)
-    return TransitionMatrix((rows / rows.sum(axis=1, keepdims=True)).tolist())
-
-
 @st.composite
 def dirichlet_chains(draw):
     """Dense chains of 2 to 64 states: rows longer than numpy's 8-element
@@ -282,7 +278,7 @@ def dirichlet_chains(draw):
     n = draw(st.integers(2, 64))
     alpha = draw(st.sampled_from((0.3, 1.0, 5.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return _floored_chain(rng.dirichlet(np.full(n, alpha), n))
+    return floored_chain(rng.dirichlet(np.full(n, alpha), n))
 
 
 @st.composite
@@ -292,8 +288,8 @@ def rotation_chains(draw):
     eps = 10.0 ** draw(st.floats(-3, 0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rotation = np.roll(np.eye(n), 1, axis=1)
-    return _floored_chain((1 - eps) * rotation
-                          + eps * rng.dirichlet(np.ones(n), n))
+    return floored_chain((1 - eps) * rotation
+                         + eps * rng.dirichlet(np.ones(n), n))
 
 
 @st.composite

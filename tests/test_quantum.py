@@ -8,6 +8,7 @@ two computation paths.
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction as F
 from functools import reduce
 
@@ -446,18 +447,26 @@ def test_density_validation():
 
 
 def test_large_chain_memory_without_the_dense_route():
-    # 300 states and 300 symbols: the dense state x output density would
-    # be 90000 x 90000, the Gram matrix is 300 x 300
+    # 400 states and 400 symbols: the dense state x output density would
+    # be 160000 x 160000, and the amplitudes over every (symbol, successor)
+    # pair 400 x 160000, 488 MiB; the Gram matrix is 400 x 400, and the
+    # memory calls peaked at 9.9 MiB traced
     t0 = time.perf_counter()
-    machine = machine_from_chain(random_chain(np.random.default_rng(300), 300))
-    lams = memory_spectrum(machine)
-    sq = quantum_statistical_memory(machine)
+    machine = machine_from_chain(random_chain(np.random.default_rng(400), 400))
+    tracemalloc.start()
+    try:
+        lams = memory_spectrum(machine)
+        sq = quantum_statistical_memory(machine)
+        dq = quantum_topological_memory(machine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert sq <= statistical_memory(machine) + 1e-9
     assert np.sum(lams > 1e-10) <= machine.n
-    assert quantum_topological_memory(machine) \
-        <= topological_memory(machine) + 1e-9
+    assert dq <= topological_memory(machine) + 1e-9
     elapsed = time.perf_counter() - t0
-    assert elapsed < 2.0, f"300-state memory took {elapsed:.3f}s"
+    assert elapsed < 2.0, f"400-state memory took {elapsed:.3f}s"
+    assert peak < 32 * 2**20, peak
 
 
 def test_circuit_step_table_successors():

@@ -35,10 +35,11 @@ from qimem.samplers import (CoinEnsemble, DegenerateSupportError,
                             three_state_demo_chain)
 from qimem.stats import compare_transitions, transition_counts, word_counts
 
-from helpers import (ReferenceQISampler, matrix_words, random_chain,
-                     random_rational_chain, reference_reroute_tables,
-                     reference_row_search, reference_uniforms,
-                     single_bit_chain, single_bit_start, walk)
+from helpers import (ReferenceQISampler, floored_chain, matrix_words,
+                     random_chain, random_rational_chain,
+                     reference_reroute_tables, reference_row_search,
+                     reference_uniforms, single_bit_chain, single_bit_start,
+                     walk)
 
 DEMO = three_state_demo_chain(F(1, 9), F(2, 3))
 DEMO_TABLES = RerouteTables.from_chain(DEMO)
@@ -216,18 +217,6 @@ def test_general_sampler_reproducible():
     assert not np.array_equal(sampler.values, other.values)
 
 
-def test_general_sampler_threads_identical():
-    runs = []
-    for threads in (1, 4):
-        sampler = GeneralQISampler(DEMO, 3000, seed=9)
-        history = [sampler.values.copy()]
-        for _ in range(4):
-            history.append(sampler.step(threads=threads).copy())
-        runs.append((np.concatenate(history).tobytes(),
-                     sampler.flags.tobytes(), tuple(sampler.saved_counts)))
-    assert runs[0] == runs[1]
-
-
 def test_general_sampler_reproduces_chain():
     chain = TransitionMatrix([[float(v) for v in row] for row in DEMO.array])
     sampler = GeneralQISampler(chain, 20000, seed=12)
@@ -264,17 +253,6 @@ def test_coin_ensemble_reproduces_coin():
         expect = abs(2 * p - 1)
         assert saved == pytest.approx(
             expect, abs=5 * math.sqrt(expect * (1 - expect) / (31 * 20000)))
-
-
-def test_coin_ensemble_threads_identical():
-    runs = []
-    for threads in (1, 3):
-        ensemble = CoinEnsemble(0.3, 2000, seed=21)
-        history = [ensemble.values.copy()]
-        for _ in range(4):
-            history.append(ensemble.step(threads=threads).copy())
-        runs.append(np.concatenate(history).tobytes())
-    assert runs[0] == runs[1]
 
 
 @pytest.fixture
@@ -343,6 +321,24 @@ def test_chunks_bounded_by_sample_count(executors):
                          tuple(sampler.saved_counts)))
         assert runs[0] == runs[1]
     assert sum(len(pool._threads) for pool in executors) <= 1
+
+
+def test_large_chain_steps_form_no_samples_by_states_array():
+    """Steps of 2e4 samples of a 1000-state Dirichlet(0.3) chain, in which
+    more than half the samples reroute, read r_minus at flat indices and
+    search the r_plus keys: three peaked at 1.8 MiB traced, where one
+    samples x states array of 8-byte entries is 153 MiB."""
+    rng = np.random.default_rng(3)
+    sampler = GeneralQISampler(
+        floored_chain(rng.dirichlet(np.full(1000, 0.3), 1000)), 20000, seed=1)
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            sampler.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
