@@ -306,8 +306,9 @@ def test_simulate_nan_is_numeric_error():
 
 # Every pinned command output: the command text, with {chainN} and
 # {sparse12} for the files _chain_file and _sparse_chain_file write and
-# {thirds} for THIRDS_MATRIX, and its exit code and sha256.  The sha256 is of stdout, then, for a command that
-# ends in --out, of the output file _pinned appends and of its report.
+# {thirds} for DEMO_MATRIX in floats, and its exit code and sha256.  The
+# sha256 is of stdout, then, for a command that ends in --out, of the output
+# file _pinned appends and of its report.
 PINNED = {
     # One trajectory run per algorithm (postproc p=1/9 q=2/3, 2e4 steps,
     # seed 5): a change to any sampled symbol, the start-state draw or the
@@ -501,9 +502,6 @@ PINNED = {
         (0, "47922fd593cb374639453d18d00d6623e988756e9365f6ffce92fab1e68870aa"),
 }
 
-# DEMO_MATRIX in floats, whose middle row sums to 0.9999999999999999
-THIRDS_MATRIX = [[1/3, 1/3, 1/3], [1/9, 2/3, 2/9], [1/3, 1/3, 1/3]]
-
 
 def _pinned(command, tmp_path, capsys):
     """Exit code and sha256 of a PINNED command run in ``tmp_path``; a
@@ -514,7 +512,8 @@ def _pinned(command, tmp_path, capsys):
             word = str(_sparse_chain_file(tmp_path))
         elif word == "{thirds}":
             path = tmp_path / "thirds.json"
-            path.write_text(json.dumps(THIRDS_MATRIX))
+            path.write_text(json.dumps([[1/3, 1/3, 1/3], [1/9, 2/3, 2/9],
+                                        [1/3, 1/3, 1/3]]))
             word = str(path)
         elif word.startswith("{chain"):
             word = str(_chain_file(tmp_path, int(word[6:-1])))
