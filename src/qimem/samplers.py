@@ -11,12 +11,12 @@ its (symbol, latent) pairs (``factor_chain``/``factor_start``), which
 
 Randomness is counter-based: every step of an ensemble consumes Philox
 streams keyed by (seed, step, substream), and sample number ell always
-reads element ell of those streams.  A step runs in blocks of at most
-``BLOCK`` samples, and each block draws only its own span of every stream,
-starting at the Philox counter of its first sample, so no full-length
-stream is ever formed.  The update of one sample depends only
-on its own previous state, its own stream elements and the shared constant
-tables, so any split of the blocks across threads reproduces the
+reads element ell of those streams.  Every step, step 0 included, runs in
+blocks of at most ``BLOCK`` samples, and each block draws its own span of
+one stream at a time, starting at the Philox counter of its first sample,
+so no full-length stream is ever formed.  The update of one sample depends
+only on its own previous state, its own stream elements and the shared
+constant tables, so any split of the blocks across threads reproduces the
 single-threaded result bit for bit.  Both ensembles read the raw 64-bit
 words, whose uniforms in [0, 1) are ``(word >> 11) * 2**-53``, and compare
 them against the integer thresholds ``ceil(x * 2**53)`` of their
@@ -90,6 +90,13 @@ def _threshold(x):
         return np.array([-(-v.numerator * 2 ** 53 // v.denominator)
                          for v in x.flat], dtype=np.uint64).reshape(x.shape)
     return np.ceil(np.asarray(x, dtype=np.float64) * 2.0 ** 53).astype(np.uint64)
+
+
+def _top(words: np.ndarray) -> np.ndarray:
+    """The 53-bit numerators of the uniforms of ``words``, shifted in place
+    into the words' own array, which only the caller holds."""
+    words >>= _SHIFT
+    return words
 
 
 def _below(words: np.ndarray, x: float) -> np.ndarray:
@@ -250,42 +257,55 @@ def expected_memory(tables: RerouteTables):
     return fraction, fraction * math.ceil(math.log2(tables.n))
 
 
+def _reserve(n_samples: int) -> None:
+    """Ask for one byte per sample and give it back untouched, so that an
+    ensemble too large to hold fails with numpy's MemoryError at once,
+    before any block is drawn."""
+    np.empty(n_samples, dtype=bool)
+
+
 class _Ensemble:
-    """M samples, each a value and a saved flag.  Step t reads ``streams``
-    word streams (seed, t, 0..streams-1); ``_update(lo, hi, *words)`` gives
-    the new values and flags of samples lo..hi-1 from their own elements of
-    each stream, their previous state and the subclass's constant tables.
-    ``expected_saved``, a float, is the fraction of samples saved per step
-    in the stationary regime.
+    """M samples, each a value and a saved flag.  Step t reads the word
+    streams (seed, t, s).  ``_start(lo, hi, words)`` at step 0 and
+    ``_update(lo, hi, words)`` at every later step give the new values and
+    flags of samples lo..hi-1 from their previous state, the subclass's
+    constant tables and ``words(s)``, their own elements of stream s, drawn
+    when it is called.  ``expected_saved``, a float, is the fraction of
+    samples saved per step in the stationary regime.
     """
 
     def __init__(self, n_samples: int, seed: int):
         self.n_samples = int(n_samples)
         self.seed = int(seed)
         self.saved_counts = []
+        self.step_index = -1
+        _reserve(self.n_samples)
+        # Freeing an untouched buffer of two blocks' words lifts glibc's
+        # mmap and trim thresholds above one block's words, so the steps
+        # reuse a heap that stays mapped instead of faulting it in anew.
+        np.empty(2 * BLOCK, dtype=np.uint64)
 
-    def _record(self, t: int, values: np.ndarray, flags: np.ndarray) -> None:
-        self.values = values
-        self.flags = flags
-        self.step_index = t
-        self.saved_counts.append(int(np.count_nonzero(flags)))
-
-    def step(self, threads: int = 1) -> np.ndarray:
-        """Advance every sample once; returns the new value array."""
+    def _advance(self, rule, threads: int = 1) -> np.ndarray:
+        """Run ``rule`` over the blocks of the next step and record it."""
         t = self.step_index + 1
 
         def update(lo: int, hi: int):
-            return self._update(lo, hi, *(_words(self.seed, t, s, hi - lo, lo)
-                                          for s in range(self.streams)))
+            return rule(lo, hi, lambda s: _words(self.seed, t, s, hi - lo, lo))
 
         values, flags = zip(*_run_blocks(update, self.n_samples, threads))
         # Blocks are joined once all have run, and one block's results are
         # the new state as they are.  Output arrays allocated before the
         # blocks would sit below each block's words, whose freeing leaves a
         # heap top that the allocator trims and the next block faults back.
-        self._record(t, *(np.concatenate(x) if len(x) > 1 else x[0]
-                          for x in (values, flags)))
+        self.values, self.flags = (np.concatenate(x) if len(x) > 1 else x[0]
+                                   for x in (values, flags))
+        self.step_index = t
+        self.saved_counts.append(int(np.count_nonzero(self.flags)))
         return self.values
+
+    def step(self, threads: int = 1) -> np.ndarray:
+        """Advance every sample once; returns the new value array."""
+        return self._advance(self._update, threads)
 
 
 class GeneralQISampler(_Ensemble):
@@ -304,8 +324,6 @@ class GeneralQISampler(_Ensemble):
     index j * n + i, so a step allocates no k x n array for k reroutes.
     """
 
-    streams = 4  # draw, accept, pick, save
-
     def __init__(self, chain: TransitionMatrix, n_samples: int, seed: int):
         super().__init__(n_samples, seed)
         t = RerouteTables.from_chain(chain)
@@ -316,25 +334,26 @@ class GeneralQISampler(_Ensemble):
         self._rminus = _threshold(t.rminus).ravel()
         # the r_plus rows of states that never save are never read
         self._rplus = _RowSearch(_threshold(as_cdf(t.rplus)))
-        # step 0 draws whole streams on purpose: freeing them lifts glibc's
-        # mmap and trim thresholds above one block, so later steps reuse heap
-        values = self._pi(_words(self.seed, 0, 0, self.n_samples) >> _SHIFT)
-        self._record(0, values, (_words(self.seed, 0, 3, self.n_samples)
-                                 >> _SHIFT) < self._f[values])
+        self._advance(self._start)
 
-    def _update(self, lo, hi, draw, accept, pick, save):
-        for words in (draw, accept, save):
-            words >>= _SHIFT  # in place, as each block owns its words
+    # streams 0 to 3 are draw, accept, pick and save
+    def _start(self, lo, hi, words):
+        i = self._pi(_top(words(0)))
+        return i, _top(words(3)) < self._f[i]
+
+    def _update(self, lo, hi, words):
         # r_minus is read at its flat index j * n + i, and the k rerouted
         # samples search the r_plus keys, so nothing of size k x n is formed
-        i = self._pi(draw)
+        i = self._pi(_top(words(0)))
         j = self.values[lo:hi]
         rminus = self._rminus[j * self._rplus.width + i]
-        reroute = np.flatnonzero(self.flags[lo:hi] & (accept < rminus))
+        reroute = np.flatnonzero(self.flags[lo:hi]
+                                 & (_top(words(1)) < rminus))
         if reroute.size:
-            # only the rerouted samples read pick, so only theirs shift
-            i[reroute] = self._rplus(j[reroute], pick[reroute] >> _SHIFT)
-        return i, save < self._f[i]
+            # only the rerouted samples read pick, so only a block with
+            # reroutes draws it and only theirs shift
+            i[reroute] = self._rplus(j[reroute], words(2)[reroute] >> _SHIFT)
+        return i, _top(words(3)) < self._f[i]
 
 
 class CoinEnsemble(_Ensemble):
@@ -348,8 +367,6 @@ class CoinEnsemble(_Ensemble):
     ``values`` is its uint8 view, so it reads as 0/1.
     """
 
-    streams = 2  # draw, save
-
     def __init__(self, p: float, n_samples: int, seed: int):
         p = float(p)
         _check_unit_interval(p, "p")
@@ -357,19 +374,21 @@ class CoinEnsemble(_Ensemble):
         self.p = p
         # both values are equally likely and save alike
         self.expected_saved = abs(2 * p - 1)
-        # whole streams at step 0, as in GeneralQISampler
-        seed, m = self.seed, self.n_samples
-        self._record(0, _below(_words(seed, 0, 0, m), 0.5).view(np.uint8),
-                     _below(_words(seed, 0, 1, m), self.expected_saved))
+        self._advance(self._start)
 
-    def _update(self, lo, hi, draw, save):
-        fresh = _below(draw, 0.5)
+    # streams 0 and 1 are draw and save
+    def _start(self, lo, hi, words):
+        return (_below(words(0), 0.5).view(np.uint8),
+                _below(words(1), self.expected_saved))
+
+    def _update(self, lo, hi, words):
+        fresh = _below(words(0), 0.5)
         saved = self.flags[lo:hi]
         held = self.values[lo:hi].view(bool)
         if self.p > 0.5:
             held = ~held
         return (((saved & held) | (fresh & ~saved)).view(np.uint8),
-                _below(save, self.expected_saved))
+                _below(words(1), self.expected_saved))
 
 
 def _usable_cpus() -> int:

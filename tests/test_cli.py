@@ -269,11 +269,16 @@ def test_custom_ensemble_builds_no_machine(tmp_path, monkeypatch, capsys):
 
 def test_simulate_memory_error_is_numeric_error(monkeypatch, capsys):
     """An ensemble too large to allocate is a numerical error, reported on
-    one line, not a statistical failure with a traceback."""
+    one line, not a statistical failure with a traceback.  Its state is
+    asked for before any block is drawn, so it fails at once."""
     def no_memory(*args):
         raise MemoryError("Unable to allocate 8.00 TiB")
 
-    monkeypatch.setattr(samplers, "_words", no_memory)
+    def no_draws(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(samplers, "_reserve", no_memory)
+    monkeypatch.setattr(samplers, "_words", no_draws)
     assert run("simulate", "--model", "coin", "--algo", "qi-ensemble",
                "--p", "0.3", "--samples", str(2 ** 40), "--steps", "1",
                "--seed", "1") == cli.NUMERIC
@@ -598,7 +603,7 @@ def _sparse_chain_file(tmp_path):
 
 @pytest.mark.parametrize("states, samples, steps, threads", [
     (12, 300, 12, 1),   # two-digit values
-    (12, 300, 12, 3),
+    (12, 300, 12, 3),   # five blocks of 60 samples on three lanes
     (3, 3, 101, 1),     # tags of one, two and three digits
     (3, 101, 3, 1),     # samples of one, two and three digits
     (3, 1, 12, 1),
@@ -610,7 +615,10 @@ def _sparse_chain_file(tmp_path):
 def test_ensemble_out_matches_reference(states, samples, steps, threads,
                                         tmp_path, monkeypatch, capsys):
     """The --out CSV is the reference formatting of the values the sampler
-    returned, which no pinned digest reaches for 10 or more states."""
+    returned, which no pinned digest reaches for 10 or more states.  A row
+    of several threads runs blocks of 64 samples at most on that many
+    lanes, more than the cores included, and writes the bytes of one
+    unsplit block on one thread."""
     seen = []
 
     class Recording(samplers.GeneralQISampler):
@@ -624,18 +632,29 @@ def test_ensemble_out_matches_reference(states, samples, steps, threads,
             return values
 
     monkeypatch.setattr(samplers, "GeneralQISampler", Recording)
-    out = tmp_path / "run.csv"
-    # the verdict is not under test: a few hundred transitions out of a row
-    # with a 1e-4 entry can fail the z test by one hit
-    assert run("simulate", "--model", "custom", "--algo", "qi-general",
-               "--matrix", str(_chain_file(tmp_path, states)),
-               "--samples", str(samples), "--steps", str(steps),
-               "--threads", str(threads), "--seed", "7",
-               "--out", str(out)) in (cli.PASS, cli.STAT_FAIL)
+    matrix = _chain_file(tmp_path, states)
+
+    def simulate(threads, out):
+        # the verdict is not under test: a few hundred transitions out of a
+        # row with a 1e-4 entry can fail the z test by one hit
+        assert run("simulate", "--model", "custom", "--algo", "qi-general",
+                   "--matrix", str(matrix), "--samples", str(samples),
+                   "--steps", str(steps), "--threads", str(threads),
+                   "--seed", "7", "--out", str(out)) in (cli.PASS,
+                                                         cli.STAT_FAIL)
+        return out.read_bytes()
+
+    with monkeypatch.context() as lanes:
+        if threads > 1:
+            lanes.setattr(samplers, "BLOCK", 64)
+            lanes.setattr(samplers, "_usable_cpus", lambda: threads)
+        written = simulate(threads, tmp_path / "run.csv")
     assert len(seen) == steps + 1
     # the widest symbol occurs, so a symbol field is filled to its width
     assert len(str(max(v.max() for v in seen))) == len(str(states - 1))
-    assert out.read_bytes() == reference_ensemble_csv(seen)
+    assert written == reference_ensemble_csv(seen)
+    if threads > 1:
+        assert written == simulate(1, tmp_path / "one.csv")
 
 
 def test_trajectory_out_matches_reference(tmp_path, monkeypatch, capsys):

@@ -323,6 +323,20 @@ def test_chunks_bounded_by_sample_count(executors):
     assert sum(len(pool._threads) for pool in executors) <= 1
 
 
+def test_step_zero_forms_no_full_length_stream():
+    """Step 0 is drawn block by block, one stream at a time, like every
+    later step: building a 1e6-sample coin peaked at 4.8 MB traced, below
+    one full-length stream of words (8 MB), and at 10.8 MB when step 0
+    drew whole streams."""
+    tracemalloc.start()
+    try:
+        CoinEnsemble(0.3, 10**6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6, peak
+
+
 def test_large_chain_steps_form_no_samples_by_states_array():
     """Steps of 2e4 samples of a 1000-state Dirichlet(0.3) chain, in which
     more than half the samples reroute, read r_minus at flat indices and
@@ -824,29 +838,56 @@ def test_coin_ensemble_state_is_boolean():
 
 
 FAULT_PROBE = """
+import contextlib
+import io
 import resource
-from qimem.samplers import CoinEnsemble
-ensemble = CoinEnsemble(0.3, 200_000, 1)
-for _ in range(5):
-    ensemble.step()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(45):
-    ensemble.step()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+import sys
+from qimem import cli, samplers
+ensemble, argv = getattr(samplers, sys.argv[1]), sys.argv[2:]
+starts = []
+step = ensemble.step
+
+
+def counted_step(self, threads=1):
+    starts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return step(self, threads)
+
+
+ensemble.step = counted_step
+if argv[0] == "simulate":
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv + ["--steps", "51", "--seed", "1"])
+else:
+    sampler = ensemble(0.3, int(argv[0]), 1)
+    for _ in range(51):
+        sampler.step()
+print(starts[50] - starts[5])
 """
 
 
 @pytest.mark.skipif(sys.platform != "linux"
                     or platform.libc_ver()[0] != "glibc",
                     reason="reads glibc's malloc thresholds")
-def test_steady_coin_steps_fault_in_no_memory():
-    """Step 0 draws whole streams, and freeing them lifts glibc's dynamic
-    mmap and trim thresholds above one block's words.  So in a fresh
-    process, once a 2e5-sample coin has taken 5 steps, 45 more reuse the
-    heap: 0 minor faults measured, over 10,000 when step 0 was drawn
-    block by block."""
+@pytest.mark.parametrize("probe", [
+    # four blocks of 50000, stepped alone
+    pytest.param("CoinEnsemble 200000", id="coin-2e5"),
+    # one block, each step counted by cli._simulate_ensemble's loop
+    pytest.param("CoinEnsemble simulate --model coin --algo qi-ensemble "
+                 "--p 0.3 --samples 50000", id="coin-5e4-cli"),
+    pytest.param("GeneralQISampler simulate --model postproc --algo "
+                 "qi-general --p 1/9 --q 2/3 --samples 50000",
+                 id="general-5e4-cli"),
+])
+def test_steady_ensemble_steps_fault_in_no_memory(probe):
+    """Each ensemble frees an untouched buffer of two blocks' words when it
+    is built, which lifts glibc's dynamic mmap and trim thresholds above
+    one block's words.  So in a fresh process, once an ensemble has taken
+    5 steps, 45 more reuse the heap: 0 minor faults in each row.  When
+    step 0 drew whole streams, which lift the thresholds only to one
+    stream's words, the one-block rows faulted 7,380 and 3,818 times;
+    without the buffer the qi-general row faulted 3,772 times."""
     src = Path(samplers.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE],
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, *probe.split()],
                           capture_output=True, text=True, check=False,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
