@@ -843,9 +843,9 @@ import io
 import resource
 import sys
 from qimem import cli, samplers
-ensemble, argv = getattr(samplers, sys.argv[1]), sys.argv[2:]
+cls, argv = getattr(samplers, sys.argv[1]), sys.argv[2:]
 starts = []
-step = ensemble.step
+step = cls.step
 
 
 def counted_step(self, threads=1):
@@ -853,12 +853,12 @@ def counted_step(self, threads=1):
     return step(self, threads)
 
 
-ensemble.step = counted_step
+cls.step = counted_step
 if argv[0] == "simulate":
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(argv + ["--steps", "51", "--seed", "1"])
 else:
-    sampler = ensemble(0.3, int(argv[0]), 1)
+    sampler = cls(0.3, int(argv[0]), 1)
     for _ in range(51):
         sampler.step()
 print(starts[50] - starts[5])
@@ -884,8 +884,8 @@ def test_steady_ensemble_steps_fault_in_no_memory(probe):
     one block's words.  So in a fresh process, once an ensemble has taken
     5 steps, 45 more reuse the heap: 0 minor faults in each row.  When
     step 0 drew whole streams, which lift the thresholds only to one
-    stream's words, the one-block rows faulted 7,380 and 3,818 times;
-    without the buffer the qi-general row faulted 3,772 times."""
+    stream's words, the one-block rows faulted 7,380 and 4,061 times;
+    without the buffer the qi-general row faulted 3,749 times."""
     src = Path(samplers.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, *probe.split()],
                           capture_output=True, text=True, check=False,
